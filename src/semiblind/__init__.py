@@ -7,7 +7,7 @@ estimation), ``analytic`` (closed-form error predictions), ``estimators``
 """
 
 from . import analytic, estimators, harness, model, sos
-from .errors import ConfigError, ConvergenceError, SingularSystemError
+from .errors import ConfigError, SingularSystemError
 
 __version__ = "0.1.0"
 
@@ -18,6 +18,5 @@ __all__ = [
     "model",
     "sos",
     "ConfigError",
-    "ConvergenceError",
     "SingularSystemError",
 ]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, SingularSystemError
 from .model import SystemParams
-from .sos import free_slots, hermitian_basis, outer_free_jacobian
+from .sos import free_slot_index, hermitian_basis, outer_free_jacobian
 
 __all__ = [
     "SosErrorModel",
@@ -139,15 +139,6 @@ def sos_pseudo_covariance(sigma_dd: np.ndarray) -> np.ndarray:
     return sigma_dd[:, perm]
 
 
-# free-slot positions in the vec'd matrix and their (re / im) parts
-def _slot_positions(taps: int) -> tuple[np.ndarray, np.ndarray]:
-    pos, is_im = [], []
-    for kind, i, j in free_slots(taps):
-        pos.append(j * taps + i)
-        is_im.append(kind == "im")
-    return np.array(pos), np.array(is_im)
-
-
 def real_covariance(
     sigma_dd: np.ndarray, pseudo: np.ndarray, params: SystemParams
 ) -> RealErrorModel:
@@ -168,7 +159,8 @@ def real_covariance(
     if params.train_symbols == params.symbols:
         raise ConfigError("degenerate configuration: no information symbols (M_t = M)")
     taps = params.taps
-    pos, is_im = _slot_positions(taps)
+    row, col, is_im = free_slot_index(taps)
+    pos = col * taps + row  # free-slot positions in the vec'd matrix
     c_sub = sigma_dd[np.ix_(pos, pos)]
     r_sub = pseudo[np.ix_(pos, pos)]
 

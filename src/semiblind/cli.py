@@ -6,7 +6,7 @@ import argparse
 import logging
 import sys
 
-from . import harness
+from . import harness, model, sos
 from .errors import ConfigError
 
 
@@ -24,10 +24,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--estimator", choices=("training", "mm", "subspace", "all")
     )
-    parser.add_argument(
-        "--sos-mode", dest="sos_mode", choices=("identity", "solve", "iterative")
-    )
-    parser.add_argument("--synthesis", choices=("isi-free", "full-stream"))
+    parser.add_argument("--sos-mode", dest="sos_mode", choices=sos.SOS_MODES)
+    parser.add_argument("--synthesis", choices=model.SYNTHESIS_MODES)
     parser.add_argument("--N", dest="gain", type=int, help="spreading gain")
     parser.add_argument("--M", dest="symbols", type=int, help="coherence block length")
     parser.add_argument("--beta", type=lambda s: _grid(s, float), help="load values")

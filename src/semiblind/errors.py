@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["ConfigError", "SingularSystemError", "ConvergenceError"]
+__all__ = ["ConfigError", "SingularSystemError"]
 
 
 class ConfigError(ValueError):
@@ -20,7 +20,3 @@ class SingularSystemError(RuntimeError):
             message = f"{message} (condition estimate {condition:.3e})"
         super().__init__(message)
         self.condition = condition
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance within max iterations."""

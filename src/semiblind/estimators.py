@@ -1,8 +1,9 @@
 """The three channel estimators: training-only, moment-matching, subspace.
 
 The training estimate is a joint least-squares fit of all users' taps; the
-semi-blind refinements then run per user, since the SOS estimates decouple
-across users up to interference that vanishes in the large-system limit.
+semi-blind refinements then solve one problem per user (moment matching for
+all users in one batched call), since the SOS estimates decouple across
+users up to interference that vanishes in the large-system limit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from scipy.linalg.blas import zherk
 
 from .errors import ConfigError
 from .model import CodeBook, ReceivedBlock, SymbolFrame, SystemParams, _window_stack, unvec
-from .sos import _solve_spd, free_vars, free_weights, hermitianize, outer_free_jacobian
+from .sos import _solve_spd, hermitianize
 
 __all__ = [
     "TrainingEstimate",
@@ -27,10 +28,10 @@ __all__ = [
     "subspace_semiblind",
 ]
 
-_MAX_ITER = 200
-_COST_TOL = 1e-10
-_GRAD_TOL = 1e-8
-_STEP_FLOOR = 1e-8
+# the secular Newton iteration stops once every step is below this share of
+# its iterate; from a start below the root it converges in a few steps
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 100
 
 
 @dataclass
@@ -43,23 +44,22 @@ class TrainingEstimate:
 
 @dataclass
 class FitDiagnostics:
-    """Bookkeeping from a single per-user estimator run."""
+    """Bookkeeping from one estimator call (one user, or a batch for MM)."""
 
     method: str
     weight: float  # moment-matching w or subspace omega
     weight_source: str = "given"  # given | oracle | plugin
     iterations: int = 0
     cost: float = 0.0
-    grad_norm: float = 0.0
     converged: bool = True
     cost_trace: list[float] = field(default_factory=list, repr=False)
 
 
 @dataclass
 class SemiblindEstimate:
-    """One user's channel estimate plus the diagnostics that produced it."""
+    """Channel estimate plus the diagnostics that produced it."""
 
-    gains: np.ndarray  # (P,) complex
+    gains: np.ndarray  # (P,) complex, or (..., P) from a batched MM call
     method: str
     diagnostics: FitDiagnostics
 
@@ -110,86 +110,91 @@ def weight_w(alpha: float, sigma_n2: float, sigma_d2: float) -> float:
     return (1 - alpha) * sigma_n2 / ((1 - alpha) * sigma_n2 + alpha * sigma_d2)
 
 
-def _mm_residual_jac(
-    gr: np.ndarray, gbar_r: np.ndarray, d_free: np.ndarray, weight: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked residual and Jacobian of the moment-matching least squares.
-
-    The SOS rows carry sqrt(weight * Frobenius weight) so that the squared
-    residual norm reproduces w ||vec(g g^H) - d||^2 + (1-w) ||g - g_bar||^2.
-    """
-    p = gbar_r.shape[0] // 2
-    g = gr[:p] + 1j * gr[p:]
-    wts = np.sqrt(weight * free_weights(p))
-    f = free_vars(np.outer(g, g.conj()).reshape(-1, order="F"))
-    res = np.concatenate([wts * (f - d_free), np.sqrt(1 - weight) * (gr - gbar_r)])
-    jac = np.vstack(
-        [wts[:, None] * outer_free_jacobian(g), np.sqrt(1 - weight) * np.eye(2 * p)]
+def _mm_cost(g: np.ndarray, d_mat: np.ndarray, g_bar: np.ndarray, weight: float) -> np.ndarray:
+    """w ||g g^H - D||_F^2 + (1 - w) ||g - g_bar||^2 for each batch entry."""
+    resid = g[..., :, None] * g[..., None, :].conj() - d_mat
+    return weight * np.sum(np.abs(resid) ** 2, axis=(-2, -1)) + (1 - weight) * np.sum(
+        np.abs(g - g_bar) ** 2, axis=-1
     )
-    return res, jac
 
 
-def mm_semiblind(
-    g_bar: np.ndarray,
-    d_hat: np.ndarray,
-    weight: float,
-    max_iter: int = _MAX_ITER,
-    init: np.ndarray | None = None,
-) -> SemiblindEstimate:
-    """Damped Gauss-Newton minimization of the moment-matching cost.
+def mm_semiblind(g_bar: np.ndarray, d_hat: np.ndarray, weight: float) -> SemiblindEstimate:
+    """Exact minimizer of the moment-matching cost, batched over leading axes.
 
-    Starts from the training estimate (or ``init``), halves the step while
-    the cost increases (floor 1e-8), and stops on relative cost decrease
-    below 1e-10, gradient norm below 1e-8, or ``max_iter`` iterations.  The
-    accepted-cost sequence is non-increasing by construction; failure to
-    converge is flagged in the diagnostics rather than raised.
+    Minimizes w ||g g^H - D||_F^2 + (1 - w) ||g - g_bar||^2, D the Hermitian
+    part of unvec(d_hat).  Stationarity reads
+    [(1 - w + 2 w ||g||^2) I - 2 w D] g = (1 - w) g_bar.  With
+    D = V diag(lam) V^H, c = V^H g_bar, a_i = (1 - w)^2 |c_i|^2,
+    b_i = 2 w lam_i and mu = 1 - w + 2 w ||g||^2 it gives
+    g = V diag((1 - w) / (mu - b_i)) c, where mu solves the secular equation
+
+        h(mu) = (mu - (1 - w)) / (2 w) - sum_i a_i / (mu - b_i)^2 = 0.
+
+    The global minimizer has mu >= max_i b_i, the PSD condition of the
+    trust-region subproblem (More & Sorensen, 1983).  On that side h is
+    increasing and concave, so its root there is unique and Newton's method
+    started below it rises to it monotonically.  It starts where the bound
+    h <= (mu - (1 - w)) / (2 w) - a_top / u^2, u = mu - max_i b_i and a_top
+    the a_i on the top eigenvalue, is nonpositive.  In the hard
+    case (a_i = 0 on the top eigenvalue and h(max_i b_i) >= 0, e.g. w = 1)
+    mu = max_i b_i and the missing norm h goes along the top eigenvector.
+    w = 0 returns g_bar unchanged.
+
+    ``g_bar`` has shape (..., P) and ``d_hat`` (..., P^2).  The diagnostics
+    summarise the batch: Newton steps taken, whether every entry met the
+    tolerance, the summed cost and [cost at g_bar, final cost].
     """
     if not 0 <= weight <= 1:
         raise ValueError(f"weight={weight} must lie in [0, 1]")
     g_bar = np.asarray(g_bar, dtype=complex)
-    p = g_bar.shape[0]
-    d_free = free_vars(hermitianize(np.asarray(d_hat, dtype=complex)))
-    gbar_r = np.concatenate([g_bar.real, g_bar.imag])
-    gr = gbar_r.copy() if init is None else np.concatenate(
-        [np.asarray(init).real, np.asarray(init).imag]
-    )
+    taps = g_bar.shape[-1]
+    d_vec = hermitianize(np.asarray(d_hat, dtype=complex))
+    d_mat = unvec(d_vec, taps)
+    start = float(np.sum(_mm_cost(g_bar, d_mat, g_bar, weight)))
+    if weight == 0:
+        diag = FitDiagnostics(method="mm", weight=weight, cost=start, cost_trace=[start, start])
+        return SemiblindEstimate(gains=g_bar.copy(), method="mm", diagnostics=diag)
 
-    res, jac = _mm_residual_jac(gr, gbar_r, d_free, weight)
-    cost = float(res @ res)
-    trace = [cost]
-    grad_norm = float(np.linalg.norm(2 * jac.T @ res))
-    converged = grad_norm < _GRAD_TOL
-    it = 0
-    while not converged and it < max_iter:
-        it += 1
-        step = np.linalg.lstsq(jac, -res, rcond=None)[0]
-        scale = 1.0
-        while scale >= _STEP_FLOOR:
-            trial = gr + scale * step
-            res_t, jac_t = _mm_residual_jac(trial, gbar_r, d_free, weight)
-            cost_t = float(res_t @ res_t)
-            if cost_t <= cost:
-                break
-            scale *= 0.5
-        else:
-            break  # no downhill step left; keep the best iterate
-        rel_drop = (cost - cost_t) / max(cost, 1e-300)
-        gr, res, jac, cost = trial, res_t, jac_t, cost_t
-        trace.append(cost)
-        grad_norm = float(np.linalg.norm(2 * jac.T @ res))
-        if grad_norm < _GRAD_TOL or rel_drop < _COST_TOL:
-            converged = True
+    lam, vecs = np.linalg.eigh(d_mat)  # ascending, so the top eigenvalue is last
+    c = np.einsum("...ij,...i->...j", vecs.conj(), g_bar)
+    a = ((1 - weight) * np.abs(c)) ** 2
+    gap = 2 * weight * (lam[..., -1:] - lam)  # mu - b_i = u + gap_i
+    a_top = np.sum(np.where(gap == 0, a, 0.0), axis=-1)
+    slope = 1 / (2 * weight)
+    base = (2 * weight * lam[..., -1] - (1 - weight)) * slope  # h at u = 0 without the a terms
 
+    def secular(u):
+        q = u[..., None] + gap
+        inv = np.divide(1.0, q, out=np.zeros_like(q), where=q > 0)  # a_i = 0 where q = 0
+        terms = a * inv**2
+        return base + slope * u - terms.sum(axis=-1), slope + 2 * np.sum(terms * inv, axis=-1), inv
+
+    limit = np.divide(a_top, 2 * base, out=np.full_like(a_top, np.inf), where=base > 0)
+    u = np.minimum(np.cbrt(weight * a_top), np.sqrt(limit))
+    converged = False
+    for it in range(1, _NEWTON_MAX_ITER + 1):
+        h, dh, _ = secular(u)
+        u_next = np.maximum(u - h / dh, 0.0)  # stays at 0 only in the hard case
+        converged = bool(np.all(np.abs(u_next - u) <= _NEWTON_TOL * u_next))
+        u = u_next
+        if converged:
+            break
+
+    h, _, inv = secular(u)
+    y = (1 - weight) * c * inv
+    hard = (a_top == 0) & (u == 0)
+    y[..., -1] += np.where(hard, np.sqrt(np.maximum(h, 0.0)), 0.0)
+    gains = np.einsum("...ij,...j->...i", vecs, y)
+    cost = float(np.sum(_mm_cost(gains, d_mat, g_bar, weight)))
     diag = FitDiagnostics(
         method="mm",
         weight=weight,
         iterations=it,
         cost=cost,
-        grad_norm=grad_norm,
         converged=converged,
-        cost_trace=trace,
+        cost_trace=[start, cost],
     )
-    return SemiblindEstimate(gains=gr[:p] + 1j * gr[p:], method="mm", diagnostics=diag)
+    return SemiblindEstimate(gains=gains, method="mm", diagnostics=diag)
 
 
 def principal_eigvec(d_hat: np.ndarray) -> np.ndarray:

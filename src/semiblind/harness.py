@@ -99,6 +99,10 @@ class ExperimentConfig:
             raise ConfigError("grid values for P must be positive integers")
         if self.estimator not in (*_ESTIMATORS, "all"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
+        if self.sos_mode not in sos.SOS_MODES:
+            raise ConfigError(f"unknown SOS solver mode {self.sos_mode!r}")
+        if self.synthesis not in model.SYNTHESIS_MODES:
+            raise ConfigError(f"unknown synthesis mode {self.synthesis!r}")
         if self.omega is not None and not 0 <= self.omega <= 1:
             raise ConfigError("omega must lie in [0, 1]")
         if self.omega_mode not in ("oracle", "plugin"):
@@ -216,14 +220,16 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key, val = key.strip().lower(), val.strip()
         if key in _GRID_KEYS:
-            tokens = [t for t in val.replace(",", " ").split() if t]
-            cast = int if key == "p" else float
-            values[_GRID_KEYS[key]] = tuple(cast(t) for t in tokens)
+            name, cast = _GRID_KEYS[key], int if key == "p" else float
+            tokens = val.replace(",", " ").split()
         elif key in _SCALAR_KEYS:
-            name, cast = _SCALAR_KEYS[key]
-            values[name] = cast(val)
+            (name, cast), tokens = _SCALAR_KEYS[key], None
         else:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[name] = cast(val) if tokens is None else tuple(cast(t) for t in tokens)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {val!r}") from exc
     values.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentConfig(**values)
 
@@ -299,9 +305,8 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
         if params.train_symbols >= params.symbols:
             raise ConfigError("semi-blind estimators need at least one information symbol")
         info = range(params.train_symbols, params.symbols)
-        need_gram = config.sos_mode not in ("identity", "identity-t")
         system = sos.build_normal_equations(
-            codes, received, info, params.noise_var, include_gram=need_gram
+            codes, received, info, params.noise_var, include_gram=config.sos_mode == "solve"
         )
         d_hat = sos.hermitianize(sos.estimate_sos(system, config.sos_mode)).values
         if config.keep_sos_errors:
@@ -311,14 +316,9 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
             w = estimators.weight_w(
                 params.train_frac, params.noise_var, analytic.average_sos_variance(params)
             )
-            fits = [
-                estimators.mm_semiblind(train.gains[k], d_hat[k], w)
-                for k in range(params.users)
-            ]
-            errors["mm"] = np.array(
-                [np.sum(np.abs(f.gains - channel.gains[k]) ** 2) for k, f in enumerate(fits)]
-            )
-            diagnostics["mm"] = [f.diagnostics for f in fits]
+            fit = estimators.mm_semiblind(train.gains, d_hat, w)
+            errors["mm"] = np.sum(np.abs(fit.gains - channel.gains) ** 2, axis=1)
+            diagnostics["mm"] = [fit.diagnostics]
 
         if "subspace" in which:
             source = "given" if config.omega is not None else config.omega_mode
@@ -405,22 +405,26 @@ def _analytic_cell(
 # ---------------------------------------------------------------------------
 
 
-def _run_cell(config: ExperimentConfig, cell: Cell) -> list[SweepRecord]:
-    params = cell.params
-    per_trial = {name: [] for name in config.estimator_list}
-    for t in range(config.trials):
-        result = run_trial(config, cell, t)
-        for name in config.estimator_list:
-            per_trial[name].append(result.errors[name].mean())
+def _cell_records(
+    config: ExperimentConfig, cell: Cell, per_trial: dict[str, list] | None = None
+) -> list[SweepRecord]:
+    """One record per estimator of the cell.
 
+    The analytic columns are always filled; the empirical ones come from
+    ``per_trial`` (each estimator's per-trial mean squared errors) when it is
+    given, and are otherwise left empty in an analytic-only record.
+    """
+    params = cell.params
     records = []
     for name in config.estimator_list:
-        scaled = params.symbols * np.asarray(per_trial[name]) / params.taps
-        emp = float(scaled.mean())
-        se = (
-            float(scaled.std(ddof=1) / math.sqrt(scaled.size)) if scaled.size > 1 else None
-        )
-        ana, _ana_se, eta_ana = _analytic_cell(config, cell, name)
+        ana, ana_se, eta_ana = _analytic_cell(config, cell, name)
+        trials, emp, eta_emp = 0, None, None
+        se = ana_se if name != "training" else None
+        if per_trial is not None:
+            scaled = params.symbols * np.asarray(per_trial[name]) / params.taps
+            trials, emp = scaled.size, float(scaled.mean())
+            se = float(scaled.std(ddof=1) / math.sqrt(scaled.size)) if scaled.size > 1 else None
+            eta_emp = analytic.efficiency(emp, params.noise_var, params.train_frac)
         records.append(
             SweepRecord(
                 beta=cell.beta,
@@ -428,15 +432,24 @@ def _run_cell(config: ExperimentConfig, cell: Cell) -> list[SweepRecord]:
                 taps=cell.taps,
                 alpha=cell.alpha,
                 estimator=name,
-                trials=config.trials,
+                trials=trials,
                 sigma_g2_emp=emp,
                 sigma_g2_se=se,
                 sigma_g2_ana=ana,
-                eta_emp=analytic.efficiency(emp, params.noise_var, params.train_frac),
+                eta_emp=eta_emp,
                 eta_ana=eta_ana,
             )
         )
     return records
+
+
+def _run_cell(config: ExperimentConfig, cell: Cell) -> list[SweepRecord]:
+    per_trial = {name: [] for name in config.estimator_list}
+    for t in range(config.trials):
+        result = run_trial(config, cell, t)
+        for name in config.estimator_list:
+            per_trial[name].append(result.errors[name].mean())
+    return _cell_records(config, cell, per_trial)
 
 
 def run_sweep(
@@ -473,23 +486,7 @@ def predict(
     failures: list[CellFailure] = []
     for cell in grid_cells(config):
         try:
-            for name in config.estimator_list:
-                ana, ana_se, eta_ana = _analytic_cell(config, cell, name)
-                records.append(
-                    SweepRecord(
-                        beta=cell.beta,
-                        sigma_n2=cell.sigma_n2,
-                        taps=cell.taps,
-                        alpha=cell.alpha,
-                        estimator=name,
-                        trials=0,
-                        sigma_g2_emp=None,
-                        sigma_g2_se=ana_se if name != "training" else None,
-                        sigma_g2_ana=ana,
-                        eta_emp=None,
-                        eta_ana=eta_ana,
-                    )
-                )
+            records.extend(_cell_records(config, cell))
         except Exception as exc:
             log.error("cell %s failed: %s", cell.key(), exc)
             failures.append(CellFailure(cell=cell, error=str(exc)))

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 __all__ = [
+    "SYNTHESIS_MODES",
     "SystemParams",
     "ChannelRealization",
     "CodeBook",
@@ -27,6 +28,9 @@ __all__ = [
     "vec_outer",
     "unvec",
 ]
+
+# modes of synthesize_received
+SYNTHESIS_MODES = ("isi-free", "full-stream")
 
 # QPSK constellation (+-1 +-j)/sqrt(2), indexed by 2-bit symbol
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -137,8 +141,9 @@ def vec_outer(g: np.ndarray) -> np.ndarray:
 
 
 def unvec(d: np.ndarray, taps: int) -> np.ndarray:
-    """Inverse of column-stacked vec: reshape a P^2 vector to P x P."""
-    return np.asarray(d).reshape(taps, taps, order="F")
+    """Inverse of column-stacked vec: reshape the last axis (P^2) to P x P."""
+    d = np.asarray(d)
+    return d.reshape(*d.shape[:-1], taps, taps).swapaxes(-1, -2)
 
 
 def sample_channel(params: SystemParams, rng: np.random.Generator) -> ChannelRealization:

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import cg
 
-from .errors import ConvergenceError, SingularSystemError
+from .errors import SingularSystemError
 from .model import CodeBook, ReceivedBlock, _window_stack, unvec
 
 __all__ = [
+    "SOS_MODES",
     "SosSystem",
     "SosEstimate",
     "build_normal_equations",
@@ -28,15 +29,16 @@ __all__ = [
     "free_vars",
     "free_vars_inverse",
     "free_slots",
+    "free_slot_index",
     "hermitian_basis",
     "free_weights",
     "outer_free_jacobian",
 ]
 
-# ridge scale and iterative-solver settings
-_RIDGE = 1e-8
-_CG_TOL = 1e-8
-_CG_MAXITER = 500
+# solver modes of estimate_sos
+SOS_MODES = ("identity", "solve")
+
+_RIDGE = 1e-8  # relative ridge of the Cholesky fallback
 _HERMITIAN_TOL = 1e-10
 
 
@@ -141,31 +143,17 @@ def estimate_sos(system: SosSystem, mode: str = "identity") -> SosEstimate:
 
     Modes: ``identity`` takes d = y outright (the large-system T -> I
     approximation); ``solve`` runs a Cholesky factorization with a relative
-    ridge fallback; ``iterative`` refines d0 = y by conjugate gradients on
-    the real and imaginary parts separately.
+    ridge fallback and needs the Gram matrix.
     """
-    k, taps = system.users, system.taps
-    canonical = {
-        "identity": "identity",
-        "identity-t": "identity",
-        "solve": "solve",
-        "direct-solve": "solve",
-        "iterative": "iterative",
-    }.get(mode.lower())
-    if canonical is None:
+    if mode not in SOS_MODES:
         raise ValueError(f"unknown SOS solver mode {mode!r}")
-
-    if canonical == "identity":
+    if mode == "identity":
         values = system.rhs
+    elif system.gram is None:
+        raise ValueError(f"mode {mode!r} needs the Gram matrix; rebuild with include_gram=True")
     else:
-        if system.gram is None:
-            raise ValueError(f"mode {mode!r} needs the Gram matrix; rebuild with include_gram=True")
-        if canonical == "solve":
-            values = _solve_spd(system.gram, system.rhs)
-        else:
-            values = _solve_cg(system.gram, system.rhs)
-
-    return SosEstimate(values=values.reshape(k, taps * taps), mode=canonical)
+        values = _solve_spd(system.gram, system.rhs)
+    return SosEstimate(values=values.reshape(system.users, system.taps**2), mode=mode)
 
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -181,18 +169,6 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                 condition=float(np.linalg.cond(gram)),
             ) from exc
     return cho_solve(factor, rhs)
-
-
-def _solve_cg(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    parts = []
-    for b in (rhs.real, rhs.imag):
-        x, info = cg(gram, b, x0=b.copy(), rtol=_CG_TOL, maxiter=_CG_MAXITER)
-        if info != 0:
-            raise ConvergenceError(
-                f"conjugate-gradient refinement did not converge (info={info})"
-            )
-        parts.append(x)
-    return parts[0] + 1j * parts[1]
 
 
 def hermitianize(estimate):
@@ -227,6 +203,23 @@ def free_slots(taps: int) -> list[tuple[str, int, int]]:
     return slots
 
 
+@cache
+def free_slot_index(taps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (row, col, is_im) arrays of :func:`free_slots`, in its order.
+
+    Slot s reads the real (or, where ``is_im``, imaginary) part of entry
+    (row[s], col[s]) of the P x P matrix, whose column-stacked position is
+    col[s] * P + row[s]; diagonal slots are those with row == col.
+    """
+    slots = free_slots(taps)
+    row = np.array([i for _, i, _ in slots], dtype=np.intp)
+    col = np.array([j for _, _, j in slots], dtype=np.intp)
+    is_im = np.array([kind == "im" for kind, _, _ in slots])
+    for arr in (row, col, is_im):
+        arr.flags.writeable = False
+    return row, col, is_im
+
+
 def hermitian_basis(taps: int) -> np.ndarray:
     """Hermitian basis matrices matching :func:`free_slots`, shape (P^2, P, P).
 
@@ -234,22 +227,19 @@ def hermitian_basis(taps: int) -> np.ndarray:
     free variables; conversely f_s = tr(B_s A) / (1 on diagonal slots, 2
     elsewhere).
     """
+    row, col, is_im = free_slot_index(taps)
+    unit = np.where(is_im, 1j, 1.0)
     basis = np.zeros((taps * taps, taps, taps), dtype=complex)
-    for s, (kind, i, j) in enumerate(free_slots(taps)):
-        if kind == "diag":
-            basis[s, i, i] = 1.0
-        elif kind == "re":
-            basis[s, i, j] = 1.0
-            basis[s, j, i] = 1.0
-        else:
-            basis[s, i, j] = 1.0j
-            basis[s, j, i] = -1.0j
+    slot = np.arange(taps * taps)
+    basis[slot, col, row] = unit.conj()
+    basis[slot, row, col] = unit
     return basis
 
 
 def free_weights(taps: int) -> np.ndarray:
     """Frobenius weights per free variable: 1 on diagonal slots, 2 off."""
-    return np.array([1.0 if kind == "diag" else 2.0 for kind, _, _ in free_slots(taps)])
+    row, col, _ = free_slot_index(taps)
+    return np.where(row == col, 1.0, 2.0)
 
 
 def outer_free_jacobian(g: np.ndarray) -> np.ndarray:
@@ -260,8 +250,9 @@ def outer_free_jacobian(g: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(g, dtype=complex)
     taps = g.shape[0]
+    row, col, _ = free_slot_index(taps)
     bg = hermitian_basis(taps) @ g  # (P^2, P)
-    scale = np.array([2.0 if kind == "diag" else 1.0 for kind, _, _ in free_slots(taps)])
+    scale = np.where(row == col, 2.0, 1.0)
     return scale[:, None] * np.concatenate([bg.real, bg.imag], axis=1)
 
 
@@ -276,29 +267,17 @@ def free_vars(d: np.ndarray) -> np.ndarray:
     mat = unvec(d, taps)
     if np.max(np.abs(mat - mat.conj().T)) > _HERMITIAN_TOL:
         raise ValueError("input is not Hermitian within tolerance 1e-10")
-    out = np.empty(taps * taps)
-    for s, (kind, i, j) in enumerate(free_slots(taps)):
-        if kind == "diag":
-            out[s] = mat[i, i].real
-        elif kind == "re":
-            out[s] = mat[i, j].real
-        else:
-            out[s] = mat[i, j].imag
-    return out
+    row, col, is_im = free_slot_index(taps)
+    entries = mat[row, col]
+    return np.where(is_im, entries.imag, entries.real)
 
 
 def free_vars_inverse(f: np.ndarray) -> np.ndarray:
     """Rebuild the full vec'd Hermitian matrix from its free variables."""
     f = np.asarray(f)
     taps = math.isqrt(f.shape[-1])
-    mat = np.zeros((taps, taps), dtype=complex)
-    for s, (kind, i, j) in enumerate(free_slots(taps)):
-        if kind == "diag":
-            mat[i, i] = f[s]
-        elif kind == "re":
-            mat[i, j] += f[s]
-            mat[j, i] += f[s]
-        else:
-            mat[i, j] += 1j * f[s]
-            mat[j, i] += -1j * f[s]
+    row, col, is_im = free_slot_index(taps)
+    upper = np.zeros((taps, taps), dtype=complex)
+    np.add.at(upper, (row, col), np.where(is_im, 1j, 1.0) * f)
+    mat = upper + np.triu(upper, 1).conj().T
     return mat.reshape(-1, order="F")

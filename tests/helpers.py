@@ -58,7 +58,6 @@ def sos_trials(
 ) -> np.ndarray:
     """Hermitianized SOS estimates (n_trials, K, P^2), channel held fixed."""
     out = np.empty((n_trials, params.users, params.taps**2), dtype=complex)
-    need_gram = mode not in ("identity", "identity-t")
     for t in range(n_trials):
         codes, _, received = draw_block(params, channel, seeded_rng(*key, t))
         system = sos.build_normal_equations(
@@ -66,7 +65,7 @@ def sos_trials(
             received,
             range(info_start, params.symbols),
             params.noise_var,
-            include_gram=need_gram,
+            include_gram=mode == "solve",
         )
         out[t] = sos.hermitianize(sos.estimate_sos(system, mode)).values
     return out

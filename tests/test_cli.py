@@ -95,6 +95,16 @@ def test_bad_config_path_fails():
     assert cli.main(["sweep", "--config", "/nonexistent/file.cfg"]) == 2
 
 
+@pytest.mark.parametrize("line", ["N = abc", "beta = 0.25, x", "P = 2.5"])
+def test_bad_config_value_is_config_error(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"M = 40\n{line}\n")
+    assert cli.main(["predict", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: bad value" in err
+    assert "Traceback" not in err
+
+
 def test_failed_cells_nonzero_exit(tmp_path, capsys):
     # alpha = 1 starves the semi-blind estimators of information symbols
     code = cli.main(

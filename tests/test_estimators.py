@@ -110,11 +110,11 @@ class TestMmSemiblind:
         assert out.diagnostics.iterations <= 1
 
     def test_pure_moment_weight_matches_moments(self):
-        # w=1 with exact moments: converges to a point reproducing them
+        # w=1 with exact moments: the minimizer reproduces them
         g = random_taps(3, 132)
         d = model.vec_outer(g)
-        init = g + 1e-3 * random_taps(3, 133)
-        out = estimators.mm_semiblind(init, d, 1.0, init=init)
+        gbar = g + 1e-3 * random_taps(3, 133)
+        out = estimators.mm_semiblind(gbar, d, 1.0)
         assert out.diagnostics.cost < 1e-16
         assert np.linalg.norm(model.vec_outer(out.gains) - d) < 1e-8
 
@@ -153,6 +153,52 @@ class TestMmSemiblind:
         g = random_taps(2, 141)
         with pytest.raises(ValueError):
             estimators.mm_semiblind(g, model.vec_outer(g), 1.5)
+
+    @pytest.mark.parametrize("weight", [1e-3, 0.3, 0.7, 0.999])
+    def test_global_optimality_certificate(self, weight):
+        # [(1-w+2w||g||^2) I - 2w D] g = (1-w) g_bar with that matrix PSD is
+        # necessary and sufficient for the unique global minimizer
+        rng = seeded_rng(154)
+        for i in range(60):
+            taps = 1 + i % 5
+            gbar = rng.standard_normal(taps) + 1j * rng.standard_normal(taps)
+            if i % 6 == 0:
+                gbar[:] = 0  # every a_i = 0: the hard case when lambda_max is large
+            noise = rng.standard_normal(taps * taps) + 1j * rng.standard_normal(taps * taps)
+            d = sos.hermitianize(model.vec_outer(random_taps(taps, 155, i)) + noise)
+            out = estimators.mm_semiblind(gbar, d, weight)
+            g = out.gains
+            d_mat = model.unvec(d, taps)
+            mu = 1 - weight + 2 * weight * np.linalg.norm(g) ** 2
+            lhs = mu * np.eye(taps) - 2 * weight * d_mat
+            scale = mu + 2 * weight * np.linalg.norm(d_mat, 2)
+            resid = np.linalg.norm(lhs @ g - (1 - weight) * gbar)
+            assert resid <= 1e-10 * (scale * np.linalg.norm(g) + np.linalg.norm(gbar))
+            assert np.linalg.eigvalsh(lhs)[0] >= -1e-10 * scale
+            assert out.diagnostics.converged
+            assert out.diagnostics.cost_trace[-1] <= out.diagnostics.cost_trace[0]
+
+    def test_hard_case_puts_norm_on_top_eigenvector(self):
+        # g_bar = e_2 orthogonal to the top eigenvector of D = diag(3, 2, -1),
+        # w = 0.5: mu = b_max = 3, so ||g||^2 = 5/2, g_2 = 0.5 / (3 - 2) and the
+        # top component carries the missing 5/2 - 1/4 = 9/4
+        d = np.diag([3.0, 2.0, -1.0]).astype(complex).reshape(-1, order="F")
+        out = estimators.mm_semiblind(np.array([0, 1, 0], dtype=complex), d, 0.5)
+        assert np.allclose(np.abs(out.gains), [1.5, 0.5, 0.0], atol=1e-14)
+
+    def test_batched_matches_row_by_row(self):
+        rng = seeded_rng(156)
+        k, taps = 16, 3
+        gbar = rng.standard_normal((k, taps)) + 1j * rng.standard_normal((k, taps))
+        d = sos.hermitianize(
+            rng.standard_normal((k, taps * taps)) + 1j * rng.standard_normal((k, taps * taps))
+        )
+        batch = estimators.mm_semiblind(gbar, d, 0.4)
+        rows = [estimators.mm_semiblind(gbar[i], d[i], 0.4) for i in range(k)]
+        assert batch.gains.shape == (k, taps)
+        assert np.max(np.abs(batch.gains - [r.gains for r in rows])) <= 1e-13
+        assert batch.diagnostics.cost == pytest.approx(sum(r.diagnostics.cost for r in rows))
+        assert batch.diagnostics.converged
 
 
 class TestPrincipalEigvec:

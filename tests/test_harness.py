@@ -37,6 +37,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(fmt="xml")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sos_mode", "foo"), ("sos_mode", "iterative"), ("sos_mode", "identity-t"),
+         ("synthesis", "bogus")],
+    )
+    def test_rejects_unknown_modes(self, field, value):
+        # checked once for the whole config, also where no estimator uses it
+        with pytest.raises(ConfigError, match=repr(value)):
+            tiny_config(estimator="training", **{field: value})
+
     def test_load_config_file(self, tmp_path):
         text = """
         # sweep description

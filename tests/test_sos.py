@@ -102,8 +102,8 @@ class TestEstimateSos:
         ch = model.sample_channel(p, seeded_rng(53))
         codes, _, rec = draw_block(p, ch, seeded_rng(54))
         system = sos.build_normal_equations(codes, rec, range(6), p.noise_var)
-        ident = sos.estimate_sos(system, "identity-T")
-        solve = sos.estimate_sos(system, "direct-solve")
+        ident = sos.estimate_sos(system, "identity")
+        solve = sos.estimate_sos(system, "solve")
         assert np.array_equal(ident.values, solve.values)
 
     def test_low_load_solve_succeeds(self):
@@ -115,15 +115,6 @@ class TestEstimateSos:
         est = sos.estimate_sos(system, "solve")
         assert np.all(np.isfinite(est.values))
         assert np.linalg.cond(system.gram) < 100
-
-    def test_iterative_matches_solve(self):
-        p = model.SystemParams(users=3, gain=32, taps=2, symbols=100, noise_var=0.4)
-        ch = model.sample_channel(p, seeded_rng(57))
-        codes, _, rec = draw_block(p, ch, seeded_rng(58))
-        system = sos.build_normal_equations(codes, rec, range(100), p.noise_var)
-        direct = sos.estimate_sos(system, "solve")
-        iterative = sos.estimate_sos(system, "iterative")
-        assert np.allclose(direct.values, iterative.values, atol=1e-7)
 
     def test_solve_requires_gram(self):
         p = model.SystemParams(users=2, gain=16, taps=2, symbols=10, noise_var=0.1)
