@@ -200,6 +200,11 @@ def predict_subspace_angle(g: np.ndarray, params: SystemParams) -> float:
     energy = float(np.linalg.norm(g) ** 2)
     if energy == 0:
         raise ValueError("channel vector must be nonzero")
+    return _angle_var(energy, params)
+
+
+def _angle_var(energy, params: SystemParams):
+    """predict_subspace_angle from ||g||^2 (a float or an array of them)."""
     lam = _interference_power(params)
     return (params.taps - 1) * (lam * lam + lam * energy) / energy**2
 
@@ -237,24 +242,32 @@ def predict_subspace_mse(
 
 def optimal_omega(
     g: np.ndarray, params: SystemParams, angle_var: float | None = None
-) -> float:
+) -> float | np.ndarray:
     """Minimizer of the subspace MSE quadratic, clamped to [0, 1].
 
     P = 1 leaves the MSE flat in omega (the projection step is vacuous) and
     returns 0 by convention; a perfect subspace (zero angle variance) makes
-    full projection optimal, omega = 1.
+    full projection optimal, omega = 1.  ``g`` may carry leading batch axes
+    (..., P), giving one weight per vector; a float comes back for one
+    vector.
     """
     alpha = _check_train_frac(params)
     p, s2 = params.taps, params.noise_var
+    g = np.asarray(g, dtype=complex)
+    energy = (g * g.conj()).real.sum(axis=-1)
     if p == 1:
-        return 0.0
-    theta2 = predict_subspace_angle(g, params) if angle_var is None else angle_var
-    if theta2 == 0:
-        return 1.0
-    energy = float(np.linalg.norm(g) ** 2)
-    num = (p - 1) * s2 / alpha
-    den = energy * (1 + 1 / p) * theta2 / (1 - alpha) + num
-    return float(min(1.0, max(0.0, num / den)))
+        omega = np.zeros_like(energy)
+    elif angle_var == 0:
+        omega = np.ones_like(energy)
+    else:
+        if angle_var is None:
+            if (energy == 0).any():
+                raise ValueError("channel vector must be nonzero")
+            angle_var = _angle_var(energy, params)
+        num = (p - 1) * s2 / alpha
+        den = energy * (1 + 1 / p) * angle_var / (1 - alpha) + num
+        omega = np.minimum(1.0, np.maximum(0.0, num / den))
+    return float(omega) if omega.ndim == 0 else omega
 
 
 def moment_jacobian(g: np.ndarray) -> np.ndarray:

@@ -1,13 +1,14 @@
 """The three channel estimators: training-only, moment-matching, subspace.
 
 The training estimate is a joint least-squares fit of all users' taps; the
-semi-blind refinements then solve one problem per user (moment matching for
-all users in one batched call), since the SOS estimates decouple across
-users up to interference that vanishes in the large-system limit.
+semi-blind refinements then solve one problem per user (each estimator
+batched over all users in one call), since the SOS estimates decouple
+across users up to interference that vanishes in the large-system limit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +45,10 @@ class TrainingEstimate:
 
 @dataclass
 class FitDiagnostics:
-    """Bookkeeping from one estimator call (one user, or a batch for MM)."""
+    """Bookkeeping from one estimator call (one user, or a batch of users)."""
 
     method: str
-    weight: float  # moment-matching w or subspace omega
+    weight: float  # moment-matching w or subspace omega (per entry if batched)
     weight_source: str = "given"  # given | oracle | plugin
     iterations: int = 0
     cost: float = 0.0
@@ -59,7 +60,7 @@ class FitDiagnostics:
 class SemiblindEstimate:
     """Channel estimate plus the diagnostics that produced it."""
 
-    gains: np.ndarray  # (P,) complex, or (..., P) from a batched MM call
+    gains: np.ndarray  # (P,) complex, or (..., P) from a batched call
     method: str
     diagnostics: FitDiagnostics
 
@@ -198,37 +199,41 @@ def mm_semiblind(g_bar: np.ndarray, d_hat: np.ndarray, weight: float) -> Semibli
 
 
 def principal_eigvec(d_hat: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the top eigenvalue of the reshaped SOS estimate.
+    """Unit eigenvector of the top eigenvalue of each reshaped SOS estimate.
 
+    ``d_hat`` has shape (..., P^2); one ``eigh`` runs over the whole stack.
     Phase convention: the first entry of magnitude above 1e-12 is rotated to
     the positive real axis, which fixes the otherwise arbitrary phase
     deterministically.
     """
     d_hat = np.asarray(d_hat, dtype=complex)
-    taps = int(round(np.sqrt(d_hat.shape[-1])))
-    mat = unvec(d_hat, taps)
-    mat = 0.5 * (mat + mat.conj().T)
-    _, vecs = np.linalg.eigh(mat)
-    u = vecs[:, -1]
-    for entry in u:
-        if abs(entry) > 1e-12:
-            u = u * (entry.conj() / abs(entry))
-            break
-    return u
+    taps = math.isqrt(d_hat.shape[-1])
+    _, vecs = np.linalg.eigh(unvec(hermitianize(d_hat), taps))
+    u = vecs[..., -1]
+    # a unit vector always has such an entry
+    first = np.argmax(np.abs(u) > 1e-12, axis=-1)[..., None]
+    lead = np.take_along_axis(u, first, axis=-1)
+    return u * (lead.conj() / np.abs(lead))
 
 
 def subspace_semiblind(
-    g_bar: np.ndarray, d_hat: np.ndarray, omega: float
+    g_bar: np.ndarray, d_hat: np.ndarray, omega: float | np.ndarray
 ) -> SemiblindEstimate:
     """Project the training estimate on the leading SOS eigenvector and blend.
 
     g_hat = omega (u^H g_bar) u + (1 - omega) g_bar; invariant to the phase
-    of u, so the SOS phase ambiguity never reaches the estimate.
+    of u, so the SOS phase ambiguity never reaches the estimate.  Batched
+    over leading axes: ``g_bar`` (..., P), ``d_hat`` (..., P^2) and
+    ``omega`` a scalar or one weight per batch entry, which the diagnostics
+    record as given.
     """
-    if not 0 <= omega <= 1:
+    weights = np.asarray(omega, dtype=float)
+    if np.any(weights < 0) or np.any(weights > 1):
         raise ValueError(f"omega={omega} must lie in [0, 1]")
     g_bar = np.asarray(g_bar, dtype=complex)
     u = principal_eigvec(d_hat)
-    gains = omega * (u.conj() @ g_bar) * u + (1 - omega) * g_bar
+    proj = np.einsum("...i,...i->...", u.conj(), g_bar)[..., None]
+    weights = weights[..., None]
+    gains = weights * proj * u + (1 - weights) * g_bar
     diag = FitDiagnostics(method="subspace", weight=omega)
     return SemiblindEstimate(gains=gains, method="subspace", diagnostics=diag)

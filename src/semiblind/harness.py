@@ -15,7 +15,7 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 
@@ -322,21 +322,18 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
 
         if "subspace" in which:
             source = "given" if config.omega is not None else config.omega_mode
-            fits = []
-            for k in range(params.users):
-                omega = _subspace_omega(config, params, channel.gains[k], train.gains[k])
-                fit = estimators.subspace_semiblind(train.gains[k], d_hat[k], omega)
-                fit.diagnostics.weight_source = source
-                fits.append(fit)
-            errors["subspace"] = np.array(
-                [np.sum(np.abs(f.gains - channel.gains[k]) ** 2) for k, f in enumerate(fits)]
-            )
-            diagnostics["subspace"] = [f.diagnostics for f in fits]
+            omega = _subspace_omega(config, params, channel.gains, train.gains)
+            fit = estimators.subspace_semiblind(train.gains, d_hat, omega)
+            errors["subspace"] = np.sum(np.abs(fit.gains - channel.gains) ** 2, axis=1)
+            diagnostics["subspace"] = [
+                replace(fit.diagnostics, weight=float(w), weight_source=source)
+                for w in np.broadcast_to(omega, params.users)
+            ]
 
     return TrialResult(errors=errors, sos_errors=sos_errors, diagnostics=diagnostics)
 
 
-def _subspace_omega(config, params, g_true, g_bar) -> float:
+def _subspace_omega(config, params, g_true, g_bar) -> float | np.ndarray:
     if config.omega is not None:
         return config.omega
     ref = g_true if config.omega_mode == "oracle" else g_bar

@@ -196,12 +196,6 @@ def _window_stack(chips: np.ndarray, taps: int) -> np.ndarray:
     return view[..., ::-1]
 
 
-def _mix_weights(channel: ChannelRealization, symbols: np.ndarray) -> np.ndarray:
-    """Per-symbol stacked transmit weights g_k x_k(m), shape (M, K*P)."""
-    w = symbols.T[:, :, None] * channel.gains[None, :, :]  # (M, K, P)
-    return w.reshape(w.shape[0], -1)
-
-
 def synthesize_received(
     params: SystemParams,
     channel: ChannelRealization,
@@ -229,11 +223,15 @@ def synthesize_received(
         raise ValueError("symbols shape inconsistent with params")
 
     if mode == "isi-free":
-        stack = _window_stack(codes.chips, p)  # (K, M, N-P+1, P)
-        smat = np.ascontiguousarray(stack.transpose(1, 2, 0, 3)).reshape(
-            m, params.window, k * p
-        )
-        clean = np.einsum("mnj,mj->mn", smat, _mix_weights(channel, symbols.symbols))
+        # z(m)[l, p] = sum_k c_k(m)[l] x_k(m) g_k[p]: one real GEMM per symbol
+        # of the chips against the (Re, Im)-interleaved transmit weights
+        weights = np.multiply(symbols.symbols.T[:, :, None], channel.gains, dtype=complex)
+        z = np.matmul(codes.chips.transpose(1, 2, 0), weights.view(float)).view(complex)
+        # window chip n of C_k g_k is sum_p c_k[n + P-1-p] g_k[p]: P shifted slices
+        clean = z[:, p - 1 : p - 1 + params.window, 0].copy()
+        for tap in range(1, p):
+            lo = p - 1 - tap
+            clean += z[:, lo : lo + params.window, tap]
     elif mode == "full-stream":
         stream = (symbols.symbols[:, :, None] * codes.chips).reshape(k, m * n)
         total = np.zeros(m * n + p - 1, dtype=complex)

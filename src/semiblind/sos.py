@@ -4,7 +4,10 @@ The normal equations T d = y are assembled without ever materializing the
 (N-P+1)^2 x P^2 K regressor Q(m): block (i, j) of Q^T(m) Q(m) equals
 (C_i^T C_j) (x) (C_i^T C_j) and block k of Q^T(m) vec(r r^H) equals
 vec(a_k a_k^H) with a_k = C_k^T r, which drops the per-symbol cost from
-O(N^4) to O(K^2 P^2 N).
+O(N^4) to O(K^2 P^2 N) for the Gram T.  The right-hand side y costs
+O(K P N) per symbol: the correlators a_k are one real GEMM of the chips
+against P shifts of r, and the bias term C_k^T C_k is read off chip lag
+products, so the Sylvester window stack is built only for T.
 """
 
 from __future__ import annotations
@@ -97,23 +100,18 @@ def build_normal_equations(
     if np.any(idx < 0) or np.any(idx >= m_total):
         raise ValueError("info_range indices out of bounds")
 
-    windows = _window_stack(codes.chips[:, idx, :], taps)  # (K, Mi, n_w, P)
-    windows = np.ascontiguousarray(windows.transpose(1, 2, 0, 3))  # (Mi, n_w, K, P)
-    mi, n_w = windows.shape[0], windows.shape[1]
-    r = received.windows[idx]
-
-    # per-user correlator outputs a_k(m) = C_k^(m)T r(m)
-    smat = windows.reshape(mi, n_w, k * taps)
-    a = np.einsum("mnj,mn->mj", smat, r).reshape(mi, k, taps)
-
-    # block k of y: mean_m vec(a_k a_k^H) - noise_var * mean_m vec(C_k^T C_k)
-    moments = np.einsum("mkr,mkc->kcr", a, a.conj()) / mi
-    self_gram = np.einsum("mnkp,mnkq->kpq", windows, windows) / mi
-    rhs = moments - noise_var * self_gram.transpose(0, 2, 1)
-    rhs = rhs.reshape(k, taps * taps).reshape(-1)
+    # a contiguous range selects views, so no copy of the chips is held
+    # while the Gram accumulates
+    if np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        idx = slice(idx[0], idx[0] + idx.size)
+    chips = codes.chips[:, idx, :]  # (K, Mi, N)
+    rhs = _sos_rhs(chips, received.windows[idx], taps, noise_var)
 
     gram = None
     if include_gram:
+        mi, n_w = chips.shape[1], received.windows.shape[1]
+        windows = _window_stack(chips, taps)  # (K, Mi, n_w, P)
+        smat = np.ascontiguousarray(windows.transpose(1, 2, 0, 3)).reshape(mi, n_w, k * taps)
         dim = k * taps * taps
         p2 = taps * taps
         acc = np.zeros((k * k, p2, p2))
@@ -126,6 +124,7 @@ def build_normal_equations(
             pairs = np.ascontiguousarray(
                 b.reshape(-1, k, taps, k, taps).transpose(1, 3, 0, 2, 4)
             ).reshape(k * k, -1, p2)
+            del b  # freed before the next chunk's products: both at once set the peak
             acc += np.matmul(pairs.transpose(0, 2, 1), pairs)
         # acc[(i,j), (a,b), (c,d)] -> block (i,j) entry [(a,c), (b,d)]
         gram = (
@@ -136,6 +135,44 @@ def build_normal_equations(
         )
 
     return SosSystem(rhs=rhs, gram=gram, users=k, taps=taps)
+
+
+def _sos_rhs(chips: np.ndarray, r: np.ndarray, taps: int, noise_var: float) -> np.ndarray:
+    """y = mean_m vec(a_k a_k^H) - noise_var * mean_m vec(C_k^T C_k), stacked over k."""
+    _, mi, n = chips.shape
+    n_w = r.shape[1]
+    # per-user correlator outputs a_k(m) = C_k^(m)T r(m): tap p reads chip
+    # n + P-1-p against r(m)[n], so one real GEMM of the chips against P
+    # zero-padded shifts of (Re r, Im r), interleaved to view as complex
+    shifted = np.zeros((mi, n, taps, 2))
+    for p in range(taps):
+        lo = taps - 1 - p
+        shifted[:, lo : lo + n_w, p, 0] = r.real
+        shifted[:, lo : lo + n_w, p, 1] = r.imag
+    a = np.matmul(chips.transpose(1, 0, 2), shifted.reshape(mi, n, 2 * taps)).view(complex)
+    moments = np.einsum("mkr,mkc->kcr", a, a.conj()) / mi
+    rhs = moments - noise_var * (_self_gram(chips, taps) / mi)
+    return rhs.reshape(-1)
+
+
+def _self_gram(chips: np.ndarray, taps: int) -> np.ndarray:
+    """sum_m C_k^(m)T C_k^(m) for every user from chip lag products, (K, P, P).
+
+    Entry (p, q), p >= q, sums c(n + P-1-p) c(n + P-1-p + p-q) over the
+    N-P+1 window chips n: a window, starting at chip P-1-p, of the lag-(p-q)
+    products summed over symbols, read off their cumulative sum.
+    """
+    k, _, n = chips.shape
+    n_w = n - taps + 1
+    out = np.empty((k, taps, taps))
+    for lag in range(taps):
+        prods = np.einsum("kml,kml->kl", chips[..., : n - lag], chips[..., lag:])
+        csum = np.zeros((k, n - lag + 1))
+        np.cumsum(prods, axis=-1, out=csum[:, 1:])
+        for p in range(lag, taps):
+            lo = taps - 1 - p
+            out[:, p, p - lag] = out[:, p - lag, p] = csum[:, lo + n_w] - csum[:, lo]
+    return out
 
 
 def estimate_sos(system: SosSystem, mode: str = "identity") -> SosEstimate:

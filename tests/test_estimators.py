@@ -270,6 +270,30 @@ class TestSubspaceSemiblind:
         assert out.method == "subspace"
         assert out.diagnostics.weight == 0.25
 
+    def test_batch_matches_rows(self):
+        # one call over a (K, P) stack equals K row-by-row calls, with
+        # per-user omegas from one batched optimal_omega call
+        k, taps = 6, 3
+        p = model.SystemParams(
+            users=k, gain=64, taps=taps, symbols=400, train_symbols=80, noise_var=0.5
+        )
+        rng = seeded_rng(154)
+        g = np.array([random_taps(taps, 155, i) for i in range(k)])
+        gbar = g + 0.1 * np.array([random_taps(taps, 156, i) for i in range(k)])
+        noise = rng.standard_normal((k, taps**2)) + 1j * rng.standard_normal((k, taps**2))
+        d = sos.hermitianize(model.vec_outer(g) + 0.05 * noise)
+        omega = analytic.optimal_omega(gbar, p)
+        rows = [analytic.optimal_omega(gbar[i], p) for i in range(k)]
+        assert omega.shape == (k,)
+        assert np.max(np.abs(omega - rows)) <= 1e-13
+        u = estimators.principal_eigvec(d)
+        u_rows = np.array([estimators.principal_eigvec(d[i]) for i in range(k)])
+        assert np.max(np.abs(u - u_rows)) <= 1e-13
+        batch = estimators.subspace_semiblind(gbar, d, omega)
+        fits = [estimators.subspace_semiblind(gbar[i], d[i], rows[i]) for i in range(k)]
+        assert batch.gains.shape == (k, taps)
+        assert np.max(np.abs(batch.gains - [f.gains for f in fits])) <= 1e-13
+
 
 class TestSubspaceBeatsTraining:
     @pytest.mark.parametrize("noise_var", [0.25, 0.5, 1.0])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semiblind import model
 from helpers import seeded_rng
@@ -164,6 +166,34 @@ class TestSynthesize:
                     * frame.symbols[k, m]
                 )
             assert np.allclose(rec.windows[m], direct, atol=1e-13)
+
+    @given(data=st.data())
+    def test_property_matches_direct_sum(self, data):
+        # random shapes, from one tap up to P = N - 1
+        gain = data.draw(st.integers(2, 12), label="N")
+        taps = data.draw(
+            st.one_of(st.just(1), st.just(gain - 1), st.integers(1, gain - 1)), label="P"
+        )
+        users = data.draw(st.integers(1, 4), label="K")
+        symbols = data.draw(st.integers(1, 6), label="M")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        p = model.SystemParams(users=users, gain=gain, taps=taps, symbols=symbols)
+        rng = seeded_rng(seed)
+        ch = model.sample_channel(p, rng)
+        codes = model.sample_codes(p, rng)
+        frame = model.sample_symbols(p, rng)
+        rec = model.synthesize_received(p, ch, codes, frame, rng)
+        direct = np.array(
+            [
+                sum(
+                    model.sylvester(codes.chips[k, m], taps) @ ch.gains[k] * frame.symbols[k, m]
+                    for k in range(users)
+                )
+                for m in range(symbols)
+            ]
+        )
+        assert rec.windows.shape == (symbols, p.window)
+        assert np.max(np.abs(rec.windows - direct)) <= 1e-13 * max(1.0, np.max(np.abs(direct)))
 
     def test_full_stream_agrees_on_retained_chips(self):
         p = model.SystemParams(users=8, gain=32, taps=3, symbols=40, noise_var=0.0)

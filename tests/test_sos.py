@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semiblind import model, sos
 from helpers import draw_block, gram_only, seeded_rng, sos_trials
@@ -77,6 +79,38 @@ class TestBuildNormalEquations:
         full = sos.build_normal_equations(trimmed, rec_t, range(6), p_t.noise_var)
         assert np.allclose(sub.gram, full.gram)
         assert np.allclose(sub.rhs, full.rhs)
+
+    @given(data=st.data())
+    def test_property_matches_brute_force_on_subsets(self, data):
+        # random shapes and a random nonempty subset of symbols, in any order
+        users = data.draw(st.integers(1, 4), label="K")
+        taps = data.draw(st.integers(1, 4), label="P")
+        gain = data.draw(st.integers(taps + 1, 12), label="N")
+        symbols = data.draw(st.integers(1, 6), label="M")
+        info = data.draw(
+            st.lists(st.integers(0, symbols - 1), min_size=1, max_size=symbols, unique=True),
+            label="info_range",
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        p = model.SystemParams(users=users, gain=gain, taps=taps, symbols=symbols, noise_var=0.3)
+        rng = seeded_rng(seed)
+        codes = model.sample_codes(p, rng)
+        shape = (symbols, p.window)
+        rec = model.ReceivedBlock(
+            windows=rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        )
+        system = sos.build_normal_equations(codes, rec, info, p.noise_var)
+        p_sub = model.SystemParams(
+            users=users, gain=gain, taps=taps, symbols=len(info), noise_var=0.3
+        )
+        gram_ref, rhs_ref = brute_force_system(
+            p_sub,
+            model.CodeBook(chips=codes.chips[:, info, :]),
+            model.ReceivedBlock(windows=rec.windows[info]),
+            p.noise_var,
+        )
+        assert np.max(np.abs(system.gram - gram_ref)) <= 1e-12 * np.max(np.abs(gram_ref))
+        assert np.max(np.abs(system.rhs - rhs_ref)) <= 1e-12 * np.max(np.abs(rhs_ref))
 
     def test_empty_range_rejected(self):
         p = model.SystemParams(users=2, gain=16, taps=2, symbols=10)
