@@ -4,10 +4,15 @@ All covariances here are "per-symbol-count scaled": a matrix S describes
 errors whose actual covariance over M samples is S/M.  That convention
 matches the asymptotic statements being implemented and makes the figure
 surfaces independent of the absolute block length.
+
+Every prediction taking a channel vector ``g`` also takes a stack of them,
+shape (..., P), and returns one result per vector; a single vector gives a
+float where the result is a scalar.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +51,8 @@ class SosErrorModel:
     c = lam^2, and the rank-structured, channel-dependent ``omega``.
     """
 
-    sigma_dd: np.ndarray  # (P^2, P^2) complex
-    omega: np.ndarray  # (P^2, P^2) complex
-    sigma_d2: float
+    sigma_dd: np.ndarray  # (..., P^2, P^2) complex
+    omega: np.ndarray  # (..., P^2, P^2) complex
 
 
 @dataclass
@@ -75,24 +79,38 @@ def _interference_power(params: SystemParams) -> float:
     return params.noise_var + params.load
 
 
+def _energy(g: np.ndarray, nonzero: bool = False) -> np.ndarray:
+    """||g||^2 of each vector of a (..., P) stack."""
+    energy = (g * g.conj()).real.sum(axis=-1)
+    if nonzero and np.any(energy == 0):
+        raise ValueError("channel vector must be nonzero")
+    return energy
+
+
+def _scalar(x: np.ndarray) -> float | np.ndarray:
+    return float(x) if x.ndim == 0 else x
+
+
 def _omega_matrix(g: np.ndarray) -> np.ndarray:
-    """Channel-dependent part of the SOS error covariance.
+    """Channel-dependent part of the SOS error covariance, (..., P^2, P^2).
 
     Index i of the vec'd error addresses matrix position
     (row, col) = (i mod P, i // P); the four cases are: both positions equal
     (sum of the two tap powers), matching rows (conjugate product of the
     column taps), matching columns (product of the row taps), else zero.
     """
-    p = g.shape[0]
+    p = g.shape[-1]
     idx = np.arange(p * p)
     row, col = idx % p, idx // p
     same_row = row[:, None] == row[None, :]
     same_col = col[:, None] == col[None, :]
-    om = np.zeros((p * p, p * p), dtype=complex)
-    om[same_row] = (g.conj()[col[:, None]] * g[col[None, :]])[same_row]
-    om[same_col] = (g[row[:, None]] * g.conj()[row[None, :]])[same_col]
-    diag = np.abs(g[col]) ** 2 + np.abs(g[row]) ** 2
-    om[idx, idx] = diag
+    gc = g.conj()
+    om = np.where(
+        same_col,
+        g[..., row[:, None]] * gc[..., row[None, :]],
+        np.where(same_row, gc[..., col[:, None]] * g[..., col[None, :]], 0),
+    )
+    om[..., idx, idx] = np.abs(g[..., col]) ** 2 + np.abs(g[..., row]) ** 2
     return om
 
 
@@ -105,14 +123,11 @@ def predict_sos_covariance(g: np.ndarray, params: SystemParams) -> SosErrorModel
     Its channel average lam^2 + 2*lam/P is :func:`average_sos_variance`.
     """
     g = np.asarray(g, dtype=complex)
-    if np.linalg.norm(g) == 0:
-        raise ValueError("channel vector must be nonzero")
+    _energy(g, nonzero=True)
     lam = _interference_power(params)
     omega = _omega_matrix(g)
-    sigma = lam * lam * np.eye(g.shape[0] ** 2) + lam * omega
-    return SosErrorModel(
-        sigma_dd=sigma, omega=omega, sigma_d2=average_sos_variance(params)
-    )
+    sigma = lam * lam * np.eye(g.shape[-1] ** 2) + lam * omega
+    return SosErrorModel(sigma_dd=sigma, omega=omega)
 
 
 def average_sos_variance(params: SystemParams) -> float:
@@ -132,11 +147,11 @@ def sos_pseudo_covariance(sigma_dd: np.ndarray) -> np.ndarray:
     transposed position equals the conjugate of component j, so the
     pseudo-covariance is the covariance with its columns permuted by pi.
     """
-    dim = sigma_dd.shape[0]
-    p = int(round(np.sqrt(dim)))
+    dim = sigma_dd.shape[-1]
+    p = math.isqrt(dim)
     j = np.arange(dim)
     perm = (j % p) * p + j // p
-    return sigma_dd[:, perm]
+    return sigma_dd[..., perm]
 
 
 def real_covariance(
@@ -152,7 +167,8 @@ def real_covariance(
         cov(Re u, Im v) = (Im R - Im C) / 2
         cov(Im u, Re v) = (Im R + Im C) / 2
 
-    restricted here to the canonical free-variable ordering.
+    restricted here to the canonical free-variable ordering.  Leading
+    batch axes of the inputs carry through to both outputs.
     """
     if params.train_symbols == 0:
         raise ConfigError("degenerate configuration: no training symbols (M_t = 0)")
@@ -161,8 +177,8 @@ def real_covariance(
     taps = params.taps
     row, col, is_im = free_slot_index(taps)
     pos = col * taps + row  # free-slot positions in the vec'd matrix
-    c_sub = sigma_dd[np.ix_(pos, pos)]
-    r_sub = pseudo[np.ix_(pos, pos)]
+    c_sub = sigma_dd[..., pos[:, None], pos[None, :]]
+    r_sub = pseudo[..., pos[:, None], pos[None, :]]
 
     re_u = ~is_im[:, None]
     re_v = ~is_im[None, :]
@@ -176,15 +192,15 @@ def real_covariance(
                      0.5 * (c_sub.real - r_sub.real)),
         ),
     )
-    sigma_df = 0.5 * (out + out.T)
+    sigma_df = 0.5 * (out + np.swapaxes(out, -1, -2))
 
     two_p = 2 * taps
     dim = two_p + taps * taps
-    sigma_zz = np.zeros((dim, dim))
-    sigma_zz[:two_p, :two_p] = (
+    sigma_zz = np.zeros((*out.shape[:-2], dim, dim))
+    sigma_zz[..., :two_p, :two_p] = (
         params.noise_var / (2.0 * params.train_symbols)
     ) * np.eye(two_p)
-    sigma_zz[two_p:, two_p:] = sigma_df / (params.symbols - params.train_symbols)
+    sigma_zz[..., two_p:, two_p:] = sigma_df / (params.symbols - params.train_symbols)
     return RealErrorModel(sigma_zz=sigma_zz, sigma_df=sigma_df)
 
 
@@ -196,17 +212,9 @@ def predict_subspace_angle(g: np.ndarray, params: SystemParams) -> float:
     lam^2 I + lam Omega(g): sin^2 = ||(I - u u^H) E u||^2 / ||g||^4 with
     u = g/||g||, whose mean is (P-1)(lam^2 + lam ||g||^2) / ||g||^4.
     """
-    g = np.asarray(g, dtype=complex)
-    energy = float(np.linalg.norm(g) ** 2)
-    if energy == 0:
-        raise ValueError("channel vector must be nonzero")
-    return _angle_var(energy, params)
-
-
-def _angle_var(energy, params: SystemParams):
-    """predict_subspace_angle from ||g||^2 (a float or an array of them)."""
+    energy = _energy(np.asarray(g, dtype=complex), nonzero=True)
     lam = _interference_power(params)
-    return (params.taps - 1) * (lam * lam + lam * energy) / energy**2
+    return _scalar((params.taps - 1) * (lam * lam + lam * energy) / energy**2)
 
 
 def _check_train_frac(params: SystemParams) -> float:
@@ -219,21 +227,24 @@ def _check_train_frac(params: SystemParams) -> float:
 def predict_subspace_mse(
     g: np.ndarray,
     params: SystemParams,
-    omega: float,
+    omega: float | np.ndarray,
     angle_var: float | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Scaled per-tap MSE of the subspace estimator at combining weight omega.
 
-    ``angle_var`` overrides the eigenvector-angle variance (e.g. 0 for the
-    hypothetical perfect-subspace limit); by default it is predicted from g.
+    ``omega`` is a scalar or one weight per vector of ``g``.  ``angle_var``
+    overrides the eigenvector-angle variance (e.g. 0 for the hypothetical
+    perfect-subspace limit); by default it is predicted from g.
     """
-    if not 0 <= omega <= 1:
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega < 0) or np.any(omega > 1):
         raise ValueError(f"omega={omega} must lie in [0, 1]")
     alpha = _check_train_frac(params)
     p, s2 = params.taps, params.noise_var
-    energy = float(np.linalg.norm(g) ** 2)
+    g = np.asarray(g, dtype=complex)
+    energy = _energy(g)
     theta2 = predict_subspace_angle(g, params) if angle_var is None else angle_var
-    return (
+    return _scalar(
         omega**2 * energy * (1 + 1 / p) * theta2 / ((1 - alpha) * p)
         + (1 - omega) ** 2 * (p - 1) * s2 / (p * alpha)
         + s2 / (p * alpha)
@@ -247,27 +258,23 @@ def optimal_omega(
 
     P = 1 leaves the MSE flat in omega (the projection step is vacuous) and
     returns 0 by convention; a perfect subspace (zero angle variance) makes
-    full projection optimal, omega = 1.  ``g`` may carry leading batch axes
-    (..., P), giving one weight per vector; a float comes back for one
-    vector.
+    full projection optimal, omega = 1.
     """
     alpha = _check_train_frac(params)
     p, s2 = params.taps, params.noise_var
     g = np.asarray(g, dtype=complex)
-    energy = (g * g.conj()).real.sum(axis=-1)
+    energy = _energy(g)
     if p == 1:
         omega = np.zeros_like(energy)
     elif angle_var == 0:
         omega = np.ones_like(energy)
     else:
         if angle_var is None:
-            if (energy == 0).any():
-                raise ValueError("channel vector must be nonzero")
-            angle_var = _angle_var(energy, params)
+            angle_var = predict_subspace_angle(g, params)
         num = (p - 1) * s2 / alpha
         den = energy * (1 + 1 / p) * angle_var / (1 - alpha) + num
         omega = np.minimum(1.0, np.maximum(0.0, num / den))
-    return float(omega) if omega.ndim == 0 else omega
+    return _scalar(omega)
 
 
 def moment_jacobian(g: np.ndarray) -> np.ndarray:
@@ -301,27 +308,26 @@ def _stationarity_jacobians(
     """Jacobians of the moment-matching stationarity map F at the true point.
 
     Returns (dF/dg_real, dF/dz_real) evaluated at g with exact moments, for
-    the cost w ||vec(g g^H) - d||^2 + (1 - w) ||g - g_bar||^2.
+    the cost w ||vec(g g^H) - d||^2 + (1 - w) ||g - g_bar||^2; shapes
+    (..., 2P, 2P) and (..., 2P, 2P + P^2).
     """
     g = np.asarray(g, dtype=complex)
-    p = g.shape[0]
-    a, b = g.real, g.imag
-    d_mat = np.outer(g, g.conj())
-    energy = float(np.linalg.norm(g) ** 2)
-    eye = np.eye(p)
+    p = g.shape[-1]
+    a, b = g.real[..., :, None], g.imag[..., :, None]
+    d_mat = g[..., :, None] * g.conj()[..., None, :]
+    diag = _energy(g)[..., None, None] * np.eye(p) - d_mat.real
 
-    h_aa = 4 * weight * (2 * np.outer(a, a) + energy * eye - d_mat.real)
-    h_bb = 4 * weight * (2 * np.outer(b, b) + energy * eye - d_mat.real)
-    h_ab = 4 * weight * (2 * np.outer(a, b) + d_mat.imag)
-    h_ba = 4 * weight * (2 * np.outer(b, a) - d_mat.imag)
+    h_aa = 4 * weight * (2 * a * a.swapaxes(-1, -2) + diag)
+    h_bb = 4 * weight * (2 * b * b.swapaxes(-1, -2) + diag)
+    h_ab = 4 * weight * (2 * a * b.swapaxes(-1, -2) + d_mat.imag)
+    h_ba = 4 * weight * (2 * b * a.swapaxes(-1, -2) - d_mat.imag)
     hess = np.block([[h_aa, h_ab], [h_ba, h_bb]])
     hess += 2 * (1 - weight) * np.eye(2 * p)
 
-    basis = hermitian_basis(p)
-    bg = basis @ g  # (P^2, P)
-    df_dfree = -4 * weight * np.concatenate([bg.real, bg.imag], axis=1).T  # (2P, P^2)
-    df_dz = np.hstack([-2 * (1 - weight) * np.eye(2 * p), df_dfree])
-    return hess, df_dz
+    bg = np.einsum("sij,...j->...si", hermitian_basis(p), g)  # (..., P^2, P)
+    df_dfree = -4 * weight * np.concatenate([bg.real, bg.imag], axis=-1).swapaxes(-1, -2)
+    eye = np.broadcast_to(-2 * (1 - weight) * np.eye(2 * p), df_dfree.shape[:-1] + (2 * p,))
+    return hess, np.concatenate([eye, df_dfree], axis=-1)
 
 
 def mm_error_covariance(
@@ -332,6 +338,10 @@ def mm_error_covariance(
     Returns (Sigma, sigma_g2) where Sigma is the 2P x 2P real covariance of
     the stacked (Re, Im) channel error and sigma_g2 = trace(Sigma)/P its
     per-tap summary.  ``weight`` defaults to the plug-in weighting factor.
+
+    Where the stationarity Jacobian's condition number is non-finite or
+    above 1e12, a single vector raises :class:`SingularSystemError` and a
+    stack fills that entry's Sigma and sigma_g2 with NaN.
     """
     alpha = _check_train_frac(params)
     if weight is None:
@@ -340,14 +350,18 @@ def mm_error_covariance(
         weight = weight_w(alpha, params.noise_var, average_sos_variance(params))
     hess, df_dz = _stationarity_jacobians(g, weight)
     cond = np.linalg.cond(hess)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    singular = ~np.isfinite(cond) | (cond > _COND_LIMIT)
+    if cond.ndim == 0 and singular:
         raise SingularSystemError(
             "stationarity Jacobian is singular at this channel", condition=float(cond)
         )
+    # singular entries solve against the identity, then read NaN
+    hess[singular] = np.eye(hess.shape[-1])
     sens = -np.linalg.solve(hess, df_dz)
-    sigma = sens @ _scaled_obs_covariance(g, params) @ sens.T
-    sigma = 0.5 * (sigma + sigma.T)
-    return sigma, float(np.trace(sigma) / params.taps)
+    sigma = sens @ _scaled_obs_covariance(g, params) @ sens.swapaxes(-1, -2)
+    sigma = 0.5 * (sigma + sigma.swapaxes(-1, -2))
+    sigma[singular] = np.nan
+    return sigma, _scalar(np.trace(sigma, axis1=-2, axis2=-1) / params.taps)
 
 
 def mm_lower_bound(g: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -373,10 +387,10 @@ def mm_lower_bound(g: np.ndarray, params: SystemParams) -> np.ndarray:
     return 0.5 * (bound + bound.T)
 
 
-def efficiency(sigma_g2: float, sigma_n2: float, alpha: float) -> float:
-    """Training-symbol worth of each information symbol for estimation."""
+def efficiency(sigma_g2, sigma_n2: float, alpha: float) -> float | np.ndarray:
+    """Training-symbol worth of each information symbol, per entry of sigma_g2."""
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha={alpha} must lie in (0, 1)")
-    if sigma_g2 <= 0:
+    if np.any(np.asarray(sigma_g2) <= 0):
         raise ValueError("sigma_g2 must be positive")
     return (sigma_n2 / sigma_g2 - alpha) / (1 - alpha)

@@ -6,6 +6,8 @@ import argparse
 import logging
 import sys
 
+import numpy as np
+
 from . import harness, model, sos
 from .errors import ConfigError
 
@@ -116,14 +118,11 @@ def _cmd_simulate(args) -> int:
 def _print_diagnostics(config: harness.ExperimentConfig, cell) -> None:
     result = harness.run_trial(config, cell, 0)
     for name, diags in result.diagnostics.items():
-        if not diags:
-            continue
-        iters = [d.iterations for d in diags]
-        conv = sum(d.converged for d in diags)
-        print(
-            f"  {name} trial-0 diagnostics: iterations median {sorted(iters)[len(iters)//2]},"
-            f" converged {conv}/{len(diags)}, weight {diags[0].weight:.4f}"
-        )
+        for d in diags:  # one entry per estimator, batched over the users
+            print(
+                f"  {name} trial-0 diagnostics: iterations {d.iterations},"
+                f" converged {d.converged}, weight median {np.median(d.weight):.4f}"
+            )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,6 +16,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -91,12 +92,20 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.draws < 1:
             raise ConfigError("draws must be >= 1")
+        if self.symbols < 1:
+            raise ConfigError(f"coherence block M={self.symbols} must be >= 1")
         for name in ("beta", "sigma_n2", "alpha"):
             vals = getattr(self, name)
             if not vals or any(v <= 0 for v in vals):
                 raise ConfigError(f"grid values for {name} must be positive")
         if not self.taps or any(int(p) < 1 for p in self.taps):
             raise ConfigError("grid values for P must be positive integers")
+        for p in self.taps:
+            if int(p) >= self.gain:
+                raise ConfigError(f"channel order P={p} must be below spreading gain N={self.gain}")
+        for a in self.alpha:  # M_t as grid_cells rounds it
+            if round(a * self.symbols) == 0:
+                raise ConfigError(f"alpha={a} leaves no training symbols at M={self.symbols}")
         if self.estimator not in (*_ESTIMATORS, "all"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.sos_mode not in sos.SOS_MODES:
@@ -308,7 +317,7 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
         system = sos.build_normal_equations(
             codes, received, info, params.noise_var, include_gram=config.sos_mode == "solve"
         )
-        d_hat = sos.hermitianize(sos.estimate_sos(system, config.sos_mode)).values
+        d_hat = sos.hermitianize(sos.estimate_sos(system, config.sos_mode))
         if config.keep_sos_errors:
             sos_errors = d_hat - channel.sos
 
@@ -325,10 +334,7 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
             omega = _subspace_omega(config, params, channel.gains, train.gains)
             fit = estimators.subspace_semiblind(train.gains, d_hat, omega)
             errors["subspace"] = np.sum(np.abs(fit.gains - channel.gains) ** 2, axis=1)
-            diagnostics["subspace"] = [
-                replace(fit.diagnostics, weight=float(w), weight_source=source)
-                for w in np.broadcast_to(omega, params.users)
-            ]
+            diagnostics["subspace"] = [replace(fit.diagnostics, weight_source=source)]
 
     return TrialResult(errors=errors, sos_errors=sos_errors, diagnostics=diagnostics)
 
@@ -371,30 +377,21 @@ def _analytic_cell(
     if estimator == "training":
         return s2 / alpha, 0.0, 0.0
 
-    sg2_draws, eta_draws, singular = [], [], 0
-    for g in _analytic_draws(config, cell.taps):
-        try:
-            if estimator == "mm":
-                _, sg2 = analytic.mm_error_covariance(g, params)
-            else:
-                omega = (
-                    config.omega
-                    if config.omega is not None
-                    else analytic.optimal_omega(g, params)
-                )
-                sg2 = analytic.predict_subspace_mse(g, params, omega)
-        except SingularSystemError:
-            singular += 1
-            continue
-        sg2_draws.append(sg2)
-        eta_draws.append(analytic.efficiency(sg2, s2, alpha))
-    if singular:
-        log.warning("cell %s: %d singular-Hessian draws skipped", cell.key(), singular)
-    if not sg2_draws:
+    draws = _analytic_draws(config, cell.taps)
+    if estimator == "mm":
+        _, sg2 = analytic.mm_error_covariance(draws, params)  # NaN where singular
+    else:
+        omega = config.omega if config.omega is not None else analytic.optimal_omega(draws, params)
+        sg2 = analytic.predict_subspace_mse(draws, params, omega)
+    singular = np.isnan(sg2)
+    if singular.any():
+        log.warning("cell %s: %d singular-Hessian draws skipped", cell.key(), singular.sum())
+        sg2 = sg2[~singular]
+    if not sg2.size:
         raise SingularSystemError(f"all analytic draws failed for cell {cell.key()}")
-    sg2 = np.asarray(sg2_draws)
+    eta = analytic.efficiency(sg2, s2, alpha)
     se = float(sg2.std(ddof=1) / math.sqrt(sg2.size)) if sg2.size > 1 else 0.0
-    return float(sg2.mean()), se, float(np.mean(eta_draws))
+    return float(sg2.mean()), se, float(eta.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -449,45 +446,37 @@ def _run_cell(config: ExperimentConfig, cell: Cell) -> list[SweepRecord]:
     return _cell_records(config, cell, per_trial)
 
 
+def _gather(jobs) -> tuple[list[SweepRecord], list[CellFailure]]:
+    """Evaluate each (cell, records thunk) pair in order; a cell that raises
+    is logged and recorded as a :class:`CellFailure`, and the rest go on."""
+    records: list[SweepRecord] = []
+    failures: list[CellFailure] = []
+    for cell, evaluate in jobs:
+        try:
+            records.extend(evaluate())
+        except Exception as exc:
+            log.error("cell %s failed: %s", cell.key(), exc)
+            failures.append(CellFailure(cell=cell, error=str(exc)))
+    return records, failures
+
+
 def run_sweep(
     config: ExperimentConfig,
 ) -> tuple[list[SweepRecord], list[CellFailure]]:
     """Simulate every grid cell; failed cells are recorded, not fatal."""
     cells = grid_cells(config)
-    records: list[SweepRecord] = []
-    failures: list[CellFailure] = []
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = [pool.submit(_run_cell, config, cell) for cell in cells]
-            for cell, fut in zip(cells, futures):
-                try:
-                    records.extend(fut.result())
-                except Exception as exc:
-                    log.error("cell %s failed: %s", cell.key(), exc)
-                    failures.append(CellFailure(cell=cell, error=str(exc)))
-    else:
-        for cell in cells:
-            try:
-                records.extend(_run_cell(config, cell))
-            except Exception as exc:
-                log.error("cell %s failed: %s", cell.key(), exc)
-                failures.append(CellFailure(cell=cell, error=str(exc)))
-    return records, failures
+            return _gather((cell, fut.result) for cell, fut in zip(cells, futures))
+    return _gather((cell, partial(_run_cell, config, cell)) for cell in cells)
 
 
 def predict(
     config: ExperimentConfig,
 ) -> tuple[list[SweepRecord], list[CellFailure]]:
     """Analytic-only surfaces over the grid; no simulation."""
-    records: list[SweepRecord] = []
-    failures: list[CellFailure] = []
-    for cell in grid_cells(config):
-        try:
-            records.extend(_cell_records(config, cell))
-        except Exception as exc:
-            log.error("cell %s failed: %s", cell.key(), exc)
-            failures.append(CellFailure(cell=cell, error=str(exc)))
-    return records, failures
+    return _gather((cell, partial(_cell_records, config, cell)) for cell in grid_cells(config))
 
 
 # ---------------------------------------------------------------------------

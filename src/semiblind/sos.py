@@ -25,7 +25,6 @@ from .model import CodeBook, ReceivedBlock, _window_stack, unvec
 __all__ = [
     "SOS_MODES",
     "SosSystem",
-    "SosEstimate",
     "build_normal_equations",
     "estimate_sos",
     "hermitianize",
@@ -59,14 +58,6 @@ class SosSystem:
     gram: np.ndarray | None  # (K*P^2, K*P^2) float or None
     users: int
     taps: int
-
-
-@dataclass
-class SosEstimate:
-    """Per-user estimated SOS vectors and the solver mode that produced them."""
-
-    values: np.ndarray  # (K, P^2) complex
-    mode: str
 
 
 def build_normal_equations(
@@ -175,8 +166,8 @@ def _self_gram(chips: np.ndarray, taps: int) -> np.ndarray:
     return out
 
 
-def estimate_sos(system: SosSystem, mode: str = "identity") -> SosEstimate:
-    """Solve (or approximate) T d = y.
+def estimate_sos(system: SosSystem, mode: str = "identity") -> np.ndarray:
+    """Solve (or approximate) T d = y; returns the per-user SOS vectors (K, P^2).
 
     Modes: ``identity`` takes d = y outright (the large-system T -> I
     approximation); ``solve`` runs a Cholesky factorization with a relative
@@ -190,7 +181,7 @@ def estimate_sos(system: SosSystem, mode: str = "identity") -> SosEstimate:
         raise ValueError(f"mode {mode!r} needs the Gram matrix; rebuild with include_gram=True")
     else:
         values = _solve_spd(system.gram, system.rhs)
-    return SosEstimate(values=values.reshape(system.users, system.taps**2), mode=mode)
+    return values.reshape(system.users, system.taps**2)
 
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -208,15 +199,13 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return cho_solve(factor, rhs)
 
 
-def hermitianize(estimate):
+def hermitianize(d: np.ndarray) -> np.ndarray:
     """Project each vec'd P x P matrix onto the Hermitian subspace.
 
-    Accepts an :class:`SosEstimate` or a bare array whose last axis has
-    length P^2; replaces each reshaped matrix A by (A + A^H)/2.  Idempotent.
+    ``d`` has shape (..., P^2); each reshaped matrix A becomes (A + A^H)/2.
+    Idempotent.
     """
-    if isinstance(estimate, SosEstimate):
-        return SosEstimate(values=hermitianize(estimate.values), mode=estimate.mode)
-    d = np.asarray(estimate)
+    d = np.asarray(d)
     taps = math.isqrt(d.shape[-1])
     mats = d.reshape(*d.shape[:-1], taps, taps)
     # vec is column-stacking, so the reshaped view is the transpose of the

@@ -67,7 +67,7 @@ def sos_trials(
             params.noise_var,
             include_gram=mode == "solve",
         )
-        out[t] = sos.hermitianize(sos.estimate_sos(system, mode)).values
+        out[t] = sos.hermitianize(sos.estimate_sos(system, mode))
     return out
 
 

@@ -194,7 +194,7 @@ def test_criterion_05_subspace_baselines():
         system = sos.build_normal_equations(
             codes, rec, range(80, 400), s2, include_gram=False
         )
-        d_hat = sos.hermitianize(sos.estimate_sos(system, "identity")).values
+        d_hat = sos.hermitianize(sos.estimate_sos(system, "identity"))
         for k in range(params.users):
             fit = estimators.subspace_semiblind(train.gains[k], d_hat[k], 0.0)
             err[t, k] = np.sum(np.abs(fit.gains - channels.gains[k]) ** 2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semiblind import analytic, estimators, model, sos
-from semiblind.errors import ConfigError
+from semiblind.errors import ConfigError, SingularSystemError
 from helpers import (
     draw_block,
     representative_channels,
@@ -163,7 +163,7 @@ class TestRealCovariance:
             system = sos.build_normal_equations(
                 codes, rec, range(80, 400), p.noise_var, include_gram=False
             )
-            d0 = sos.hermitianize(sos.estimate_sos(system, "identity")).values[0]
+            d0 = sos.hermitianize(sos.estimate_sos(system, "identity"))[0]
             dg = train.gains[0] - ch.gains[0]
             dd = sos.free_vars(d0) - sos.free_vars(ch.sos[0])
             z_err[t] = np.concatenate([dg.real, dg.imag, dd])
@@ -348,7 +348,7 @@ class TestMmErrorCovariance:
             codes, frame, rec = draw_block(p, ch, seeded_rng(104, t))
             train = estimators.training_estimate(rec, codes, frame, p)
             system = sos.build_normal_equations(codes, rec, range(80, 400), p.noise_var)
-            d_hat = sos.hermitianize(sos.estimate_sos(system, "solve")).values
+            d_hat = sos.hermitianize(sos.estimate_sos(system, "solve"))
             for k in range(16):
                 fit = estimators.mm_semiblind(train.gains[k], d_hat[k], w)
                 err[t, k] = np.sum(np.abs(fit.gains - ch.gains[k]) ** 2)
@@ -375,6 +375,68 @@ class TestMmLowerBound:
             sig, _ = analytic.mm_error_covariance(g, p)
             bound = analytic.mm_lower_bound(g, p)
             assert np.linalg.eigvalsh(sig - bound).min() >= -1e-8
+
+
+class TestBatchedCalls:
+    """A (draws, P) stack gives, row for row, what one call per vector gives."""
+
+    @staticmethod
+    def draws(n=7):
+        return np.stack([random_taps(3, 110, i) for i in range(n)])
+
+    def test_matches_row_by_row(self):
+        p = params_for(users=16)
+        g = self.draws()
+        sig, sg2 = analytic.mm_error_covariance(g, p)
+        sos_cov = analytic.predict_sos_covariance(g, p).sigma_dd
+        angle = analytic.predict_subspace_angle(g, p)
+        omega = analytic.optimal_omega(g, p)
+        mse = analytic.predict_subspace_mse(g, p, omega)
+        eta = analytic.efficiency(sg2, p.noise_var, p.train_frac)
+        for i, gi in enumerate(g):
+            row_sig, row_sg2 = analytic.mm_error_covariance(gi, p)
+            np.testing.assert_allclose(sig[i], row_sig, rtol=1e-13, atol=0)
+            assert sg2[i] == pytest.approx(row_sg2, rel=1e-13)
+            np.testing.assert_allclose(
+                sos_cov[i], analytic.predict_sos_covariance(gi, p).sigma_dd, rtol=1e-13, atol=0
+            )
+            assert angle[i] == pytest.approx(analytic.predict_subspace_angle(gi, p), rel=1e-13)
+            row_omega = analytic.optimal_omega(gi, p)
+            assert mse[i] == pytest.approx(
+                analytic.predict_subspace_mse(gi, p, row_omega), rel=1e-13
+            )
+            assert eta[i] == pytest.approx(
+                analytic.efficiency(row_sg2, p.noise_var, p.train_frac), rel=1e-13
+            )
+
+    def test_single_vector_gives_floats(self):
+        p = params_for(users=16)
+        g = self.draws(1)[0]
+        assert isinstance(analytic.mm_error_covariance(g, p)[1], float)
+        assert isinstance(analytic.predict_subspace_angle(g, p), float)
+        assert isinstance(analytic.predict_subspace_mse(g, p, 0.5), float)
+
+    def test_singular_hessian(self):
+        # w = 1 drops the training term, so the cost is flat along the phase
+        # rotation of g and the stationarity Jacobian is singular
+        p = params_for(users=16)
+        g = self.draws()
+        with pytest.raises(SingularSystemError):
+            analytic.mm_error_covariance(g[0], p, weight=1.0)
+        sig, sg2 = analytic.mm_error_covariance(g, p, weight=1.0)
+        assert sig.shape == (7, 6, 6) and np.all(np.isnan(sig))
+        assert sg2.shape == (7,) and np.all(np.isnan(sg2))
+
+    def test_singular_rows_only_are_nan(self, monkeypatch):
+        p = params_for(users=16)
+        g = self.draws()
+        w = estimators.weight_w(p.train_frac, p.noise_var, analytic.average_sos_variance(p))
+        cond = np.linalg.cond(analytic._stationarity_jacobians(g, w)[0])
+        monkeypatch.setattr(analytic, "_COND_LIMIT", np.median(cond))
+        _, sg2 = analytic.mm_error_covariance(g, p)
+        singular = cond > np.median(cond)
+        assert 0 < singular.sum() < g.shape[0]
+        assert np.array_equal(np.isnan(sg2), singular)
 
 
 class TestEfficiency:

@@ -95,14 +95,19 @@ def test_bad_config_path_fails():
     assert cli.main(["sweep", "--config", "/nonexistent/file.cfg"]) == 2
 
 
-@pytest.mark.parametrize("line", ["N = abc", "beta = 0.25, x", "P = 2.5"])
+# values that parse but leave no valid grid cell, with the value the error names
+_BAD_GRID = {"N = 0": "N=0", "M = 0": "M=0", "P = 64": "P=64", "alpha = 0.001": "alpha=0.001"}
+
+
+@pytest.mark.parametrize("line", ["N = abc", "beta = 0.25, x", "P = 2.5", *_BAD_GRID])
 def test_bad_config_value_is_config_error(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"M = 40\n{line}\n")
     assert cli.main(["predict", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert f"{cfg}:2: bad value" in err
+    assert _BAD_GRID.get(line, f"{cfg}:2: bad value") in err
     assert "Traceback" not in err
+
 
 
 def test_failed_cells_nonzero_exit(tmp_path, capsys):

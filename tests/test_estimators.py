@@ -313,7 +313,7 @@ class TestSubspaceBeatsTraining:
             system = sos.build_normal_equations(
                 codes, rec, range(80, 400), p.noise_var, include_gram=False
             )
-            d_hat = sos.hermitianize(sos.estimate_sos(system, "identity")).values
+            d_hat = sos.hermitianize(sos.estimate_sos(system, "identity"))
             err_tr = err_sub = 0.0
             for k in range(p.users):
                 fit = estimators.subspace_semiblind(train.gains[k], d_hat[k], omega[k])

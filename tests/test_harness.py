@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from semiblind import harness, model
-from semiblind.errors import ConfigError
+from semiblind import analytic, estimators, harness, model
+from semiblind.errors import ConfigError, SingularSystemError
 
 
 def tiny_config(**kw):
@@ -36,6 +36,15 @@ class TestConfig:
             tiny_config(omega=1.5)
         with pytest.raises(ConfigError):
             tiny_config(fmt="xml")
+        # grids with no valid cell: M = 0, P >= N, round(alpha M) = 0
+        with pytest.raises(ConfigError, match="M=0"):
+            tiny_config(symbols=0)
+        with pytest.raises(ConfigError, match="P=32"):
+            tiny_config(taps=(2, 32))
+        with pytest.raises(ConfigError, match="N=0"):
+            tiny_config(gain=0)
+        with pytest.raises(ConfigError, match="alpha=0.01"):
+            tiny_config(alpha=(0.25, 0.01))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -126,10 +135,11 @@ class TestRunTrial:
             (tiny_config(estimator="subspace", omega=0.5), "given"),
         ]:
             result = harness.run_trial(cfg, cell0, 0)
-            diags = result.diagnostics["subspace"]
-            assert all(d.weight_source == expected for d in diags)
+            (diag,) = result.diagnostics["subspace"]  # one entry for all users
+            assert diag.weight_source == expected
+            assert np.shape(diag.weight) in ((), (cell0.users,))
             if expected == "given":
-                assert all(d.weight == 0.5 for d in diags)
+                assert diag.weight == 0.5
 
 
 class TestRunSweep:
@@ -180,6 +190,36 @@ class TestRunSweep:
         serial, _ = harness.run_sweep(cfg)
         parallel, _ = harness.run_sweep(tiny_config(estimator="training", beta=(0.25, 0.5), workers=2))
         assert [r.sigma_g2_emp for r in serial] == [r.sigma_g2_emp for r in parallel]
+
+
+class TestAnalyticCell:
+    """Draws whose stationarity Jacobian is singular are skipped, not fatal."""
+
+    def test_singular_draws_skipped(self, monkeypatch, caplog):
+        cfg = tiny_config(estimator="mm")
+        cell = harness.grid_cells(cfg)[0]
+        draws = harness._analytic_draws(cfg, cell.taps)
+        params = cell.params
+        w = estimators.weight_w(
+            params.train_frac, params.noise_var, analytic.average_sos_variance(params)
+        )
+        cond = np.linalg.cond(analytic._stationarity_jacobians(draws, w)[0])
+        keep = cond <= np.median(cond)
+        rows = [analytic.mm_error_covariance(g, params)[1] for g in draws[keep]]
+        monkeypatch.setattr(analytic, "_COND_LIMIT", np.median(cond))
+        with caplog.at_level("WARNING", logger=harness.__name__):
+            mean, _, _ = harness._analytic_cell(cfg, cell, "mm")
+        skipped = int((~keep).sum())
+        assert 0 < skipped < cfg.draws
+        assert caplog.messages == [f"cell {cell.key()}: {skipped} singular-Hessian draws skipped"]
+        assert mean == pytest.approx(np.mean(rows), rel=1e-13)
+
+    def test_all_draws_singular_raises(self, monkeypatch):
+        # w = 1 makes every draw's Jacobian singular (the phase of g is free)
+        monkeypatch.setattr(estimators, "weight_w", lambda *args: 1.0)
+        cfg = tiny_config(estimator="mm")
+        with pytest.raises(SingularSystemError, match="all analytic draws failed"):
+            harness._analytic_cell(cfg, harness.grid_cells(cfg)[0], "mm")
 
 
 class TestPredict:
