@@ -7,11 +7,21 @@ vec(a_k a_k^H) with a_k = C_k^T r, which drops the per-symbol cost from
 O(N^4) to O(K^2 P^2 N) for the Gram T.  The right-hand side y costs
 O(K P N) per symbol: the correlators a_k are one real GEMM of the chips
 against P shifts of r, and the bias term C_k^T C_k is read off chip lag
-products, so the Sylvester window stack is built only for T.
+products, so no Sylvester window stack is built.
+
+T is built from the +-1 chip signs in float32.  Every partial sum is then
+an integer, and binary32 holds every integer of magnitude up to 2^24
+exactly, so each chunk of symbols is summed exactly as long as it keeps
+its sums, at most chunk * (N-P+1)^2, within 2^24; the chunks add up in
+float64 and one division by M_i N^2 gives the correctly rounded T.  Per
+symbol that is P^2 cross-Grams of K x (N-P+1) chip windows, K^2 P^2 (N-P+1)
+multiply-adds, plus the (P^4 + 3 P^2)/4 products of K x K cross-Grams (27
+for P = 3) that the symmetries of the Kronecker squares leave distinct.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -20,7 +30,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SingularSystemError
-from .model import CodeBook, ReceivedBlock, _window_stack, unvec
+from .model import CodeBook, ReceivedBlock, unvec
 
 __all__ = [
     "SOS_MODES",
@@ -42,6 +52,8 @@ SOS_MODES = ("identity", "solve")
 
 _RIDGE = 1e-8  # relative ridge of the Cholesky fallback
 _HERMITIAN_TOL = 1e-10
+_EXACT_INT_F32 = 2**24  # binary32 holds every integer of magnitude <= 2^24
+_GRAM_CHUNK_ELEMS = 2**20  # float32 cross-Gram entries per symbol chunk (4 MB)
 
 
 @dataclass
@@ -72,7 +84,9 @@ def build_normal_equations(
     Parameters
     ----------
     codes, received :
-        Spreading chips and the matching ISI-free windows.
+        Spreading chips and the matching ISI-free windows.  The window
+        length N-P+1 sets the channel order P; the Gram needs the chips to be
+        exactly +-1/sqrt(N), as :func:`model.sample_codes` draws them.
     info_range :
         Symbol indices (0-based) contributing to the statistics; must be
         nonempty.
@@ -81,13 +95,35 @@ def build_normal_equations(
         sigma_n^2 Q^T(m) vec(I) = sigma_n^2 vec(C_k^T C_k) per user block.
     include_gram :
         Skip the (comparatively expensive) T accumulation when False; the
-        returned system then only supports identity-T estimation.
+        returned system then only supports identity-T estimation.  T is an
+        exact integer sum in float32 (see the module docstring), chunked so
+        that each chunk's sums stay within 2^24; it costs about
+        K^2 P^2 (N-P+1) multiply-adds per symbol.
+
+    Raises
+    ------
+    ValueError
+        For an empty or out-of-bounds ``info_range``, windows whose count
+        differs from the codes' symbol count or whose length implies a channel
+        order outside 1 <= P < N, and (with ``include_gram``) chips that are
+        not +-1/sqrt(N) or windows longer than 4096 chips, whose products
+        float32 would round.
     """
     idx = np.asarray(list(info_range), dtype=int)
     if idx.size == 0:
         raise ValueError("info_range must be nonempty")
     k, m_total, n = codes.chips.shape
-    taps = n - received.windows.shape[1] + 1
+    windows = received.windows
+    if windows.ndim != 2 or windows.shape[0] != m_total:
+        raise ValueError(
+            f"received windows {windows.shape} do not match the {m_total} symbols of the codes"
+        )
+    taps = n - windows.shape[1] + 1
+    if not 1 <= taps < n:
+        raise ValueError(
+            f"window length {windows.shape[1]} implies channel order {taps}, "
+            f"outside 1 <= P < N = {n}"
+        )
     if np.any(idx < 0) or np.any(idx >= m_total):
         raise ValueError("info_range indices out of bounds")
 
@@ -96,36 +132,56 @@ def build_normal_equations(
     if np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
         idx = slice(idx[0], idx[0] + idx.size)
     chips = codes.chips[:, idx, :]  # (K, Mi, N)
-    rhs = _sos_rhs(chips, received.windows[idx], taps, noise_var)
-
-    gram = None
-    if include_gram:
-        mi, n_w = chips.shape[1], received.windows.shape[1]
-        windows = _window_stack(chips, taps)  # (K, Mi, n_w, P)
-        smat = np.ascontiguousarray(windows.transpose(1, 2, 0, 3)).reshape(mi, n_w, k * taps)
-        dim = k * taps * taps
-        p2 = taps * taps
-        acc = np.zeros((k * k, p2, p2))
-        # chunk the symbol axis: the batched (KP x KP) Gram products dominate memory
-        chunk = max(1, 8_000_000 // (k * taps * k * taps))
-        for lo in range(0, mi, chunk):
-            s_c = smat[lo : lo + chunk]
-            b = np.matmul(s_c.transpose(0, 2, 1), s_c)  # (mc, KP, KP)
-            # per user pair (i, j): sum_m B_ij[a,b] B_ij[c,d] as one batched GEMM
-            pairs = np.ascontiguousarray(
-                b.reshape(-1, k, taps, k, taps).transpose(1, 3, 0, 2, 4)
-            ).reshape(k * k, -1, p2)
-            del b  # freed before the next chunk's products: both at once set the peak
-            acc += np.matmul(pairs.transpose(0, 2, 1), pairs)
-        # acc[(i,j), (a,b), (c,d)] -> block (i,j) entry [(a,c), (b,d)]
-        gram = (
-            acc.reshape(k, k, taps, taps, taps, taps)
-            .transpose(0, 2, 4, 1, 3, 5)
-            .reshape(dim, dim)
-            / mi
-        )
-
+    rhs = _sos_rhs(chips, windows[idx], taps, noise_var)
+    gram = _gram(chips, taps) if include_gram else None
     return SosSystem(rhs=rhs, gram=gram, users=k, taps=taps)
+
+
+def _gram(chips: np.ndarray, taps: int) -> np.ndarray:
+    """T = (1/Mi) sum_m Q^T(m) Q(m) from the +-1 chip signs, (K P^2, K P^2).
+
+    With B_ij[a, b] = sum_n s_i(n + P-1-a) s_j(n + P-1-b) the sign
+    cross-Gram of Sylvester columns a and b, block (i, j) of T holds
+    G[a, b, c, d][i, j] = sum_m B_ij[a, b] B_ij[c, d] at row (a, c), column
+    (b, d), divided by Mi N^2.  G is unchanged by swapping (a, b) with
+    (c, d) and is transposed over (i, j) by swapping a with b and c with d
+    (B_ji = B_ij^T), so only one (a, b, c, d) per orbit is summed.
+    """
+    k, mi, n = chips.shape
+    n_w = n - taps + 1
+    if n_w * n_w > _EXACT_INT_F32:
+        raise ValueError(f"the exact float32 Gram needs N-P+1 <= 4096, not {n_w}")
+    if not np.all(np.abs(chips) == 1.0 / np.sqrt(n)):
+        raise ValueError("the Gram needs chips of exactly +-1/sqrt(N)")
+    signs = np.sign(chips.transpose(1, 0, 2)).astype(np.float32)  # (Mi, K, N)
+    quads = _kron_orbits(taps)
+    acc = np.zeros((len(quads), k, k))
+    chunk = max(1, min(_GRAM_CHUNK_ELEMS // (taps * taps * k * k), _EXACT_INT_F32 // n_w**2))
+    for lo in range(0, mi, chunk):
+        s = signs[lo : lo + chunk]
+        # Sylvester column a of every code word: chips P-1-a .. N-1-a
+        cols = [s[:, :, taps - 1 - a : n - a] for a in range(taps)]
+        cross = np.empty((taps, taps, s.shape[0], k, k), dtype=np.float32)
+        for a, b in itertools.product(range(taps), repeat=2):
+            np.matmul(cols[a], cols[b].transpose(0, 2, 1), out=cross[a, b])
+        for q, (a, b, c, d) in enumerate(quads):
+            acc[q] += np.einsum("mij,mij->ij", cross[a, b], cross[c, d])
+    g = np.empty((taps,) * 4 + (k, k))
+    for q, (a, b, c, d) in enumerate(quads):
+        g[a, b, c, d] = g[c, d, a, b] = acc[q]
+        g[b, a, d, c] = g[d, c, b, a] = acc[q].T
+    dim = k * taps * taps
+    return g.transpose(4, 0, 2, 5, 1, 3).reshape(dim, dim) / (mi * n * n)
+
+
+@cache
+def _kron_orbits(taps: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The least (a, b, c, d) of each orbit under (c, d, a, b) and (b, a, d, c)."""
+    return tuple(
+        q
+        for q in itertools.product(range(taps), repeat=4)
+        if q <= min((q[2], q[3], q[0], q[1]), (q[1], q[0], q[3], q[2]), (q[3], q[2], q[1], q[0]))
+    )
 
 
 def _sos_rhs(chips: np.ndarray, r: np.ndarray, taps: int, noise_var: float) -> np.ndarray:

@@ -77,8 +77,68 @@ class TestBuildNormalEquations:
         rec_t = model.ReceivedBlock(windows=rec.windows[4:])
         p_t = model.SystemParams(users=2, gain=16, taps=2, symbols=6, noise_var=0.1)
         full = sos.build_normal_equations(trimmed, rec_t, range(6), p_t.noise_var)
-        assert np.allclose(sub.gram, full.gram)
-        assert np.allclose(sub.rhs, full.rhs)
+        assert np.array_equal(sub.gram, full.gram)
+        assert np.array_equal(sub.rhs, full.rhs)
+
+    @pytest.mark.parametrize("users,gain,taps,symbols", [(3, 16, 3, 6), (2, 64, 3, 3)])
+    def test_gram_exact_for_dyadic_gain(self, users, gain, taps, symbols):
+        # 1/sqrt(N) is a power of two, so the oracle's float64 sums are exact
+        # too and both round the same rational once
+        p = model.SystemParams(users=users, gain=gain, taps=taps, symbols=symbols)
+        ch = model.sample_channel(p, seeded_rng(74, gain))
+        codes, _, rec = draw_block(p, ch, seeded_rng(75, gain))
+        system = sos.build_normal_equations(codes, rec, range(symbols), p.noise_var)
+        gram_ref, _ = brute_force_system(p, codes, rec, p.noise_var)
+        assert np.array_equal(system.gram, gram_ref)
+
+    def test_chunked_gram_bit_identical(self, monkeypatch):
+        p = model.SystemParams(users=4, gain=12, taps=3, symbols=20, noise_var=0.2)
+        ch = model.sample_channel(p, seeded_rng(76))
+        codes, _, rec = draw_block(p, ch, seeded_rng(77))
+        whole = sos.build_normal_equations(codes, rec, range(20), p.noise_var).gram
+        # room for 3 symbols of the 9 (4 x 4) cross-Grams: 7 chunks
+        monkeypatch.setattr(sos, "_GRAM_CHUNK_ELEMS", 3 * 9 * 16)
+        chunked = sos.build_normal_equations(codes, rec, range(20), p.noise_var).gram
+        assert np.array_equal(chunked, whole)
+
+    @pytest.mark.parametrize("case", ["one_chip", "unit_chips"])
+    def test_gram_rejects_non_sign_chips(self, case):
+        p = model.SystemParams(users=2, gain=16, taps=2, symbols=5, noise_var=0.1)
+        ch = model.sample_channel(p, seeded_rng(78))
+        codes, _, rec = draw_block(p, ch, seeded_rng(79))
+        chips = codes.chips.copy()
+        if case == "one_chip":
+            chips[1, 2, 3] *= 1.0 + 1e-12
+        else:
+            chips *= np.sqrt(p.gain)  # +-1, not +-1/sqrt(N)
+        bad = model.CodeBook(chips=chips)
+        with pytest.raises(ValueError, match="sqrt"):
+            sos.build_normal_equations(bad, rec, range(5), p.noise_var)
+        # the right-hand side alone takes any chips
+        sos.build_normal_equations(bad, rec, range(5), p.noise_var, include_gram=False)
+
+    def test_gram_rejects_windows_beyond_exact_float32(self):
+        # N-P+1 = 4097: a product of two cross-Gram entries can reach 4097^2 > 2^24
+        p = model.SystemParams(users=1, gain=4098, taps=2, symbols=1)
+        codes = model.sample_codes(p, seeded_rng(82))
+        rec = model.ReceivedBlock(windows=np.zeros((1, p.window), dtype=complex))
+        with pytest.raises(ValueError, match="4096"):
+            sos.build_normal_equations(codes, rec, range(1), 0.0)
+
+    @pytest.mark.parametrize("case", ["symbol_count", "window_too_long"])
+    def test_rejects_mismatched_windows(self, case):
+        p = model.SystemParams(users=2, gain=16, taps=2, symbols=6, noise_var=0.1)
+        ch = model.sample_channel(p, seeded_rng(80))
+        codes, _, rec = draw_block(p, ch, seeded_rng(81))
+        if case == "symbol_count":
+            windows = rec.windows[:5]
+        else:
+            # N + 1 chips per window would mean a channel order of 0
+            windows = np.ones((p.symbols, p.gain + 1), dtype=complex)
+        with pytest.raises(ValueError, match="window"):
+            sos.build_normal_equations(
+                codes, model.ReceivedBlock(windows=windows), range(5), p.noise_var
+            )
 
     @given(data=st.data())
     def test_property_matches_brute_force_on_subsets(self, data):
@@ -221,6 +281,17 @@ class TestHermitianize:
         assert np.max(np.abs(mat - mat.conj().T)) == 0.0
         assert np.array_equal(sos.hermitianize(once), once)
 
+    @given(data=st.data())
+    def test_property_idempotent_on_stacks(self, data):
+        shape = data.draw(st.lists(st.integers(1, 3), max_size=2), label="batch")
+        taps = data.draw(st.integers(1, 5), label="P")
+        rng = seeded_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        size = (*shape, taps * taps)
+        d = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        once = sos.hermitianize(d)
+        assert once.shape == d.shape
+        assert np.array_equal(sos.hermitianize(once), once)
+
     def test_per_user_stack(self):
         rng = seeded_rng(69)
         est = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
@@ -253,6 +324,11 @@ class TestFreeVars:
         f = sos.free_vars(d)
         assert f.shape == (taps * taps,)
         assert np.allclose(sos.free_vars_inverse(f), d, atol=1e-14)
+
+    @given(taps=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_property_inverse_round_trip(self, taps, seed):
+        f = 10.0 * seeded_rng(seed).standard_normal(taps * taps)
+        assert np.max(np.abs(sos.free_vars(sos.free_vars_inverse(f)) - f)) <= 1e-12
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
