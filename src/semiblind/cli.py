@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from . import harness, model, sos
+from . import harness, sos
 from .errors import ConfigError
 
 
@@ -27,7 +27,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--estimator", choices=("training", "mm", "subspace", "all")
     )
     parser.add_argument("--sos-mode", dest="sos_mode", choices=sos.SOS_MODES)
-    parser.add_argument("--synthesis", choices=model.SYNTHESIS_MODES)
     parser.add_argument("--N", dest="gain", type=int, help="spreading gain")
     parser.add_argument("--M", dest="symbols", type=int, help="coherence block length")
     parser.add_argument("--beta", type=lambda s: _grid(s, float), help="load values")
@@ -48,8 +47,8 @@ def _build_config(args: argparse.Namespace) -> harness.ExperimentConfig:
         name: getattr(args, name)
         for name in (
             "seed", "trials", "workers", "out", "fmt", "estimator", "sos_mode",
-            "synthesis", "gain", "symbols", "beta", "sigma_n2", "taps", "alpha",
-            "omega", "omega_mode", "draws",
+            "gain", "symbols", "beta", "sigma_n2", "taps", "alpha", "omega",
+            "omega_mode", "draws",
         )
         if getattr(args, name, None) is not None
     }

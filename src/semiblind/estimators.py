@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import zherk
 
 from .errors import ConfigError
-from .model import CodeBook, ReceivedBlock, SymbolFrame, SystemParams, _window_stack, unvec
+from .model import CodeBook, ReceivedBlock, SymbolFrame, SystemParams, sylvester, unvec
 from .sos import _solve_spd, hermitianize
 
 __all__ = [
@@ -40,7 +39,6 @@ class TrainingEstimate:
     """Joint least-squares training-symbol channel estimates for all users."""
 
     gains: np.ndarray  # (K, P) complex
-    noise_var: float  # per-entry error variance noise_var / M_t
 
 
 @dataclass
@@ -61,7 +59,6 @@ class SemiblindEstimate:
     """Channel estimate plus the diagnostics that produced it."""
 
     gains: np.ndarray  # (P,) complex, or (..., P) from a batched call
-    method: str
     diagnostics: FitDiagnostics
 
 
@@ -92,16 +89,17 @@ def training_estimate(
         )
     # x_k(m) C_k^(m) is the Sylvester matrix of the symbol-weighted code word
     weighted = codes.chips[:, :mt, :] * symbols.symbols[:, :mt, None]
-    windows = _window_stack(weighted, taps)  # (K, Mt, n_w, P)
-    # S(m) stacked: rows (m, n), columns (k, p); the Gram is one Hermitian
-    # rank-(Mt n_w) product, and zherk takes the Fortran-ordered view S^T
-    # without a copy, returning the upper triangle of S^T conj(S) = conj(S^H S)
+    windows = sylvester(weighted, taps)  # (K, Mt, n_w, P)
+    # S(m) stacked: rows (m, n), columns (k, p).  With X the float view of S
+    # (each column split into Re, Im), X^T X is one symmetric rank-k product
+    # (a syrk); S^H S = (Re^T Re + Im^T Im) + j (Re^T Im - Im^T Re)
     stacked = np.ascontiguousarray(windows.transpose(1, 2, 0, 3)).reshape(-1, k * taps)
-    gram = zherk(1.0, stacked.T).conj()
-    gram += np.triu(gram, 1).conj().T
+    real = stacked.view(float)
+    parts = (real.T @ real).reshape(k * taps, 2, k * taps, 2)
+    gram = parts[:, 0, :, 0] + parts[:, 1, :, 1] + 1j * (parts[:, 0, :, 1] - parts[:, 1, :, 0])
     rhs = (received.windows[:mt].reshape(-1).conj() @ stacked).conj()
     gains = _solve_spd(gram, rhs).reshape(k, taps)
-    return TrainingEstimate(gains=gains, noise_var=params.noise_var / mt)
+    return TrainingEstimate(gains=gains)
 
 
 def weight_w(alpha: float, sigma_n2: float, sigma_d2: float) -> float:
@@ -154,7 +152,7 @@ def mm_semiblind(g_bar: np.ndarray, d_hat: np.ndarray, weight: float) -> Semibli
     start = float(np.sum(_mm_cost(g_bar, d_mat, g_bar, weight)))
     if weight == 0:
         diag = FitDiagnostics(method="mm", weight=weight, cost=start, cost_trace=[start, start])
-        return SemiblindEstimate(gains=g_bar.copy(), method="mm", diagnostics=diag)
+        return SemiblindEstimate(gains=g_bar.copy(), diagnostics=diag)
 
     lam, vecs = np.linalg.eigh(d_mat)  # ascending, so the top eigenvalue is last
     c = np.einsum("...ij,...i->...j", vecs.conj(), g_bar)
@@ -195,7 +193,7 @@ def mm_semiblind(g_bar: np.ndarray, d_hat: np.ndarray, weight: float) -> Semibli
         converged=converged,
         cost_trace=[start, cost],
     )
-    return SemiblindEstimate(gains=gains, method="mm", diagnostics=diag)
+    return SemiblindEstimate(gains=gains, diagnostics=diag)
 
 
 def principal_eigvec(d_hat: np.ndarray) -> np.ndarray:
@@ -236,4 +234,4 @@ def subspace_semiblind(
     weights = weights[..., None]
     gains = weights * proj * u + (1 - weights) * g_bar
     diag = FitDiagnostics(method="subspace", weight=omega)
-    return SemiblindEstimate(gains=gains, method="subspace", diagnostics=diag)
+    return SemiblindEstimate(gains=gains, diagnostics=diag)

@@ -78,11 +78,9 @@ class ExperimentConfig:
     seed: int = 0
     estimator: str = "all"  # training | mm | subspace | all
     sos_mode: str = "identity"
-    synthesis: str = "isi-free"
     omega: float | None = None  # fixed subspace weight; None uses omega_mode
     omega_mode: str = "oracle"  # oracle | plugin
     draws: int = 200  # channel draws for analytic surfaces
-    keep_sos_errors: bool = False
     workers: int = 1
     out: str | None = None
     fmt: str = "csv"
@@ -110,8 +108,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.sos_mode not in sos.SOS_MODES:
             raise ConfigError(f"unknown SOS solver mode {self.sos_mode!r}")
-        if self.synthesis not in model.SYNTHESIS_MODES:
-            raise ConfigError(f"unknown synthesis mode {self.synthesis!r}")
         if self.omega is not None and not 0 <= self.omega <= 1:
             raise ConfigError("omega must lie in [0, 1]")
         if self.omega_mode not in ("oracle", "plugin"):
@@ -157,7 +153,6 @@ class TrialResult:
     """Squared channel errors (per user, per estimator) from one trial."""
 
     errors: dict[str, np.ndarray]  # estimator -> (K,) float
-    sos_errors: np.ndarray | None  # (K, P^2) complex, kept on request
     diagnostics: dict[str, list]
 
 
@@ -205,7 +200,6 @@ _SCALAR_KEYS = {
     "workers": ("workers", int),
     "estimator": ("estimator", str),
     "sos_mode": ("sos_mode", str),
-    "synthesis": ("synthesis", str),
     "omega": ("omega", float),
     "omega_mode": ("omega_mode", str),
     "out": ("out", str),
@@ -297,15 +291,12 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
     channel = model.sample_channel(params, rng)
     codes = model.sample_codes(params, rng)
     frame = model.sample_symbols(params, rng)
-    received = model.synthesize_received(
-        params, channel, codes, frame, rng, mode=config.synthesis
-    )
+    received = model.synthesize_received(params, channel, codes, frame, rng)
 
     which = config.estimator_list
     train = estimators.training_estimate(received, codes, frame, params)
     errors: dict[str, np.ndarray] = {}
     diagnostics: dict[str, list] = {}
-    sos_errors = None
 
     if "training" in which:
         errors["training"] = np.sum(np.abs(train.gains - channel.gains) ** 2, axis=1)
@@ -318,8 +309,6 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
             codes, received, info, params.noise_var, include_gram=config.sos_mode == "solve"
         )
         d_hat = sos.hermitianize(sos.estimate_sos(system, config.sos_mode))
-        if config.keep_sos_errors:
-            sos_errors = d_hat - channel.sos
 
         if "mm" in which:
             w = estimators.weight_w(
@@ -336,7 +325,7 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
             errors["subspace"] = np.sum(np.abs(fit.gains - channel.gains) ** 2, axis=1)
             diagnostics["subspace"] = [replace(fit.diagnostics, weight_source=source)]
 
-    return TrialResult(errors=errors, sos_errors=sos_errors, diagnostics=diagnostics)
+    return TrialResult(errors=errors, diagnostics=diagnostics)
 
 
 def _subspace_omega(config, params, g_true, g_bar) -> float | np.ndarray:

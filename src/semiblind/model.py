@@ -8,13 +8,11 @@ all interface documentation; arrays are stored 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 __all__ = [
-    "SYNTHESIS_MODES",
     "SystemParams",
     "ChannelRealization",
     "CodeBook",
@@ -28,9 +26,6 @@ __all__ = [
     "vec_outer",
     "unvec",
 ]
-
-# modes of synthesize_received
-SYNTHESIS_MODES = ("isi-free", "full-stream")
 
 # QPSK constellation (+-1 +-j)/sqrt(2), indexed by 2-bit symbol
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -126,7 +121,6 @@ class ReceivedBlock:
     """ISI-free received windows r(m), one length N-P+1 vector per symbol."""
 
     windows: np.ndarray  # (M, N-P+1) complex
-    noise: np.ndarray | None = field(default=None, repr=False)
 
 
 def vec_outer(g: np.ndarray) -> np.ndarray:
@@ -173,27 +167,19 @@ def sample_symbols(params: SystemParams, rng: np.random.Generator) -> SymbolFram
     return SymbolFrame(symbols=_QPSK[idx], train_mask=mask)
 
 
-def sylvester(code_word: np.ndarray, taps: int) -> np.ndarray:
-    """Truncated Sylvester (banded convolution) matrix of one code word.
+def sylvester(code_words: np.ndarray, taps: int) -> np.ndarray:
+    """Truncated Sylvester (banded convolution) matrices of code words.
 
     Row i (1-based) is (s(P+i-1), s(P+i-2), ..., s(i)); multiplying by a
     channel vector yields the convolution s * g restricted to the ISI-free
-    lags P..N.  Shape (N-P+1, P).
+    lags P..N.  A (..., N) stack of code words gives a read-only
+    (..., N-P+1, P) view of it, with no copy.
     """
-    s = np.asarray(code_word)
-    n = s.shape[0]
+    s = np.asarray(code_words)
+    n = s.shape[-1]
     if taps >= n:
         raise ValueError(f"taps={taps} must be < code length {n}")
-    return toeplitz(s[taps - 1 :], s[taps - 1 :: -1])
-
-
-def _window_stack(chips: np.ndarray, taps: int) -> np.ndarray:
-    """Sylvester matrices of every (user, symbol) code word at once.
-
-    Returns shape (K, M, N-P+1, P); [k, m] equals sylvester(chips[k, m], P).
-    """
-    view = np.lib.stride_tricks.sliding_window_view(chips, taps, axis=-1)
-    return view[..., ::-1]
+    return np.lib.stride_tricks.sliding_window_view(s, taps, axis=-1)[..., ::-1]
 
 
 def synthesize_received(
@@ -202,17 +188,14 @@ def synthesize_received(
     codes: CodeBook,
     symbols: SymbolFrame,
     rng: np.random.Generator,
-    mode: str = "isi-free",
-    keep_noise: bool = False,
 ) -> ReceivedBlock:
-    """Synthesize the M received windows r(m) of length N-P+1.
+    """Synthesize the M ISI-free received windows r(m) of length N-P+1.
 
-    ``isi-free`` evaluates r(m) = sum_k C_k^(m) g_k x_k(m) + n(m) directly,
-    which is the analysis model.  ``full-stream`` convolves the entire chip
-    stream (so each symbol's first P-1 chips carry the previous symbol's
-    tail) and then keeps the same N-P+1 chips per symbol; with P < N those
-    retained chips are unaffected by the leakage, making the two modes agree
-    when driven with identical noise.
+    r(m) = sum_k C_k^(m) g_k x_k(m) + n(m), the analysis model.  With P < N
+    the retained N-P+1 chips of each symbol never see the previous symbol's
+    tail, so convolving the whole chip stream gives the same windows.  The
+    noise is drawn last: the (M, N-P+1) real parts, then the imaginary
+    parts, each standard normal and scaled by sqrt(noise_var / 2).
     """
     k, n, p, m = params.users, params.gain, params.taps, params.symbols
     if channel.gains.shape != (k, p):
@@ -222,29 +205,18 @@ def synthesize_received(
     if symbols.symbols.shape != (k, m):
         raise ValueError("symbols shape inconsistent with params")
 
-    if mode == "isi-free":
-        # z(m)[l, p] = sum_k c_k(m)[l] x_k(m) g_k[p]: one real GEMM per symbol
-        # of the chips against the (Re, Im)-interleaved transmit weights
-        weights = np.multiply(symbols.symbols.T[:, :, None], channel.gains, dtype=complex)
-        z = np.matmul(codes.chips.transpose(1, 2, 0), weights.view(float)).view(complex)
-        # window chip n of C_k g_k is sum_p c_k[n + P-1-p] g_k[p]: P shifted slices
-        clean = z[:, p - 1 : p - 1 + params.window, 0].copy()
-        for tap in range(1, p):
-            lo = p - 1 - tap
-            clean += z[:, lo : lo + params.window, tap]
-    elif mode == "full-stream":
-        stream = (symbols.symbols[:, :, None] * codes.chips).reshape(k, m * n)
-        total = np.zeros(m * n + p - 1, dtype=complex)
-        for ku in range(k):
-            total += np.convolve(stream[ku], channel.gains[ku])
-        # window m keeps chips mN+P .. (m+1)N (1-based chip times)
-        starts = np.arange(m) * n + p - 1
-        clean = total[starts[:, None] + np.arange(params.window)[None, :]]
-    else:
-        raise ValueError(f"unknown synthesis mode {mode!r}")
+    # z(m)[l, p] = sum_k c_k(m)[l] x_k(m) g_k[p]: one real GEMM per symbol
+    # of the chips against the (Re, Im)-interleaved transmit weights
+    weights = np.multiply(symbols.symbols.T[:, :, None], channel.gains, dtype=complex)
+    z = np.matmul(codes.chips.transpose(1, 2, 0), weights.view(float)).view(complex)
+    # window chip n of C_k g_k is sum_p c_k[n + P-1-p] g_k[p]: P shifted slices
+    clean = z[:, p - 1 : p - 1 + params.window, 0].copy()
+    for tap in range(1, p):
+        lo = p - 1 - tap
+        clean += z[:, lo : lo + params.window, tap]
 
     sigma = np.sqrt(params.noise_var / 2.0)
     noise = sigma * (
         rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
     )
-    return ReceivedBlock(windows=clean + noise, noise=noise if keep_noise else None)
+    return ReceivedBlock(windows=clean + noise)

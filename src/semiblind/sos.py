@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SingularSystemError
 from .model import CodeBook, ReceivedBlock, unvec
@@ -40,7 +39,6 @@ __all__ = [
     "hermitianize",
     "free_vars",
     "free_vars_inverse",
-    "free_slots",
     "free_slot_index",
     "hermitian_basis",
     "free_weights",
@@ -241,18 +239,29 @@ def estimate_sos(system: SosSystem, mode: str = "identity") -> np.ndarray:
 
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve gram x = rhs for a symmetric (or Hermitian) positive definite Gram.
+
+    A failed Cholesky factorization marks the Gram as not positive definite;
+    it is then retried with a relative ridge 1e-8 ||diag(gram)|| on the
+    diagonal, and a second failure raises :class:`SingularSystemError`.  A
+    real Gram solves the complex rhs as two real columns.
+    """
+    ridged = gram
     try:
-        factor = cho_factor(gram)
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        ridge = _RIDGE * np.linalg.norm(np.diag(gram))
+        ridged = gram + _RIDGE * np.linalg.norm(np.diag(gram)) * np.eye(gram.shape[0])
         try:
-            factor = cho_factor(gram + ridge * np.eye(gram.shape[0]))
+            np.linalg.cholesky(ridged)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 "normal-equation matrix is not positive definite",
                 condition=float(np.linalg.cond(gram)),
             ) from exc
-    return cho_solve(factor, rhs)
+    if np.iscomplexobj(ridged):
+        return np.linalg.solve(ridged, rhs)
+    columns = np.ascontiguousarray(rhs, dtype=complex).view(float).reshape(-1, 2)
+    return np.ascontiguousarray(np.linalg.solve(ridged, columns)).view(complex)[:, 0]
 
 
 def hermitianize(d: np.ndarray) -> np.ndarray:
@@ -270,40 +279,30 @@ def hermitianize(d: np.ndarray) -> np.ndarray:
     return sym.reshape(d.shape)
 
 
-def free_slots(taps: int) -> list[tuple[str, int, int]]:
+@cache
+def free_slot_index(taps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical ordering of the P^2 real free variables of a Hermitian matrix.
 
     The P real diagonal entries come first, then for each strict
-    upper-triangle position (i < j) in row-major order the pair
-    ('re', i, j), ('im', i, j).
+    upper-triangle position (i < j) in row-major order its real part and
+    then its imaginary part.  Returned as read-only (row, col, is_im)
+    arrays: slot s reads the real (or, where ``is_im``, imaginary) part of
+    entry (row[s], col[s]) of the P x P matrix, whose column-stacked
+    position is col[s] * P + row[s]; diagonal slots are those with
+    row == col.
     """
-    slots = [("diag", p, p) for p in range(taps)]
-    for i in range(taps):
-        for j in range(i + 1, taps):
-            slots.append(("re", i, j))
-            slots.append(("im", i, j))
-    return slots
-
-
-@cache
-def free_slot_index(taps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (row, col, is_im) arrays of :func:`free_slots`, in its order.
-
-    Slot s reads the real (or, where ``is_im``, imaginary) part of entry
-    (row[s], col[s]) of the P x P matrix, whose column-stacked position is
-    col[s] * P + row[s]; diagonal slots are those with row == col.
-    """
-    slots = free_slots(taps)
-    row = np.array([i for _, i, _ in slots], dtype=np.intp)
-    col = np.array([j for _, _, j in slots], dtype=np.intp)
-    is_im = np.array([kind == "im" for kind, _, _ in slots])
+    diag = np.arange(taps)
+    upper_row, upper_col = np.triu_indices(taps, 1)
+    row = np.concatenate([diag, np.repeat(upper_row, 2)])
+    col = np.concatenate([diag, np.repeat(upper_col, 2)])
+    is_im = np.concatenate([np.zeros(taps, bool), np.tile([False, True], upper_row.size)])
     for arr in (row, col, is_im):
         arr.flags.writeable = False
     return row, col, is_im
 
 
 def hermitian_basis(taps: int) -> np.ndarray:
-    """Hermitian basis matrices matching :func:`free_slots`, shape (P^2, P, P).
+    """Hermitian basis matrices in :func:`free_slot_index` order, (P^2, P, P).
 
     A Hermitian matrix decomposes exactly as A = sum_s f_s B_s with f the
     free variables; conversely f_s = tr(B_s A) / (1 on diagonal slots, 2

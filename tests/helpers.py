@@ -38,14 +38,26 @@ def representative_channels(
         attempt += 1
 
 
-def draw_block(params, channel, rng, synthesis="isi-free"):
+def draw_block(params, channel, rng):
     """Fresh codes, symbols and received windows for a fixed channel."""
     codes = model.sample_codes(params, rng)
     frame = model.sample_symbols(params, rng)
-    received = model.synthesize_received(
-        params, channel, codes, frame, rng, mode=synthesis
-    )
+    received = model.synthesize_received(params, channel, codes, frame, rng)
     return codes, frame, received
+
+
+def full_stream_windows(params, channel, codes, symbols) -> np.ndarray:
+    """Noiseless windows cut from the convolved whole chip stream, (M, N-P+1).
+
+    Each symbol's first P-1 chips carry the previous symbol's tail; window m
+    keeps chips mN+P .. (m+1)N (1-based chip times), which with P < N that
+    tail never reaches.
+    """
+    k, m, n = codes.chips.shape
+    stream = (symbols.symbols[:, :, None] * codes.chips).reshape(k, m * n)
+    total = sum(np.convolve(stream[ku], channel.gains[ku]) for ku in range(k))
+    starts = np.arange(m) * n + params.taps - 1
+    return total[starts[:, None] + np.arange(params.window)[None, :]]
 
 
 def sos_trials(

@@ -3,7 +3,10 @@
 import importlib
 import importlib.metadata
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,6 +111,34 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, line):
     assert _BAD_GRID.get(line, f"{cfg}:2: bad value") in err
     assert "Traceback" not in err
 
+
+def test_removed_synthesis_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["sweep", "--synthesis", "isi-free"])
+    assert info.value.code == 2
+    assert "--synthesis" in capsys.readouterr().err
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only numerical dependency: a sweep through every estimator
+    # and the Gram solve must work with scipy unimportable
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from semiblind import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "sweep", "--N", "32", "--M", "40", "--P", "2",
+         "--beta", "0.25", "--sigma-n2", "0.5", "--alpha", "0.25", "--trials", "1",
+         "--draws", "5", "--sos-mode", "solve", "--estimator", "all",
+         "--out", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(harness.load_records(tmp_path / "out.csv")) == 3
 
 
 def test_failed_cells_nonzero_exit(tmp_path, capsys):

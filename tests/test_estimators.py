@@ -26,7 +26,6 @@ class TestTrainingEstimate:
         out = estimators.training_estimate(rec, codes, frame, p)
         # exact up to summation order: every product in the chain is dyadic
         assert np.max(np.abs(out.gains - ch.gains)) < 1e-15
-        assert out.noise_var == 0.0
 
     def test_single_user_noiseless_multipath(self):
         # K=1, sigma=0, P=3, M_t=200, N=64: the joint least-squares fit
@@ -267,7 +266,7 @@ class TestSubspaceSemiblind:
     def test_diagnostics_populated(self):
         g = random_taps(3, 151)
         out = estimators.subspace_semiblind(g, model.vec_outer(g), 0.25)
-        assert out.method == "subspace"
+        assert out.diagnostics.method == "subspace"
         assert out.diagnostics.weight == 0.25
 
     def test_batch_matches_rows(self):

@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo sweep engine, configs and record emission."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -48,8 +50,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("sos_mode", "foo"), ("sos_mode", "iterative"), ("sos_mode", "identity-t"),
-         ("synthesis", "bogus")],
+        [("sos_mode", "foo"), ("sos_mode", "iterative"), ("sos_mode", "identity-t")],
     )
     def test_rejects_unknown_modes(self, field, value):
         # checked once for the whole config, also where no estimator uses it
@@ -90,6 +91,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             harness.load_config(path)
 
+    def test_load_config_rejects_removed_synthesis_key(self, tmp_path):
+        # synthesis is ISI-free only; an old config naming it fails at its line
+        path = tmp_path / "sweep.cfg"
+        path.write_text("N = 32\nsynthesis = isi-free\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: unknown config key 'synthesis'")):
+            harness.load_config(path)
+
 
 class TestRunTrial:
     def test_bit_reproducible(self):
@@ -119,13 +127,6 @@ class TestRunTrial:
         rng = harness._trial_rng(cfg.seed, cell, 0)
         gains = model.sample_channel(cell.params, rng).gains
         assert result.errors["training"][0] < (0.1 * np.linalg.norm(gains[0])) ** 2
-
-    def test_sos_error_retention(self):
-        cfg = tiny_config(keep_sos_errors=True, estimator="subspace")
-        cell = harness.grid_cells(cfg)[0]
-        result = harness.run_trial(cfg, cell, 0)
-        assert result.sos_errors is not None
-        assert result.sos_errors.shape == (cell.users, cell.taps**2)
 
     def test_subspace_weight_source_recorded(self):
         cell0 = harness.grid_cells(tiny_config())[0]

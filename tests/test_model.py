@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semiblind import model
-from helpers import seeded_rng
+from helpers import full_stream_windows, seeded_rng
 
 
 def make_params(**kw):
@@ -120,6 +120,16 @@ class TestSylvester:
     def test_rejects_large_order(self):
         with pytest.raises(ValueError):
             model.sylvester(np.ones(4), 4)
+        with pytest.raises(ValueError):
+            model.sylvester(np.ones((2, 3, 4)), 4)
+
+    def test_stack_matches_single_words(self):
+        chips = model.sample_codes(make_params(), seeded_rng(39)).chips  # (K, M, N)
+        stack = model.sylvester(chips, 3)
+        assert stack.shape == (*chips.shape[:2], chips.shape[2] - 2, 3)
+        for k, m in [(0, 0), (1, 7), (3, 49)]:
+            assert np.array_equal(stack[k, m], model.sylvester(chips[k, m], 3))
+            assert np.array_equal(stack[k, m, :, 0], chips[k, m, 2:])  # column 0: chips P..N
 
     def test_convolution_oracle(self):
         # C g equals the full convolution restricted to the ISI-free lags
@@ -201,10 +211,8 @@ class TestSynthesize:
         codes = model.sample_codes(p, seeded_rng(20))
         frame = model.sample_symbols(p, seeded_rng(21))
         isi_free = model.synthesize_received(p, ch, codes, frame, seeded_rng(22))
-        full = model.synthesize_received(
-            p, ch, codes, frame, seeded_rng(22), mode="full-stream"
-        )
-        assert np.allclose(isi_free.windows, full.windows, atol=1e-13)
+        full = full_stream_windows(p, ch, codes, frame)
+        assert np.allclose(isi_free.windows, full, atol=1e-13)
 
     def test_received_power(self):
         # sigma=0: E||r||^2 -> sum_k ||g_k||^2 (N-P+1)/N within 5%
@@ -244,12 +252,14 @@ class TestSynthesize:
         ch = model.sample_channel(p, seeded_rng(35))
         codes = model.sample_codes(p, seeded_rng(36))
         frame = model.sample_symbols(p, seeded_rng(37))
-        rec = model.synthesize_received(
-            p, ch, codes, frame, seeded_rng(38), keep_noise=True
-        )
+        rec = model.synthesize_received(p, ch, codes, frame, seeded_rng(38))
         quiet = model.synthesize_received(
-            model.SystemParams(users=4, gain=32, taps=3, symbols=50, train_symbols=10),
-            ch, codes, frame, seeded_rng(38),
+            make_params(noise_var=0.0), ch, codes, frame, seeded_rng(38)
         )
-        assert rec.noise is not None
-        assert np.allclose(rec.windows - rec.noise, quiet.windows)
+        # the documented draw: after the clean windows, every real part and
+        # then every imaginary part, scaled by sqrt(noise_var / 2)
+        rng, shape = seeded_rng(38), (p.symbols, p.window)
+        noise = np.sqrt(p.noise_var / 2) * (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        )
+        assert np.allclose(rec.windows - quiet.windows, noise, rtol=0, atol=1e-14)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from semiblind import model, sos
+from semiblind.errors import SingularSystemError
 from helpers import draw_block, gram_only, seeded_rng, sos_trials
 
 
@@ -236,6 +237,32 @@ class TestEstimateSos:
         se = err.std(axis=0) / np.sqrt(err.shape[0])
         bias = np.abs(err.mean(axis=0))
         assert np.all(bias <= 3 * se)
+
+
+class TestSolveSpd:
+    def test_spd_gram_matches_general_solve(self):
+        rng = seeded_rng(70)
+        a = rng.standard_normal((12, 8))
+        gram = a.T @ a + np.eye(8)
+        rhs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        x = sos._solve_spd(gram, rhs)
+        assert np.allclose(x, np.linalg.solve(gram, rhs), rtol=1e-12, atol=0)
+
+    def test_rank_deficient_gram_takes_the_ridge(self):
+        # rank 2 of 3 in exact integers, so the last Cholesky pivot is exactly 0
+        v, w = np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0])
+        gram = np.outer(v, v) + np.outer(w, w)
+        rhs = np.array([1.0 + 2.0j, -0.5j, 3.0])
+        x = sos._solve_spd(gram, rhs)
+        ridge = sos._RIDGE * np.linalg.norm(np.diag(gram))
+        assert np.allclose((gram + ridge * np.eye(3)) @ x, rhs, rtol=0, atol=1e-6)
+        assert np.linalg.norm(x) > 1e6  # the null-space part of rhs is scaled by 1/ridge
+
+    def test_indefinite_gram_raises(self):
+        gram = np.diag([1.0, -1.0])
+        with pytest.raises(SingularSystemError) as info:
+            sos._solve_spd(gram, np.array([1.0 + 0j, 1.0]))
+        assert info.value.condition == pytest.approx(1.0)
 
 
 class TestGramToIdentityTrend:
