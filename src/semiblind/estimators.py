@@ -1,6 +1,8 @@
 """The three channel estimators: training-only, moment-matching, subspace.
 
-The training estimate is a joint least-squares fit of all users' taps; the
+The training estimate is a joint least-squares fit of all users' taps,
+whose float64 Gram is assembled from lag products of the symbol-weighted
+chip stream rather than from a stacked Sylvester regressor; the
 semi-blind refinements then solve one problem per user (each estimator
 batched over all users in one call), since the SOS estimates decouple
 across users up to interference that vanishes in the large-system limit.
@@ -14,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import CodeBook, ReceivedBlock, SymbolFrame, SystemParams, sylvester, unvec
-from .sos import _solve_spd, hermitianize
+from .model import CodeBook, ReceivedBlock, SymbolFrame, SystemParams, unvec
+from .sos import _correlate, _solve_spd, hermitianize
 
 __all__ = [
     "TrainingEstimate",
@@ -72,12 +74,20 @@ def training_estimate(
 
     With S(m) = [x_1(m) C_1^(m), ..., x_K(m) C_K^(m)] the training model is
     r(m) = S(m) g + n(m).  The right-hand side sum_m S(m)^H r(m) stacks the
-    symbol-conjugated despreader outputs sum_m conj(x_k(m)) C_k^(m)T r(m);
-    solving the K*P normal equations against the Gram sum_m S(m)^H S(m)
-    decorrelates the users ("despread, then decorrelate"), which removes
-    the multiple-access residual a per-user despreader keeps and leaves
+    symbol-conjugated despreader outputs sum_m conj(x_k(m)) C_k^(m)T r(m),
+    read off the correlator GEMM the SOS right-hand side shares; solving the
+    K*P normal equations against the Gram sum_m S(m)^H S(m) decorrelates
+    the users ("despread, then decorrelate"), which removes the
+    multiple-access residual a per-user despreader keeps and leaves
     additive noise of variance noise_var / M_t per tap in the large-system
     limit.  Needs at least K*P training samples: M_t (N-P+1) >= K P.
+
+    The Gram comes from P lag products of the (M_t N, K) symbol-weighted
+    chip stream with rank-M_t edge corrections (:func:`_training_gram`):
+    1.8x fewer multiply-adds than a syrk of the stacked S(m) at P = 3, and
+    no copy of the Sylvester stack.  It stays in float64 because the
+    symbols may be any complex numbers, so the exact +-1 float32 arithmetic
+    of the SOS Gram does not apply.
     """
     mt, k, taps = params.train_symbols, params.users, params.taps
     if mt < 1:
@@ -87,19 +97,61 @@ def training_estimate(
             f"joint least-squares training needs M_t (N-P+1) >= K P; got "
             f"{mt * params.window} training samples for {k * taps} taps"
         )
-    # x_k(m) C_k^(m) is the Sylvester matrix of the symbol-weighted code word
-    weighted = codes.chips[:, :mt, :] * symbols.symbols[:, :mt, None]
-    windows = sylvester(weighted, taps)  # (K, Mt, n_w, P)
-    # S(m) stacked: rows (m, n), columns (k, p).  With X the float view of S
-    # (each column split into Re, Im), X^T X is one symmetric rank-k product
-    # (a syrk); S^H S = (Re^T Re + Im^T Im) + j (Re^T Im - Im^T Re)
-    stacked = np.ascontiguousarray(windows.transpose(1, 2, 0, 3)).reshape(-1, k * taps)
-    real = stacked.view(float)
-    parts = (real.T @ real).reshape(k * taps, 2, k * taps, 2)
-    gram = parts[:, 0, :, 0] + parts[:, 1, :, 1] + 1j * (parts[:, 0, :, 1] - parts[:, 1, :, 0])
-    rhs = (received.windows[:mt].reshape(-1).conj() @ stacked).conj()
+    chips = codes.chips[:, :mt, :]
+    x = symbols.symbols[:, :mt]
+    gram = _training_gram(chips, x, taps)
+    despread = _correlate(chips, received.windows[:mt], taps)  # (M_t, K, P)
+    rhs = np.einsum("km,mkp->kp", x.conj(), despread).reshape(-1)
     gains = _solve_spd(gram, rhs).reshape(k, taps)
     return TrainingEstimate(gains=gains)
+
+
+def _training_gram(chips: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
+    """sum_m S(m)^H S(m) from lag products of the symbol-weighted chips, (K P, K P).
+
+    ``chips`` is (K, M_t, N) and ``x`` the (K, M_t) symbols.  With
+    Y(m, u) = [x_k(m) c_k(m, u)]_k, column p of S(m) reads chips
+    P-1-p .. N-1-p, so block (a, a+d) of the Gram (rows tap a, columns tap
+    a+d) sums Y(m, u)^H Y(m, u-d) over every symbol and the window chips
+    u = P-1-a .. N-1-a.  Per lag d this is one real GEMM of the whole
+    (M_t N, 2K) chip stream against itself shifted by d chips, less the d
+    pairs that straddle each symbol boundary and the P-1-d pairs before the
+    window of block (0, d); then each step down the lag's diagonal adds the
+    pair at u = P-2-a and drops the one at u = N-1-a.  The P lag GEMMs cost
+    (4P-2) K^2 M_t N real multiply-adds (the d = 0 one is a syrk), and the
+    3P(P-1)/2 corrections, each a (2K x M_t)(M_t x 2K) product, add
+    6P(P-1) K^2 M_t; a syrk of the stacked S(m) costs 2 P^2 K^2 M_t (N-P+1).
+    """
+    k, mt, n = chips.shape
+    stream = np.empty((mt, n, k), dtype=complex)
+    np.multiply(chips.transpose(1, 2, 0), x.T[:, None, :], out=stream)
+    by_chip = stream.view(float)  # (M_t, N, 2K): (Re, Im) of Y(m, u)
+    flat = by_chip.reshape(mt * n, 2 * k)
+    real = np.zeros((taps, taps, 2 * k, 2 * k))
+    for d in range(taps):
+        block = flat[d:].T @ flat[: mt * n - d]
+        # pairs that straddle a boundary: chip j < d of symbol m+1 with chip N-d+j of m
+        block -= by_chip[1:, :d].reshape(-1, 2 * k).T @ by_chip[:-1, n - d :].reshape(-1, 2 * k)
+        # sum_m Y(m, u)^T Y(m, u-d) at the head chips u = d .. P-2 and the tail
+        # chips u = N-1-a, a = 0 .. P-2-d
+        u = np.concatenate([np.arange(d, taps - 1), n - 1 - np.arange(taps - 1 - d)])
+        edge = np.matmul(by_chip[:, u].transpose(1, 2, 0), by_chip[:, u - d].transpose(1, 0, 2))
+        head, tail = edge[: taps - 1 - d], edge[taps - 1 - d :]
+        block -= head.sum(axis=0)
+        real[0, d] = block
+        for a in range(taps - 1 - d):
+            block = block + head[taps - 2 - a - d] - tail[a]
+            real[a + 1, a + 1 + d] = block
+    # Y^H Y = (Re^T Re + Im^T Im) + j (Re^T Im - Im^T Re) from the float view
+    parts = real.reshape(taps, taps, k, 2, k, 2)
+    blocks = parts[:, :, :, 0, :, 0] + parts[:, :, :, 1, :, 1]
+    blocks = blocks + 1j * (parts[:, :, :, 0, :, 1] - parts[:, :, :, 1, :, 0])
+    for a in range(taps):
+        # Hermitian in exact arithmetic; made exactly so whatever the BLAS
+        blocks[a, a] = 0.5 * (blocks[a, a] + blocks[a, a].conj().T)
+        for b in range(a + 1, taps):
+            blocks[b, a] = blocks[a, b].conj().T
+    return blocks.transpose(2, 0, 3, 1).reshape(k * taps, k * taps)
 
 
 def weight_w(alpha: float, sigma_n2: float, sigma_d2: float) -> float:

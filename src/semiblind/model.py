@@ -153,9 +153,17 @@ def sample_channel(params: SystemParams, rng: np.random.Generator) -> ChannelRea
 
 
 def sample_codes(params: SystemParams, rng: np.random.Generator) -> CodeBook:
-    """Draw i.i.d. Rademacher chips scaled by 1/sqrt(N) for every (k, m, l)."""
+    """Draw i.i.d. Rademacher chips scaled by 1/sqrt(N) for every (k, m, l).
+
+    The int32 draw consumes the generator exactly as the default int64 one
+    would, and the in-place scaling gives the same chips as
+    (2 b - 1) / sqrt(N) without its float64 temporaries.
+    """
     shape = (params.users, params.symbols, params.gain)
-    chips = (2.0 * rng.integers(0, 2, size=shape) - 1.0) / np.sqrt(params.gain)
+    chips = rng.integers(0, 2, size=shape, dtype=np.int32).astype(float)
+    chips *= 2.0
+    chips -= 1.0
+    chips /= np.sqrt(params.gain)
     return CodeBook(chips=chips)
 
 

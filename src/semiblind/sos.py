@@ -182,19 +182,29 @@ def _kron_orbits(taps: int) -> tuple[tuple[int, int, int, int], ...]:
     )
 
 
-def _sos_rhs(chips: np.ndarray, r: np.ndarray, taps: int, noise_var: float) -> np.ndarray:
-    """y = mean_m vec(a_k a_k^H) - noise_var * mean_m vec(C_k^T C_k), stacked over k."""
+def _correlate(chips: np.ndarray, r: np.ndarray, taps: int) -> np.ndarray:
+    """Per-user correlator outputs a_k(m) = C_k^(m)T r(m), (Mi, K, P) complex.
+
+    ``chips`` is (K, Mi, N) and ``r`` the matching (Mi, N-P+1) windows.  Tap
+    p reads chip n + P-1-p against r(m)[n], so this is one real GEMM of the
+    chips against P zero-padded shifts of (Re r, Im r), interleaved to view
+    as complex.  The SOS right-hand side squares these outputs; the joint
+    training fit weights them by the conjugate training symbols.
+    """
     _, mi, n = chips.shape
     n_w = r.shape[1]
-    # per-user correlator outputs a_k(m) = C_k^(m)T r(m): tap p reads chip
-    # n + P-1-p against r(m)[n], so one real GEMM of the chips against P
-    # zero-padded shifts of (Re r, Im r), interleaved to view as complex
     shifted = np.zeros((mi, n, taps, 2))
     for p in range(taps):
         lo = taps - 1 - p
         shifted[:, lo : lo + n_w, p, 0] = r.real
         shifted[:, lo : lo + n_w, p, 1] = r.imag
-    a = np.matmul(chips.transpose(1, 0, 2), shifted.reshape(mi, n, 2 * taps)).view(complex)
+    return np.matmul(chips.transpose(1, 0, 2), shifted.reshape(mi, n, 2 * taps)).view(complex)
+
+
+def _sos_rhs(chips: np.ndarray, r: np.ndarray, taps: int, noise_var: float) -> np.ndarray:
+    """y = mean_m vec(a_k a_k^H) - noise_var * mean_m vec(C_k^T C_k), stacked over k."""
+    mi = chips.shape[1]
+    a = _correlate(chips, r, taps)
     moments = np.einsum("mkr,mkc->kcr", a, a.conj()) / mi
     rhs = moments - noise_var * (_self_gram(chips, taps) / mi)
     return rhs.reshape(-1)
@@ -241,27 +251,33 @@ def estimate_sos(system: SosSystem, mode: str = "identity") -> np.ndarray:
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve gram x = rhs for a symmetric (or Hermitian) positive definite Gram.
 
-    A failed Cholesky factorization marks the Gram as not positive definite;
-    it is then retried with a relative ridge 1e-8 ||diag(gram)|| on the
-    diagonal, and a second failure raises :class:`SingularSystemError`.  A
-    real Gram solves the complex rhs as two real columns.
+    A Gram that fails its Cholesky factorization, or that passes it on a
+    tiny positive pivot but is exactly singular to the solve, is retried
+    with a relative ridge 1e-8 ||diag(gram)|| on the diagonal; a second
+    failure raises :class:`SingularSystemError`.  A real Gram solves the
+    complex rhs as two real columns.
     """
-    ridged = gram
     try:
-        np.linalg.cholesky(gram)
+        return _checked_solve(gram, rhs)
     except np.linalg.LinAlgError:
-        ridged = gram + _RIDGE * np.linalg.norm(np.diag(gram)) * np.eye(gram.shape[0])
-        try:
-            np.linalg.cholesky(ridged)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                "normal-equation matrix is not positive definite",
-                condition=float(np.linalg.cond(gram)),
-            ) from exc
-    if np.iscomplexobj(ridged):
-        return np.linalg.solve(ridged, rhs)
+        pass
+    ridged = gram + _RIDGE * np.linalg.norm(np.diag(gram)) * np.eye(gram.shape[0])
+    try:
+        return _checked_solve(ridged, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(
+            "normal-equation matrix is singular or not positive definite",
+            condition=float(np.linalg.cond(gram)),
+        ) from exc
+
+
+def _checked_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve after a Cholesky positive-definiteness check; both raise LinAlgError."""
+    np.linalg.cholesky(gram)
+    if np.iscomplexobj(gram):
+        return np.linalg.solve(gram, rhs)
     columns = np.ascontiguousarray(rhs, dtype=complex).view(float).reshape(-1, 2)
-    return np.ascontiguousarray(np.linalg.solve(ridged, columns)).view(complex)[:, 0]
+    return np.ascontiguousarray(np.linalg.solve(gram, columns)).view(complex)[:, 0]
 
 
 def hermitianize(d: np.ndarray) -> np.ndarray:

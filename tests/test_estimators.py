@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from semiblind import analytic, estimators, model, sos
 from semiblind.errors import ConfigError
@@ -68,6 +70,52 @@ class TestTrainingEstimate:
         ref = np.linalg.lstsq(stacked, rhs, rcond=None)[0].reshape(p.users, p.taps)
         out = estimators.training_estimate(rec, codes, frame, p)
         assert np.max(np.abs(out.gains - ref)) < 1e-12
+
+    @pytest.mark.parametrize("seed", [57, 97, 99, 119])
+    def test_exactly_singular_gram_takes_the_ridge(self, seed):
+        # K P = 4 taps from M_t (N-P+1) = 6 samples of length-3 codes: for
+        # these draws the Gram has rank 3, Cholesky still passes on a tiny
+        # pivot, and the solve must fall back to the ridge instead of
+        # leaking numpy's LinAlgError
+        p = model.SystemParams(
+            users=4, gain=3, taps=1, symbols=4, train_symbols=2, noise_var=0.3
+        )
+        rng = seeded_rng(seed)
+        ch = model.sample_channel(p, rng)
+        codes, frame, rec = draw_block(p, ch, rng)
+        gains = estimators.training_estimate(rec, codes, frame, p).gains
+        assert np.all(np.isfinite(gains))
+
+    @given(
+        users=st.integers(1, 4),
+        gain=st.integers(2, 12),
+        taps=st.integers(1, 11),
+        mt=st.integers(1, 6),
+        qpsk=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(users=1, gain=2, taps=1, mt=1, qpsk=True, seed=0)
+    @example(users=4, gain=12, taps=1, mt=6, qpsk=False, seed=1)
+    @example(users=3, gain=12, taps=11, mt=1, qpsk=False, seed=2)
+    @example(users=2, gain=7, taps=6, mt=5, qpsk=True, seed=3)
+    def test_property_lag_gram_matches_stacked(self, users, gain, taps, mt, qpsk, seed):
+        # oracle: sum_m S(m)^H S(m) over the explicitly stacked Sylvester blocks
+        taps = min(taps, gain - 1)  # so P = N-1 comes up often
+        rng = seeded_rng(seed)
+        chips = rng.choice([-1.0, 1.0], size=(users, mt, gain)) / np.sqrt(gain)
+        if qpsk:
+            signs = rng.choice([-1.0, 1.0], size=(2, users, mt))
+            x = (signs[0] + 1j * signs[1]) / np.sqrt(2.0)
+        else:
+            x = rng.standard_normal((users, mt)) + 1j * rng.standard_normal((users, mt))
+        stacked = np.vstack([
+            np.hstack([x[k, m] * model.sylvester(chips[k, m], taps) for k in range(users)])
+            for m in range(mt)
+        ])
+        ref = stacked.conj().T @ stacked
+        gram = estimators._training_gram(chips, x, taps)
+        assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(gram, gram.conj().T)
 
     def test_rejects_underdetermined_training(self):
         # M_t (N-P+1) = 1 * 6 training samples cannot fix K P = 24 taps

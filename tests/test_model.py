@@ -87,6 +87,20 @@ class TestSampleCodes:
         assert chips.size > 1e5
         assert abs(chips.mean()) < 0.02 / np.sqrt(64)
 
+    @pytest.mark.parametrize("users,symbols,gain", [(3, 5, 64), (2, 7, 48), (3, 3, 10), (1, 3, 9)])
+    def test_draw_pinned_to_int64_formula(self, users, symbols, gain):
+        # same chips and same generator state afterwards as the int64 draw,
+        # also for an odd number of draws (1 x 3 x 9)
+        p = model.SystemParams(users=users, gain=gain, taps=1, symbols=symbols)
+        rng, ref_rng = seeded_rng(7), seeded_rng(7)
+        chips = model.sample_codes(p, rng).chips
+        size = (users, symbols, gain)
+        ref = (2.0 * ref_rng.integers(0, 2, size) - 1.0) / np.sqrt(gain)
+        assert chips.dtype == np.float64
+        assert np.array_equal(chips, ref)
+        after = model.sample_symbols(p, rng).symbols
+        assert np.array_equal(after, model.sample_symbols(p, ref_rng).symbols)
+
 
 class TestSampleSymbols:
     def test_qpsk_constellation(self):

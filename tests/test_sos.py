@@ -258,6 +258,18 @@ class TestSolveSpd:
         assert np.allclose((gram + ridge * np.eye(3)) @ x, rhs, rtol=0, atol=1e-6)
         assert np.linalg.norm(x) > 1e6  # the null-space part of rhs is scaled by 1/ridge
 
+    def test_singular_gram_that_passes_cholesky_takes_the_ridge(self):
+        # rank one: Cholesky's rounding leaves a tiny positive last pivot,
+        # while the LU of the solve meets an exact zero
+        gram = np.full((2, 2), 0.7)
+        np.linalg.cholesky(gram)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(gram, np.ones(2))
+        rhs = np.array([1.0 + 2.0j, -0.5j])
+        x = sos._solve_spd(gram, rhs)
+        ridge = sos._RIDGE * np.linalg.norm(np.diag(gram))
+        assert np.allclose((gram + ridge * np.eye(2)) @ x, rhs, rtol=0, atol=1e-6)
+
     def test_indefinite_gram_raises(self):
         gram = np.diag([1.0, -1.0])
         with pytest.raises(SingularSystemError) as info:
