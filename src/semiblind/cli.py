@@ -8,53 +8,21 @@ import sys
 
 import numpy as np
 
-from . import harness, sos
+from . import harness
 from .errors import ConfigError
 
 
-def _grid(value: str, cast):
-    return tuple(cast(tok) for tok in value.replace(",", " ").split())
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per cell")
-    parser.add_argument("--workers", type=int, help="parallel cell workers")
-    parser.add_argument("--out", help="output file (stdout if omitted)")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"))
-    parser.add_argument(
-        "--estimator", choices=("training", "mm", "subspace", "all")
-    )
-    parser.add_argument("--sos-mode", dest="sos_mode", choices=sos.SOS_MODES)
-    parser.add_argument("--N", dest="gain", type=int, help="spreading gain")
-    parser.add_argument("--M", dest="symbols", type=int, help="coherence block length")
-    parser.add_argument("--beta", type=lambda s: _grid(s, float), help="load values")
-    parser.add_argument(
-        "--sigma-n2", dest="sigma_n2", type=lambda s: _grid(s, float),
-        help="noise variance values",
-    )
-    parser.add_argument("--P", dest="taps", type=lambda s: _grid(s, int), help="channel orders")
-    parser.add_argument("--alpha", type=lambda s: _grid(s, float), help="training fractions")
-    parser.add_argument("--omega", type=float, help="fixed subspace weight")
-    parser.add_argument("--omega-mode", dest="omega_mode", choices=("oracle", "plugin"))
-    parser.add_argument("--draws", type=int, help="channel draws for analytic surfaces")
-    parser.add_argument("-v", "--verbose", action="store_true")
+    parser.add_argument("--config", help="key = value config file; flags override it")
+    for key, (field, parse, help_text) in harness.CONFIG_KEYS.items():
+        flag = key.upper() if len(key) == 1 else key.replace("_", "-")
+        parser.add_argument(f"--{flag}", dest=field, type=parse, help=help_text)
+    parser.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
 
 
 def _build_config(args: argparse.Namespace) -> harness.ExperimentConfig:
-    overrides = {
-        name: getattr(args, name)
-        for name in (
-            "seed", "trials", "workers", "out", "fmt", "estimator", "sos_mode",
-            "gain", "symbols", "beta", "sigma_n2", "taps", "alpha", "omega",
-            "omega_mode", "draws",
-        )
-        if getattr(args, name, None) is not None
-    }
-    if args.config:
-        return harness.load_config(args.config, **overrides)
-    return harness.ExperimentConfig(**overrides)
+    overrides = {field: getattr(args, field) for field, _, _ in harness.CONFIG_KEYS.values()}
+    return harness.load_config(args.config, **overrides)
 
 
 def _write(records, config: harness.ExperimentConfig) -> None:
@@ -95,9 +63,8 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(
             f"simulate expects a single grid cell, got {len(cells)}; use sweep"
         )
-    cell = cells[0]
-    print(f"cell {cell.key()}  (K={cell.users}, N={cell.gain}, "
-          f"M={cell.symbols}, M_t={cell.train_symbols})")
+    cell, p = cells[0], cells[0].params
+    print(f"cell {cell.key()}  (K={p.users}, N={p.gain}, M={p.symbols}, M_t={p.train_symbols})")
     records, failures = harness.run_sweep(config)
     for rec in records:
         se = f" +- {rec.sigma_g2_se:.4f}" if rec.sigma_g2_se is not None else ""
@@ -116,12 +83,11 @@ def _cmd_simulate(args) -> int:
 
 def _print_diagnostics(config: harness.ExperimentConfig, cell) -> None:
     result = harness.run_trial(config, cell, 0)
-    for name, diags in result.diagnostics.items():
-        for d in diags:  # one entry per estimator, batched over the users
-            print(
-                f"  {name} trial-0 diagnostics: iterations {d.iterations},"
-                f" converged {d.converged}, weight median {np.median(d.weight):.4f}"
-            )
+    for name, d in result.diagnostics.items():
+        print(
+            f"  {name} trial-0 diagnostics: iterations {d.iterations},"
+            f" converged {d.converged}, weight median {np.median(d.weight):.4f}"
+        )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,7 +15,7 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -27,9 +27,11 @@ from .errors import ConfigError, SingularSystemError
 
 __all__ = [
     "ExperimentConfig",
+    "CONFIG_KEYS",
     "Cell",
     "TrialResult",
     "SweepRecord",
+    "CSV_COLUMNS",
     "CellFailure",
     "load_config",
     "grid_cells",
@@ -43,24 +45,12 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-CSV_COLUMNS = [
-    "beta",
-    "sigma_n2",
-    "P",
-    "alpha",
-    "estimator",
-    "trials",
-    "sigma_g2_emp",
-    "sigma_g2_se",
-    "sigma_g2_ana",
-    "eta_emp",
-    "eta_ana",
-]
 _CSV_COMMENT = (
     "# sigma_g2 columns are the coherence-scaled per-tap MSE"
     " M * E{||g_hat - g||^2} / P; eta = (sigma_n2/sigma_g2 - alpha)/(1 - alpha)"
 )
 _ESTIMATORS = ("training", "mm", "subspace")
+_OMEGA_SOURCES = ("oracle", "plugin")
 _ANALYTIC_SALT = 0x616E616C79746963  # fixed salt for prediction channel draws
 
 
@@ -78,40 +68,45 @@ class ExperimentConfig:
     seed: int = 0
     estimator: str = "all"  # training | mm | subspace | all
     sos_mode: str = "identity"
-    omega: float | None = None  # fixed subspace weight; None uses omega_mode
-    omega_mode: str = "oracle"  # oracle | plugin
+    omega: str | float = "oracle"  # oracle | plugin | a fixed subspace weight
     draws: int = 200  # channel draws for analytic surfaces
     workers: int = 1
     out: str | None = None
     fmt: str = "csv"
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.draws < 1:
-            raise ConfigError("draws must be >= 1")
+        for name in ("trials", "draws", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}={getattr(self, name)} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
         if self.symbols < 1:
             raise ConfigError(f"coherence block M={self.symbols} must be >= 1")
         for name in ("beta", "sigma_n2", "alpha"):
-            vals = getattr(self, name)
-            if not vals or any(v <= 0 for v in vals):
-                raise ConfigError(f"grid values for {name} must be positive")
+            if not getattr(self, name):
+                raise ConfigError(f"the grid needs at least one {name} value")
+            for v in getattr(self, name):
+                if not 0 < v < math.inf:
+                    raise ConfigError(f"grid value {name}={v} must be positive and finite")
         if not self.taps or any(int(p) < 1 for p in self.taps):
             raise ConfigError("grid values for P must be positive integers")
         for p in self.taps:
             if int(p) >= self.gain:
                 raise ConfigError(f"channel order P={p} must be below spreading gain N={self.gain}")
         for a in self.alpha:  # M_t as grid_cells rounds it
+            if a > 1:
+                raise ConfigError(f"training fraction alpha={a} must be <= 1")
             if round(a * self.symbols) == 0:
                 raise ConfigError(f"alpha={a} leaves no training symbols at M={self.symbols}")
         if self.estimator not in (*_ESTIMATORS, "all"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.sos_mode not in sos.SOS_MODES:
             raise ConfigError(f"unknown SOS solver mode {self.sos_mode!r}")
-        if self.omega is not None and not 0 <= self.omega <= 1:
-            raise ConfigError("omega must lie in [0, 1]")
-        if self.omega_mode not in ("oracle", "plugin"):
-            raise ConfigError(f"unknown omega_mode {self.omega_mode!r}")
+        if isinstance(self.omega, str):
+            if self.omega not in _OMEGA_SOURCES:
+                raise ConfigError(f"unknown omega {self.omega!r}")
+        elif not 0 <= self.omega <= 1:
+            raise ConfigError(f"omega={self.omega} must be oracle, plugin or lie in [0, 1]")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
 
@@ -120,29 +115,46 @@ class ExperimentConfig:
         return _ESTIMATORS if self.estimator == "all" else (self.estimator,)
 
 
+def _grid(cast):
+    """Parser of a comma- or space-separated list of values."""
+    return lambda text: tuple(cast(tok) for tok in text.replace(",", " ").split())
+
+
+def _omega(text: str) -> str | float:
+    return text if text in _OMEGA_SOURCES else float(text)
+
+
+# Every ExperimentConfig field, once: config-file key -> (field, parser of the
+# text value, help).  File keys match case-blind; the CLI flag is --N, --M or
+# --P for the one-letter keys and --<key> with '-' for '_' otherwise.
+CONFIG_KEYS = {
+    "n": ("gain", int, "spreading gain N"),
+    "m": ("symbols", int, "coherence block length M"),
+    "beta": ("beta", _grid(float), "load values K/N"),
+    "sigma_n2": ("sigma_n2", _grid(float), "noise variance values"),
+    "p": ("taps", _grid(int), "channel orders"),
+    "alpha": ("alpha", _grid(float), "training fractions M_t/M, each in (0, 1]"),
+    "trials": ("trials", int, "Monte Carlo trials per cell"),
+    "seed": ("seed", int, "master seed (>= 0)"),
+    "estimator": ("estimator", str, " | ".join((*_ESTIMATORS, "all"))),
+    "sos_mode": ("sos_mode", str, " | ".join(sos.SOS_MODES)),
+    "omega": ("omega", _omega, "subspace weight: oracle | plugin | a value in [0, 1]"),
+    "draws": ("draws", int, "channel draws for analytic surfaces"),
+    "workers": ("workers", int, "parallel cell workers"),
+    "out": ("out", str, "output file (stdout if omitted)"),
+    "format": ("fmt", str, "csv | json"),
+}
+
+
 @dataclass(frozen=True)
 class Cell:
-    """One grid point with its rounded integer system parameters."""
+    """One grid point and the system it simulates, with K and M_t rounded."""
 
     beta: float
     sigma_n2: float
     taps: int
     alpha: float
-    users: int
-    train_symbols: int
-    gain: int
-    symbols: int
-
-    @property
-    def params(self) -> model.SystemParams:
-        return model.SystemParams(
-            users=self.users,
-            gain=self.gain,
-            taps=self.taps,
-            symbols=self.symbols,
-            train_symbols=self.train_symbols,
-            noise_var=self.sigma_n2,
-        )
+    params: model.SystemParams
 
     def key(self) -> str:
         return f"beta={self.beta!r},sigma_n2={self.sigma_n2!r},P={self.taps},alpha={self.alpha!r}"
@@ -153,12 +165,13 @@ class TrialResult:
     """Squared channel errors (per user, per estimator) from one trial."""
 
     errors: dict[str, np.ndarray]  # estimator -> (K,) float
-    diagnostics: dict[str, list]
+    diagnostics: dict[str, estimators.FitDiagnostics]  # semi-blind estimator -> its fit
 
 
 @dataclass
 class SweepRecord:
-    """One (cell, estimator) row of a sweep or prediction.
+    """One (cell, estimator) row of a sweep or prediction; its fields are the
+    output columns.
 
     For analytic-only records (trials == 0) the empirical fields are None
     and ``sigma_g2_se`` carries the standard error of the channel-draw
@@ -167,7 +180,7 @@ class SweepRecord:
 
     beta: float
     sigma_n2: float
-    taps: int
+    P: int
     alpha: float
     estimator: str
     trials: int
@@ -176,6 +189,9 @@ class SweepRecord:
     sigma_g2_ana: float | None
     eta_emp: float | None
     eta_ana: float | None
+
+
+CSV_COLUMNS = [f.name for f in fields(SweepRecord)]
 
 
 @dataclass
@@ -190,31 +206,17 @@ class CellFailure:
 # configuration file handling
 # ---------------------------------------------------------------------------
 
-_GRID_KEYS = {"beta": "beta", "sigma_n2": "sigma_n2", "p": "taps", "alpha": "alpha"}
-_SCALAR_KEYS = {
-    "n": ("gain", int),
-    "m": ("symbols", int),
-    "trials": ("trials", int),
-    "seed": ("seed", int),
-    "draws": ("draws", int),
-    "workers": ("workers", int),
-    "estimator": ("estimator", str),
-    "sos_mode": ("sos_mode", str),
-    "omega": ("omega", float),
-    "omega_mode": ("omega_mode", str),
-    "out": ("out", str),
-    "format": ("fmt", str),
-}
 
-
-def load_config(path: str | Path, **overrides) -> ExperimentConfig:
-    """Read a flat ``key = value`` config file; keyword overrides win.
+def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
+    """Read a flat ``key = value`` config file (keys of :data:`CONFIG_KEYS`);
+    keyword overrides, named by field, win unless they are None.
 
     Grid keys (beta, sigma_n2, P, alpha) accept comma-separated value lists;
-    blank lines and ``#`` comments are ignored.
+    blank lines and ``#`` comments are ignored.  No path reads no file.
     """
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    lines = Path(path).read_text().splitlines() if path is not None else []
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -222,15 +224,11 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip().lower(), val.strip()
-        if key in _GRID_KEYS:
-            name, cast = _GRID_KEYS[key], int if key == "p" else float
-            tokens = val.replace(",", " ").split()
-        elif key in _SCALAR_KEYS:
-            (name, cast), tokens = _SCALAR_KEYS[key], None
-        else:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        name, parse, _ = CONFIG_KEYS[key]
         try:
-            values[name] = cast(val) if tokens is None else tuple(cast(t) for t in tokens)
+            values[name] = parse(val)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {val!r}") from exc
     values.update({k: v for k, v in overrides.items() if v is not None})
@@ -253,18 +251,15 @@ def grid_cells(config: ExperimentConfig) -> list[Cell]:
             log.info("cell %s: K rounded to %d (beta -> %.6g)", beta, users, users / config.gain)
         if abs(train / config.symbols - alpha) > 1e-12:
             log.info("cell %s: M_t rounded to %d (alpha -> %.6g)", alpha, train, train / config.symbols)
-        cells.append(
-            Cell(
-                beta=beta,
-                sigma_n2=sn2,
-                taps=int(taps),
-                alpha=alpha,
-                users=users,
-                train_symbols=train,
-                gain=config.gain,
-                symbols=config.symbols,
-            )
+        params = model.SystemParams(
+            users=users,
+            gain=config.gain,
+            taps=int(taps),
+            symbols=config.symbols,
+            train_symbols=train,
+            noise_var=sn2,
         )
+        cells.append(Cell(beta=beta, sigma_n2=sn2, taps=int(taps), alpha=alpha, params=params))
     return cells
 
 
@@ -296,7 +291,7 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
     which = config.estimator_list
     train = estimators.training_estimate(received, codes, frame, params)
     errors: dict[str, np.ndarray] = {}
-    diagnostics: dict[str, list] = {}
+    diagnostics: dict[str, estimators.FitDiagnostics] = {}
 
     if "training" in which:
         errors["training"] = np.sum(np.abs(train.gains - channel.gains) ** 2, axis=1)
@@ -316,22 +311,22 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
             )
             fit = estimators.mm_semiblind(train.gains, d_hat, w)
             errors["mm"] = np.sum(np.abs(fit.gains - channel.gains) ** 2, axis=1)
-            diagnostics["mm"] = [fit.diagnostics]
+            diagnostics["mm"] = fit.diagnostics
 
         if "subspace" in which:
-            source = "given" if config.omega is not None else config.omega_mode
+            source = config.omega if isinstance(config.omega, str) else "given"
             omega = _subspace_omega(config, params, channel.gains, train.gains)
             fit = estimators.subspace_semiblind(train.gains, d_hat, omega)
             errors["subspace"] = np.sum(np.abs(fit.gains - channel.gains) ** 2, axis=1)
-            diagnostics["subspace"] = [replace(fit.diagnostics, weight_source=source)]
+            diagnostics["subspace"] = replace(fit.diagnostics, weight_source=source)
 
     return TrialResult(errors=errors, diagnostics=diagnostics)
 
 
 def _subspace_omega(config, params, g_true, g_bar) -> float | np.ndarray:
-    if config.omega is not None:
+    if not isinstance(config.omega, str):
         return config.omega
-    ref = g_true if config.omega_mode == "oracle" else g_bar
+    ref = g_true if config.omega == "oracle" else g_bar
     return analytic.optimal_omega(ref, params)
 
 
@@ -370,7 +365,7 @@ def _analytic_cell(
     if estimator == "mm":
         _, sg2 = analytic.mm_error_covariance(draws, params)  # NaN where singular
     else:
-        omega = config.omega if config.omega is not None else analytic.optimal_omega(draws, params)
+        omega = analytic.optimal_omega(draws, params) if isinstance(config.omega, str) else config.omega
         sg2 = analytic.predict_subspace_mse(draws, params, omega)
     singular = np.isnan(sg2)
     if singular.any():
@@ -412,7 +407,7 @@ def _cell_records(
             SweepRecord(
                 beta=cell.beta,
                 sigma_n2=cell.sigma_n2,
-                taps=cell.taps,
+                P=cell.taps,
                 alpha=cell.alpha,
                 estimator=name,
                 trials=trials,
@@ -485,32 +480,15 @@ def _fmt(value) -> str:
 
 def render(records: list[SweepRecord], fmt: str = "csv") -> str:
     """Serialize records as CSV text (exact column set) or a JSON array."""
-    rows = [
-        {
-            "beta": r.beta,
-            "sigma_n2": r.sigma_n2,
-            "P": r.taps,
-            "alpha": r.alpha,
-            "estimator": r.estimator,
-            "trials": r.trials,
-            "sigma_g2_emp": r.sigma_g2_emp,
-            "sigma_g2_se": r.sigma_g2_se,
-            "sigma_g2_ana": r.sigma_g2_ana,
-            "eta_emp": r.eta_emp,
-            "eta_ana": r.eta_ana,
-        }
-        for r in records
-    ]
     if fmt == "csv":
         out = io.StringIO()
         out.write(_CSV_COMMENT + "\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
+        writer.writerows([_fmt(v) for v in astuple(r)] for r in records)
         return out.getvalue()
     if fmt == "json":
-        return json.dumps(rows, indent=1) + "\n"
+        return json.dumps([asdict(r) for r in records], indent=1) + "\n"
     raise ConfigError(f"unknown output format {fmt!r}")
 
 
@@ -519,38 +497,26 @@ def emit(records: list[SweepRecord], path: str | Path, fmt: str = "csv") -> None
     Path(path).write_text(render(records, fmt))
 
 
+# parser of a CSV or JSON value, by the annotation of its SweepRecord field
+_COLUMN_PARSERS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "float | None": lambda v: None if v is None or v == "" else float(v),
+}
+
+
 def load_records(path: str | Path, fmt: str | None = None) -> list[SweepRecord]:
     """Parse a file produced by :func:`emit` back into records."""
     path = Path(path)
     if fmt is None:
         fmt = "json" if path.suffix == ".json" else "csv"
-    rows: list[dict] = []
     if fmt == "csv":
         with path.open() as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
-        for row in csv.DictReader(lines):
-            rows.append(row)
+            rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
     else:
         rows = json.loads(path.read_text())
-
-    def opt_float(v):
-        if v is None or v == "":
-            return None
-        return float(v)
-
     return [
-        SweepRecord(
-            beta=float(r["beta"]),
-            sigma_n2=float(r["sigma_n2"]),
-            taps=int(r["P"]),
-            alpha=float(r["alpha"]),
-            estimator=r["estimator"],
-            trials=int(r["trials"]),
-            sigma_g2_emp=opt_float(r["sigma_g2_emp"]),
-            sigma_g2_se=opt_float(r["sigma_g2_se"]),
-            sigma_g2_ana=opt_float(r["sigma_g2_ana"]),
-            eta_emp=opt_float(r["eta_emp"]),
-            eta_ana=opt_float(r["eta_ana"]),
-        )
-        for r in rows
+        SweepRecord(**{f.name: _COLUMN_PARSERS[f.type](row[f.name]) for f in fields(SweepRecord)})
+        for row in rows
     ]

@@ -110,10 +110,10 @@ class CodeBook:
 
 @dataclass
 class SymbolFrame:
-    """Unit-energy channel symbols with the leading training flags."""
+    """Unit-energy channel symbols; the first ``SystemParams.train_symbols``
+    of each user are the training symbols."""
 
     symbols: np.ndarray  # (K, M) complex
-    train_mask: np.ndarray  # (M,) bool
 
 
 @dataclass
@@ -168,11 +168,9 @@ def sample_codes(params: SystemParams, rng: np.random.Generator) -> CodeBook:
 
 
 def sample_symbols(params: SystemParams, rng: np.random.Generator) -> SymbolFrame:
-    """Draw uniform QPSK symbols; the first M_t symbols are flagged training."""
+    """Draw uniform QPSK symbols; the first M_t of each user are training."""
     idx = rng.integers(0, 4, size=(params.users, params.symbols))
-    mask = np.zeros(params.symbols, dtype=bool)
-    mask[: params.train_symbols] = True
-    return SymbolFrame(symbols=_QPSK[idx], train_mask=mask)
+    return SymbolFrame(symbols=_QPSK[idx])
 
 
 def sylvester(code_words: np.ndarray, taps: int) -> np.ndarray:

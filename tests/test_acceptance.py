@@ -266,7 +266,7 @@ def test_criterion_07_mm_sign_reversal():
     )
     records, failures = harness.predict(config)
     assert not failures
-    eta = {(r.taps, r.alpha): r.eta_ana for r in records}
+    eta = {(r.P, r.alpha): r.eta_ana for r in records}
     report(
         7,
         [
@@ -299,7 +299,7 @@ def test_criterion_08_subspace_surfaces():
     )
     rec4, fail4 = harness.predict(fig4)
     assert not fail4
-    eta4 = {(r.taps, r.alpha): r.eta_ana for r in rec4}
+    eta4 = {(r.P, r.alpha): r.eta_ana for r in rec4}
     pos4 = all(v > 0 for v in eta4.values())
     inc_alpha = all(
         eta4[(p, hi)] >= eta4[(p, lo)] for p in taps

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+import dataclasses
 import importlib
 import importlib.metadata
 import json
@@ -98,8 +100,12 @@ def test_bad_config_path_fails():
     assert cli.main(["sweep", "--config", "/nonexistent/file.cfg"]) == 2
 
 
-# values that parse but leave no valid grid cell, with the value the error names
-_BAD_GRID = {"N = 0": "N=0", "M = 0": "M=0", "P = 64": "P=64", "alpha = 0.001": "alpha=0.001"}
+# values that parse but are out of range, with the value the error names
+_BAD_GRID = {
+    "N = 0": "N=0", "M = 0": "M=0", "P = 64": "P=64", "alpha = 0.001": "alpha=0.001",
+    "beta = nan": "beta=nan", "sigma_n2 = inf": "sigma_n2=inf", "alpha = 1.5": "alpha=1.5",
+    "seed = -1": "seed=-1", "workers = 0": "workers=0",
+}
 
 
 @pytest.mark.parametrize("line", ["N = abc", "beta = 0.25, x", "P = 2.5", *_BAD_GRID])
@@ -112,11 +118,67 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, line):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--sigma-n2", "inf")])
+def test_non_finite_grid_flag_is_config_error(capsys, flag, value):
+    assert cli.main(["predict", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"={value} must be positive and finite" in err
+    assert "Traceback" not in err
+
+
 def test_removed_synthesis_flag_is_rejected(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["sweep", "--synthesis", "isi-free"])
     assert info.value.code == 2
     assert "--synthesis" in capsys.readouterr().err
+
+
+def test_removed_omega_mode_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["predict", "--omega-mode", "plugin"])
+    assert info.value.code == 2
+    assert "--omega-mode" in capsys.readouterr().err
+
+
+def _common_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser()
+    cli._add_common(parser)
+    return parser
+
+
+# a valid non-default text value for every ExperimentConfig field
+_SAMPLE_VALUES = {
+    "gain": "32", "symbols": "40", "beta": "0.5, 0.75", "sigma_n2": "0.1 2",
+    "taps": "2,3", "alpha": "0.25", "trials": "3", "seed": "5", "estimator": "mm",
+    "sos_mode": "solve", "omega": "0.5", "draws": "7", "workers": "2",
+    "out": "x.csv", "fmt": "json",
+}
+
+
+def test_every_field_has_one_config_key_and_one_flag(tmp_path):
+    parser = _common_parser()
+    default = harness.ExperimentConfig()
+    names = [field.name for field in dataclasses.fields(harness.ExperimentConfig)]
+    assert sorted(names) == sorted(_SAMPLE_VALUES)
+    for name in names:
+        keys = [key for key, (field, _, _) in harness.CONFIG_KEYS.items() if field == name]
+        actions = [action for action in parser._actions if action.dest == name]
+        assert len(keys) == 1 and len(actions) == 1, name
+        (flag,) = actions[0].option_strings
+        assert actions[0].help
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"{keys[0]} = {_SAMPLE_VALUES[name]}\n")
+        from_file = getattr(harness.load_config(cfg), name)
+        from_flag = getattr(cli._build_config(parser.parse_args([flag, _SAMPLE_VALUES[name]])), name)
+        assert from_file == from_flag != getattr(default, name), name
+
+
+@pytest.mark.parametrize("text, value", [("oracle", "oracle"), ("plugin", "plugin"), ("0.5", 0.5)])
+def test_omega_source_or_weight_from_file_and_flag(tmp_path, text, value):
+    cfg = tmp_path / "omega.cfg"
+    cfg.write_text(f"omega = {text}\n")
+    assert harness.load_config(cfg).omega == value
+    assert cli._build_config(_common_parser().parse_args(["--omega", text])).omega == value
 
 
 def test_runs_without_scipy(tmp_path):

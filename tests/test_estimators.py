@@ -21,9 +21,7 @@ class TestTrainingEstimate:
         p = model.SystemParams(users=1, gain=16, taps=1, symbols=4, train_symbols=4)
         ch = model.sample_channel(p, seeded_rng(120))
         codes = model.sample_codes(p, seeded_rng(121))
-        frame = model.SymbolFrame(
-            symbols=np.ones((1, 4), complex), train_mask=np.ones(4, bool)
-        )
+        frame = model.SymbolFrame(symbols=np.ones((1, 4), complex))
         rec = model.synthesize_received(p, ch, codes, frame, seeded_rng(122))
         out = estimators.training_estimate(rec, codes, frame, p)
         # exact up to summation order: every product in the chain is dyadic

@@ -23,7 +23,7 @@ class TestConfig:
         cfg = tiny_config(beta=(0.25, 0.5), alpha=(0.1, 0.25))
         cells = harness.grid_cells(cfg)
         assert len(cells) == 4
-        assert cells[0].users == 8 and cells[0].train_symbols == 4
+        assert cells[0].params.users == 8 and cells[0].params.train_symbols == 4
         # product order: beta outer, then sigma, taps, alpha
         assert [c.beta for c in cells] == [0.25, 0.25, 0.5, 0.5]
 
@@ -36,6 +36,8 @@ class TestConfig:
             tiny_config(estimator="magic")
         with pytest.raises(ConfigError):
             tiny_config(omega=1.5)
+        with pytest.raises(ConfigError, match="'magic'"):
+            tiny_config(omega="magic")
         with pytest.raises(ConfigError):
             tiny_config(fmt="xml")
         # grids with no valid cell: M = 0, P >= N, round(alpha M) = 0
@@ -98,6 +100,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{path}:2: unknown config key 'synthesis'")):
             harness.load_config(path)
 
+    def test_load_config_rejects_removed_omega_mode_key(self, tmp_path):
+        # omega takes oracle | plugin itself; an old omega_mode line fails at its line
+        path = tmp_path / "sweep.cfg"
+        path.write_text("N = 32\nomega_mode = plugin\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: unknown config key 'omega_mode'")):
+            harness.load_config(path)
+
 
 class TestRunTrial:
     def test_bit_reproducible(self):
@@ -113,7 +122,7 @@ class TestRunTrial:
         cell = harness.grid_cells(cfg)[0]
         result = harness.run_trial(cfg, cell, 0)
         assert set(result.errors) == {"training", "mm", "subspace"}
-        assert all(v.shape == (cell.users,) for v in result.errors.values())
+        assert all(v.shape == (cell.params.users,) for v in result.errors.values())
         assert all(np.all(v >= 0) for v in result.errors.values())
 
     def test_noiseless_training_accuracy(self):
@@ -122,7 +131,7 @@ class TestRunTrial:
             alpha=(1.0,), trials=1, seed=3, estimator="training",
         )
         cell = harness.grid_cells(cfg)[0]
-        assert cell.users == 1
+        assert cell.params.users == 1
         result = harness.run_trial(cfg, cell, 0)
         rng = harness._trial_rng(cfg.seed, cell, 0)
         gains = model.sample_channel(cell.params, rng).gains
@@ -132,13 +141,13 @@ class TestRunTrial:
         cell0 = harness.grid_cells(tiny_config())[0]
         for cfg, expected in [
             (tiny_config(estimator="subspace"), "oracle"),
-            (tiny_config(estimator="subspace", omega_mode="plugin"), "plugin"),
+            (tiny_config(estimator="subspace", omega="plugin"), "plugin"),
             (tiny_config(estimator="subspace", omega=0.5), "given"),
         ]:
             result = harness.run_trial(cfg, cell0, 0)
-            (diag,) = result.diagnostics["subspace"]  # one entry for all users
+            diag = result.diagnostics["subspace"]  # one fit for all users
             assert diag.weight_source == expected
-            assert np.shape(diag.weight) in ((), (cell0.users,))
+            assert np.shape(diag.weight) in ((), (cell0.params.users,))
             if expected == "given":
                 assert diag.weight == 0.5
 
@@ -153,7 +162,7 @@ class TestRunSweep:
         manual = [
             harness.run_trial(cfg, cell, t).errors["training"].mean() for t in range(4)
         ]
-        scaled = cell.symbols * np.asarray(manual) / cell.taps
+        scaled = cell.params.symbols * np.asarray(manual) / cell.taps
         assert rec.sigma_g2_emp == pytest.approx(scaled.mean(), rel=1e-12)
         assert rec.sigma_g2_se == pytest.approx(
             scaled.std(ddof=1) / np.sqrt(4), rel=1e-12
@@ -165,7 +174,7 @@ class TestRunSweep:
         flipped = tiny_config(estimator="training", sigma_n2=(1.0, 0.5))
         rec_a, _ = harness.run_sweep(base)
         rec_b, _ = harness.run_sweep(flipped)
-        key = lambda r: (r.beta, r.sigma_n2, r.taps, r.alpha)
+        key = lambda r: (r.beta, r.sigma_n2, r.P, r.alpha)
         assert {key(r): r.sigma_g2_emp for r in rec_a} == {
             key(r): r.sigma_g2_emp for r in rec_b
         }
@@ -265,12 +274,12 @@ class TestEmit:
     def make_records(self):
         return [
             harness.SweepRecord(
-                beta=0.25, sigma_n2=0.5, taps=3, alpha=0.2, estimator="mm",
+                beta=0.25, sigma_n2=0.5, P=3, alpha=0.2, estimator="mm",
                 trials=100, sigma_g2_emp=2.34567890123456789, sigma_g2_se=0.01,
                 sigma_g2_ana=2.3, eta_emp=0.123, eta_ana=0.15,
             ),
             harness.SweepRecord(
-                beta=0.5, sigma_n2=1.0, taps=2, alpha=0.1, estimator="training",
+                beta=0.5, sigma_n2=1.0, P=2, alpha=0.1, estimator="training",
                 trials=0, sigma_g2_emp=None, sigma_g2_se=None,
                 sigma_g2_ana=10.0, eta_emp=None, eta_ana=0.0,
             ),
