@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import estimators
 from .errors import ConfigError, SingularSystemError
 from .model import SystemParams
 from .sos import free_slot_index, hermitian_basis, outer_free_jacobian
@@ -345,9 +346,7 @@ def mm_error_covariance(
     """
     alpha = _check_train_frac(params)
     if weight is None:
-        from .estimators import weight_w
-
-        weight = weight_w(alpha, params.noise_var, average_sos_variance(params))
+        weight = estimators.weight_w(alpha, params.noise_var, average_sos_variance(params))
     hess, df_dz = _stationarity_jacobians(g, weight)
     cond = np.linalg.cond(hess)
     singular = ~np.isfinite(cond) | (cond > _COND_LIMIT)

@@ -12,11 +12,23 @@ from . import harness
 from .errors import ConfigError
 
 
+def _flag_parser(key: str, parse):
+    """``parse`` with argparse's error naming the setting, as the config file does."""
+
+    def parse_flag(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad value for {key!r}: {text!r}") from exc
+
+    return parse_flag
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file; flags override it")
     for key, (field, parse, help_text) in harness.CONFIG_KEYS.items():
         flag = key.upper() if len(key) == 1 else key.replace("_", "-")
-        parser.add_argument(f"--{flag}", dest=field, type=parse, help=help_text)
+        parser.add_argument(f"--{flag}", dest=field, type=_flag_parser(key, parse), help=help_text)
     parser.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
 
 
@@ -73,7 +85,7 @@ def _cmd_simulate(args) -> int:
             f" (analytic {rec.sigma_g2_ana:.4f})"
             f"  eta = {rec.eta_emp:+.4f} (analytic {rec.eta_ana:+.4f})"
         )
-    if args.diagnostics:
+    if args.diagnostics and records:  # a failed cell would only fail again
         _print_diagnostics(config, cell)
     if config.out:
         harness.emit(records, config.out, config.fmt)

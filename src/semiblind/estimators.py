@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import CodeBook, ReceivedBlock, SymbolFrame, SystemParams, unvec
+from .model import SystemParams, unvec
 from .sos import _correlate, _solve_spd, hermitianize
 
 __all__ = [
-    "TrainingEstimate",
     "SemiblindEstimate",
     "FitDiagnostics",
     "training_estimate",
@@ -34,13 +33,6 @@ __all__ = [
 # its iterate; from a start below the root it converges in a few steps
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
-
-
-@dataclass
-class TrainingEstimate:
-    """Joint least-squares training-symbol channel estimates for all users."""
-
-    gains: np.ndarray  # (K, P) complex
 
 
 @dataclass
@@ -65,12 +57,15 @@ class SemiblindEstimate:
 
 
 def training_estimate(
-    received: ReceivedBlock,
-    codes: CodeBook,
-    symbols: SymbolFrame,
+    windows: np.ndarray,
+    chips: np.ndarray,
+    symbols: np.ndarray,
     params: SystemParams,
-) -> TrainingEstimate:
+) -> np.ndarray:
     """Joint least-squares fit of every user's taps over the training prefix.
+
+    Takes the (M, N-P+1) received windows, the (K, M, N) chips and the
+    (K, M) symbols, and returns the (K, P) estimated gains.
 
     With S(m) = [x_1(m) C_1^(m), ..., x_K(m) C_K^(m)] the training model is
     r(m) = S(m) g + n(m).  The right-hand side sum_m S(m)^H r(m) stacks the
@@ -97,13 +92,12 @@ def training_estimate(
             f"joint least-squares training needs M_t (N-P+1) >= K P; got "
             f"{mt * params.window} training samples for {k * taps} taps"
         )
-    chips = codes.chips[:, :mt, :]
-    x = symbols.symbols[:, :mt]
-    gram = _training_gram(chips, x, taps)
-    despread = _correlate(chips, received.windows[:mt], taps)  # (M_t, K, P)
+    train_chips = chips[:, :mt, :]
+    x = symbols[:, :mt]
+    gram = _training_gram(train_chips, x, taps)
+    despread = _correlate(train_chips, windows[:mt], taps)  # (M_t, K, P)
     rhs = np.einsum("km,mkp->kp", x.conj(), despread).reshape(-1)
-    gains = _solve_spd(gram, rhs).reshape(k, taps)
-    return TrainingEstimate(gains=gains)
+    return _solve_spd(gram, rhs).reshape(k, taps)
 
 
 def _training_gram(chips: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:

@@ -50,6 +50,7 @@ _CSV_COMMENT = (
     " M * E{||g_hat - g||^2} / P; eta = (sigma_n2/sigma_g2 - alpha)/(1 - alpha)"
 )
 _ESTIMATORS = ("training", "mm", "subspace")
+_SOS_MODES = ("identity", "solve")  # d = y (T ~ I), or the exact solve of T d = y
 _OMEGA_SOURCES = ("oracle", "plugin")
 _ANALYTIC_SALT = 0x616E616C79746963  # fixed salt for prediction channel draws
 
@@ -100,7 +101,7 @@ class ExperimentConfig:
                 raise ConfigError(f"alpha={a} leaves no training symbols at M={self.symbols}")
         if self.estimator not in (*_ESTIMATORS, "all"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
-        if self.sos_mode not in sos.SOS_MODES:
+        if self.sos_mode not in _SOS_MODES:
             raise ConfigError(f"unknown SOS solver mode {self.sos_mode!r}")
         if isinstance(self.omega, str):
             if self.omega not in _OMEGA_SOURCES:
@@ -137,7 +138,7 @@ CONFIG_KEYS = {
     "trials": ("trials", int, "Monte Carlo trials per cell"),
     "seed": ("seed", int, "master seed (>= 0)"),
     "estimator": ("estimator", str, " | ".join((*_ESTIMATORS, "all"))),
-    "sos_mode": ("sos_mode", str, " | ".join(sos.SOS_MODES)),
+    "sos_mode": ("sos_mode", str, " | ".join(_SOS_MODES)),
     "omega": ("omega", _omega, "subspace weight: oracle | plugin | a value in [0, 1]"),
     "draws": ("draws", int, "channel draws for analytic surfaces"),
     "workers": ("workers", int, "parallel cell workers"),
@@ -283,41 +284,41 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
     """One Monte Carlo repetition: fresh channel, codes, symbols and noise."""
     params = cell.params
     rng = _trial_rng(config.seed, cell, trial_index)
-    channel = model.sample_channel(params, rng)
-    codes = model.sample_codes(params, rng)
-    frame = model.sample_symbols(params, rng)
-    received = model.synthesize_received(params, channel, codes, frame, rng)
+    gains = model.sample_channel(params, rng)
+    chips = model.sample_codes(params, rng)
+    symbols = model.sample_symbols(params, rng)
+    windows = model.synthesize_received(params, gains, chips, symbols, rng)
 
     which = config.estimator_list
-    train = estimators.training_estimate(received, codes, frame, params)
+    g_bar = estimators.training_estimate(windows, chips, symbols, params)
     errors: dict[str, np.ndarray] = {}
     diagnostics: dict[str, estimators.FitDiagnostics] = {}
 
     if "training" in which:
-        errors["training"] = np.sum(np.abs(train.gains - channel.gains) ** 2, axis=1)
+        errors["training"] = np.sum(np.abs(g_bar - gains) ** 2, axis=1)
 
     if "mm" in which or "subspace" in which:
         if params.train_symbols >= params.symbols:
             raise ConfigError("semi-blind estimators need at least one information symbol")
         info = range(params.train_symbols, params.symbols)
-        system = sos.build_normal_equations(
-            codes, received, info, params.noise_var, include_gram=config.sos_mode == "solve"
+        rhs, gram = sos.build_normal_equations(
+            chips, windows, info, params.noise_var, include_gram=config.sos_mode == "solve"
         )
-        d_hat = sos.hermitianize(sos.estimate_sos(system, config.sos_mode))
+        d_hat = sos.hermitianize(sos.estimate_sos(rhs, gram))
 
         if "mm" in which:
             w = estimators.weight_w(
                 params.train_frac, params.noise_var, analytic.average_sos_variance(params)
             )
-            fit = estimators.mm_semiblind(train.gains, d_hat, w)
-            errors["mm"] = np.sum(np.abs(fit.gains - channel.gains) ** 2, axis=1)
+            fit = estimators.mm_semiblind(g_bar, d_hat, w)
+            errors["mm"] = np.sum(np.abs(fit.gains - gains) ** 2, axis=1)
             diagnostics["mm"] = fit.diagnostics
 
         if "subspace" in which:
             source = config.omega if isinstance(config.omega, str) else "given"
-            omega = _subspace_omega(config, params, channel.gains, train.gains)
-            fit = estimators.subspace_semiblind(train.gains, d_hat, omega)
-            errors["subspace"] = np.sum(np.abs(fit.gains - channel.gains) ** 2, axis=1)
+            omega = _subspace_omega(config, params, gains, g_bar)
+            fit = estimators.subspace_semiblind(g_bar, d_hat, omega)
+            errors["subspace"] = np.sum(np.abs(fit.gains - gains) ** 2, axis=1)
             diagnostics["subspace"] = replace(fit.diagnostics, weight_source=source)
 
     return TrialResult(errors=errors, diagnostics=diagnostics)

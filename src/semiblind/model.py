@@ -1,9 +1,10 @@
 """Synchronous long-code DS-CDMA signal model over block-fading FIR channels.
 
-Everything here is a pure function of (parameters, rng): drawing channels,
-spreading codes and symbols, and synthesizing the per-symbol ISI-free
-received windows.  Chip indices follow the 1-based convention l = 1..N in
-all interface documentation; arrays are stored 0-based.
+Everything here is a pure function of (parameters, rng) returning plain
+arrays: the (K, P) channel gains, the (K, M, N) spreading chips, the (K, M)
+symbols and the (M, N-P+1) ISI-free received windows.  Chip indices follow
+the 1-based convention l = 1..N in all interface documentation; arrays are
+stored 0-based.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ import numpy as np
 
 __all__ = [
     "SystemParams",
-    "ChannelRealization",
-    "CodeBook",
-    "SymbolFrame",
-    "ReceivedBlock",
     "sample_channel",
     "sample_codes",
     "sample_symbols",
@@ -88,41 +85,6 @@ class SystemParams:
         return self.gain - self.taps + 1
 
 
-@dataclass
-class ChannelRealization:
-    """Per-user channel taps and their vectorized outer products.
-
-    ``gains[k]`` is the length-P complex coefficient vector of user k and
-    ``sos[k] = vec(gains[k] gains[k]^H)`` its column-stacked rank-one
-    second-order statistic (length P^2).
-    """
-
-    gains: np.ndarray  # (K, P) complex
-    sos: np.ndarray  # (K, P^2) complex
-
-
-@dataclass
-class CodeBook:
-    """Per-user, per-symbol spreading chips, each chip +-1/sqrt(N)."""
-
-    chips: np.ndarray  # (K, M, N) float
-
-
-@dataclass
-class SymbolFrame:
-    """Unit-energy channel symbols; the first ``SystemParams.train_symbols``
-    of each user are the training symbols."""
-
-    symbols: np.ndarray  # (K, M) complex
-
-
-@dataclass
-class ReceivedBlock:
-    """ISI-free received windows r(m), one length N-P+1 vector per symbol."""
-
-    windows: np.ndarray  # (M, N-P+1) complex
-
-
 def vec_outer(g: np.ndarray) -> np.ndarray:
     """Column-stacked vec(g g^H) for one vector or a batch of row vectors.
 
@@ -140,20 +102,20 @@ def unvec(d: np.ndarray, taps: int) -> np.ndarray:
     return d.reshape(*d.shape[:-1], taps, taps).swapaxes(-1, -2)
 
 
-def sample_channel(params: SystemParams, rng: np.random.Generator) -> ChannelRealization:
-    """Draw i.i.d. circularly-symmetric complex Gaussian taps, variance 1/P.
+def sample_channel(params: SystemParams, rng: np.random.Generator) -> np.ndarray:
+    """Draw the (K, P) i.i.d. circularly-symmetric complex Gaussian taps, variance 1/P.
 
     Real and imaginary parts of each coefficient carry variance 1/(2P), so
-    E{|g_k(p)|^2} = 1/P and E{||g_k||^2} = 1.
+    E{|g_k(p)|^2} = 1/P and E{||g_k||^2} = 1.  Row k is user k's channel g_k,
+    and :func:`vec_outer` of the gains gives each user's SOS vec(g_k g_k^H).
     """
     k, p = params.users, params.taps
     scale = np.sqrt(1.0 / (2.0 * p))
-    gains = scale * (rng.standard_normal((k, p)) + 1j * rng.standard_normal((k, p)))
-    return ChannelRealization(gains=gains, sos=vec_outer(gains))
+    return scale * (rng.standard_normal((k, p)) + 1j * rng.standard_normal((k, p)))
 
 
-def sample_codes(params: SystemParams, rng: np.random.Generator) -> CodeBook:
-    """Draw i.i.d. Rademacher chips scaled by 1/sqrt(N) for every (k, m, l).
+def sample_codes(params: SystemParams, rng: np.random.Generator) -> np.ndarray:
+    """Draw the (K, M, N) i.i.d. Rademacher chips, each +-1/sqrt(N).
 
     The int32 draw consumes the generator exactly as the default int64 one
     would, and the in-place scaling gives the same chips as
@@ -164,13 +126,13 @@ def sample_codes(params: SystemParams, rng: np.random.Generator) -> CodeBook:
     chips *= 2.0
     chips -= 1.0
     chips /= np.sqrt(params.gain)
-    return CodeBook(chips=chips)
+    return chips
 
 
-def sample_symbols(params: SystemParams, rng: np.random.Generator) -> SymbolFrame:
-    """Draw uniform QPSK symbols; the first M_t of each user are training."""
+def sample_symbols(params: SystemParams, rng: np.random.Generator) -> np.ndarray:
+    """Draw (K, M) uniform QPSK symbols; the first M_t of each user are training."""
     idx = rng.integers(0, 4, size=(params.users, params.symbols))
-    return SymbolFrame(symbols=_QPSK[idx])
+    return _QPSK[idx]
 
 
 def sylvester(code_words: np.ndarray, taps: int) -> np.ndarray:
@@ -190,12 +152,12 @@ def sylvester(code_words: np.ndarray, taps: int) -> np.ndarray:
 
 def synthesize_received(
     params: SystemParams,
-    channel: ChannelRealization,
-    codes: CodeBook,
-    symbols: SymbolFrame,
+    gains: np.ndarray,
+    chips: np.ndarray,
+    symbols: np.ndarray,
     rng: np.random.Generator,
-) -> ReceivedBlock:
-    """Synthesize the M ISI-free received windows r(m) of length N-P+1.
+) -> np.ndarray:
+    """Synthesize the (M, N-P+1) ISI-free received windows r(m).
 
     r(m) = sum_k C_k^(m) g_k x_k(m) + n(m), the analysis model.  With P < N
     the retained N-P+1 chips of each symbol never see the previous symbol's
@@ -204,17 +166,17 @@ def synthesize_received(
     parts, each standard normal and scaled by sqrt(noise_var / 2).
     """
     k, n, p, m = params.users, params.gain, params.taps, params.symbols
-    if channel.gains.shape != (k, p):
+    if gains.shape != (k, p):
         raise ValueError("channel shape inconsistent with params")
-    if codes.chips.shape != (k, m, n):
-        raise ValueError("codes shape inconsistent with params")
-    if symbols.symbols.shape != (k, m):
+    if chips.shape != (k, m, n):
+        raise ValueError("chips shape inconsistent with params")
+    if symbols.shape != (k, m):
         raise ValueError("symbols shape inconsistent with params")
 
     # z(m)[l, p] = sum_k c_k(m)[l] x_k(m) g_k[p]: one real GEMM per symbol
     # of the chips against the (Re, Im)-interleaved transmit weights
-    weights = np.multiply(symbols.symbols.T[:, :, None], channel.gains, dtype=complex)
-    z = np.matmul(codes.chips.transpose(1, 2, 0), weights.view(float)).view(complex)
+    weights = np.multiply(symbols.T[:, :, None], gains, dtype=complex)
+    z = np.matmul(chips.transpose(1, 2, 0), weights.view(float)).view(complex)
     # window chip n of C_k g_k is sum_p c_k[n + P-1-p] g_k[p]: P shifted slices
     clean = z[:, p - 1 : p - 1 + params.window, 0].copy()
     for tap in range(1, p):
@@ -225,4 +187,4 @@ def synthesize_received(
     noise = sigma * (
         rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
     )
-    return ReceivedBlock(windows=clean + noise)
+    return clean + noise

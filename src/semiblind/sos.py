@@ -23,17 +23,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .errors import SingularSystemError
-from .model import CodeBook, ReceivedBlock, unvec
+from .model import unvec
 
 __all__ = [
-    "SOS_MODES",
-    "SosSystem",
     "build_normal_equations",
     "estimate_sos",
     "hermitianize",
@@ -45,46 +42,32 @@ __all__ = [
     "outer_free_jacobian",
 ]
 
-# solver modes of estimate_sos
-SOS_MODES = ("identity", "solve")
-
 _RIDGE = 1e-8  # relative ridge of the Cholesky fallback
 _HERMITIAN_TOL = 1e-10
 _EXACT_INT_F32 = 2**24  # binary32 holds every integer of magnitude <= 2^24
 _GRAM_CHUNK_ELEMS = 2**20  # float32 cross-Gram entries per symbol chunk (4 MB)
 
 
-@dataclass
-class SosSystem:
-    """Accumulated normal equations for one coherence block.
-
-    ``gram`` is the real symmetric PSD matrix T = (1/M) sum_m Q^T(m) Q(m)
-    (it depends only on the codes, never on the received data) and ``rhs``
-    the complex vector y.  ``gram`` may be omitted when only the identity-T
-    approximation will be used.
-    """
-
-    rhs: np.ndarray  # (K*P^2,) complex
-    gram: np.ndarray | None  # (K*P^2, K*P^2) float or None
-    users: int
-    taps: int
-
-
 def build_normal_equations(
-    codes: CodeBook,
-    received: ReceivedBlock,
+    chips: np.ndarray,
+    windows: np.ndarray,
     info_range,
     noise_var: float,
     include_gram: bool = True,
-) -> SosSystem:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Accumulate T and y over the given information-symbol indices.
+
+    Returns ``(rhs, gram)``: y as the (K, P^2) complex per-user blocks, and
+    the real symmetric PSD T = (1/M_i) sum_m Q^T(m) Q(m), (K P^2, K P^2),
+    which depends only on the chips, never on the received data.
 
     Parameters
     ----------
-    codes, received :
-        Spreading chips and the matching ISI-free windows.  The window
-        length N-P+1 sets the channel order P; the Gram needs the chips to be
-        exactly +-1/sqrt(N), as :func:`model.sample_codes` draws them.
+    chips, windows :
+        The (K, M, N) spreading chips and the matching (M, N-P+1) ISI-free
+        windows.  The window length N-P+1 sets the channel order P; the
+        Gram needs the chips to be exactly +-1/sqrt(N), as
+        :func:`model.sample_codes` draws them.
     info_range :
         Symbol indices (0-based) contributing to the statistics; must be
         nonempty.
@@ -92,8 +75,8 @@ def build_normal_equations(
         Complex noise variance used for the bias correction
         sigma_n^2 Q^T(m) vec(I) = sigma_n^2 vec(C_k^T C_k) per user block.
     include_gram :
-        Skip the (comparatively expensive) T accumulation when False; the
-        returned system then only supports identity-T estimation.  T is an
+        Skip the (comparatively expensive) T accumulation when False and
+        return None in its place, for identity-T estimation.  T is an
         exact integer sum in float32 (see the module docstring), chunked so
         that each chunk's sums stay within 2^24; it costs about
         K^2 P^2 (N-P+1) multiply-adds per symbol.
@@ -102,7 +85,7 @@ def build_normal_equations(
     ------
     ValueError
         For an empty or out-of-bounds ``info_range``, windows whose count
-        differs from the codes' symbol count or whose length implies a channel
+        differs from the chips' symbol count or whose length implies a channel
         order outside 1 <= P < N, and (with ``include_gram``) chips that are
         not +-1/sqrt(N) or windows longer than 4096 chips, whose products
         float32 would round.
@@ -110,11 +93,10 @@ def build_normal_equations(
     idx = np.asarray(list(info_range), dtype=int)
     if idx.size == 0:
         raise ValueError("info_range must be nonempty")
-    k, m_total, n = codes.chips.shape
-    windows = received.windows
+    _, m_total, n = chips.shape
     if windows.ndim != 2 or windows.shape[0] != m_total:
         raise ValueError(
-            f"received windows {windows.shape} do not match the {m_total} symbols of the codes"
+            f"received windows {windows.shape} do not match the {m_total} symbols of the chips"
         )
     taps = n - windows.shape[1] + 1
     if not 1 <= taps < n:
@@ -129,10 +111,9 @@ def build_normal_equations(
     # while the Gram accumulates
     if np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
         idx = slice(idx[0], idx[0] + idx.size)
-    chips = codes.chips[:, idx, :]  # (K, Mi, N)
-    rhs = _sos_rhs(chips, windows[idx], taps, noise_var)
-    gram = _gram(chips, taps) if include_gram else None
-    return SosSystem(rhs=rhs, gram=gram, users=k, taps=taps)
+    info_chips = chips[:, idx, :]  # (K, Mi, N)
+    rhs = _sos_rhs(info_chips, windows[idx], taps, noise_var)
+    return rhs, _gram(info_chips, taps) if include_gram else None
 
 
 def _gram(chips: np.ndarray, taps: int) -> np.ndarray:
@@ -202,12 +183,12 @@ def _correlate(chips: np.ndarray, r: np.ndarray, taps: int) -> np.ndarray:
 
 
 def _sos_rhs(chips: np.ndarray, r: np.ndarray, taps: int, noise_var: float) -> np.ndarray:
-    """y = mean_m vec(a_k a_k^H) - noise_var * mean_m vec(C_k^T C_k), stacked over k."""
-    mi = chips.shape[1]
+    """y_k = mean_m vec(a_k a_k^H) - noise_var * mean_m vec(C_k^T C_k), (K, P^2)."""
+    k, mi, _ = chips.shape
     a = _correlate(chips, r, taps)
     moments = np.einsum("mkr,mkc->kcr", a, a.conj()) / mi
     rhs = moments - noise_var * (_self_gram(chips, taps) / mi)
-    return rhs.reshape(-1)
+    return rhs.reshape(k, taps * taps)
 
 
 def _self_gram(chips: np.ndarray, taps: int) -> np.ndarray:
@@ -230,22 +211,16 @@ def _self_gram(chips: np.ndarray, taps: int) -> np.ndarray:
     return out
 
 
-def estimate_sos(system: SosSystem, mode: str = "identity") -> np.ndarray:
+def estimate_sos(rhs: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
     """Solve (or approximate) T d = y; returns the per-user SOS vectors (K, P^2).
 
-    Modes: ``identity`` takes d = y outright (the large-system T -> I
-    approximation); ``solve`` runs a Cholesky factorization with a relative
-    ridge fallback and needs the Gram matrix.
+    Without a Gram this takes d = y outright (the large-system T -> I
+    approximation); with one it runs a Cholesky factorization with a
+    relative ridge fallback on the stacked (K P^2,) system.
     """
-    if mode not in SOS_MODES:
-        raise ValueError(f"unknown SOS solver mode {mode!r}")
-    if mode == "identity":
-        values = system.rhs
-    elif system.gram is None:
-        raise ValueError(f"mode {mode!r} needs the Gram matrix; rebuild with include_gram=True")
-    else:
-        values = _solve_spd(system.gram, system.rhs)
-    return values.reshape(system.users, system.taps**2)
+    if gram is None:
+        return rhs
+    return _solve_spd(gram, rhs.reshape(-1)).reshape(rhs.shape)
 
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:

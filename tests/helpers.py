@@ -24,76 +24,79 @@ def representative_channels(
     *key: int,
     mean_tol: float = 0.02,
     user0_range: tuple[float, float] | None = None,
-) -> model.ChannelRealization:
-    """Draw channel sets until the energies are representative."""
+) -> np.ndarray:
+    """Draw (K, P) channel gains until the energies are representative."""
     attempt = 0
     while True:
-        ch = model.sample_channel(params, seeded_rng(*key, attempt))
-        energy = np.linalg.norm(ch.gains, axis=1) ** 2
+        gains = model.sample_channel(params, seeded_rng(*key, attempt))
+        energy = np.linalg.norm(gains, axis=1) ** 2
         ok = abs(energy.mean() - 1.0) < mean_tol
         if ok and user0_range is not None:
             ok = user0_range[0] < energy[0] < user0_range[1]
         if ok:
-            return ch
+            return gains
         attempt += 1
 
 
-def draw_block(params, channel, rng):
-    """Fresh codes, symbols and received windows for a fixed channel."""
-    codes = model.sample_codes(params, rng)
-    frame = model.sample_symbols(params, rng)
-    received = model.synthesize_received(params, channel, codes, frame, rng)
-    return codes, frame, received
+def draw_block(params, gains, rng):
+    """Fresh chips, symbols and received windows for fixed channel gains."""
+    chips = model.sample_codes(params, rng)
+    symbols = model.sample_symbols(params, rng)
+    windows = model.synthesize_received(params, gains, chips, symbols, rng)
+    return chips, symbols, windows
 
 
-def full_stream_windows(params, channel, codes, symbols) -> np.ndarray:
+def full_stream_windows(params, gains, chips, symbols) -> np.ndarray:
     """Noiseless windows cut from the convolved whole chip stream, (M, N-P+1).
 
     Each symbol's first P-1 chips carry the previous symbol's tail; window m
     keeps chips mN+P .. (m+1)N (1-based chip times), which with P < N that
     tail never reaches.
     """
-    k, m, n = codes.chips.shape
-    stream = (symbols.symbols[:, :, None] * codes.chips).reshape(k, m * n)
-    total = sum(np.convolve(stream[ku], channel.gains[ku]) for ku in range(k))
+    k, m, n = chips.shape
+    stream = (symbols[:, :, None] * chips).reshape(k, m * n)
+    total = sum(np.convolve(stream[ku], gains[ku]) for ku in range(k))
     starts = np.arange(m) * n + params.taps - 1
     return total[starts[:, None] + np.arange(params.window)[None, :]]
 
 
 def sos_trials(
     params: model.SystemParams,
-    channel: model.ChannelRealization,
+    gains: np.ndarray,
     n_trials: int,
     *key: int,
     mode: str = "identity",
     info_start: int = 0,
 ) -> np.ndarray:
-    """Hermitianized SOS estimates (n_trials, K, P^2), channel held fixed."""
+    """Hermitianized SOS estimates (n_trials, K, P^2), channel held fixed.
+
+    ``mode`` is ``identity`` (d = y) or ``solve`` (T d = y with the Gram).
+    """
     out = np.empty((n_trials, params.users, params.taps**2), dtype=complex)
     for t in range(n_trials):
-        codes, _, received = draw_block(params, channel, seeded_rng(*key, t))
-        system = sos.build_normal_equations(
-            codes,
-            received,
+        chips, _, windows = draw_block(params, gains, seeded_rng(*key, t))
+        rhs, gram = sos.build_normal_equations(
+            chips,
+            windows,
             range(info_start, params.symbols),
             params.noise_var,
             include_gram=mode == "solve",
         )
-        out[t] = sos.hermitianize(sos.estimate_sos(system, mode))
+        out[t] = sos.hermitianize(sos.estimate_sos(rhs, gram))
     return out
 
 
 def training_trials(
     params: model.SystemParams,
-    channel: model.ChannelRealization,
+    gains: np.ndarray,
     n_trials: int,
     *key: int,
 ) -> np.ndarray:
     """Training estimates (n_trials, K, P), channel held fixed."""
     out = np.empty((n_trials, params.users, params.taps), dtype=complex)
     for t in range(n_trials):
-        codes, frame, received = draw_block(params, channel, seeded_rng(*key, t))
-        out[t] = estimators.training_estimate(received, codes, frame, params).gains
+        chips, symbols, windows = draw_block(params, gains, seeded_rng(*key, t))
+        out[t] = estimators.training_estimate(windows, chips, symbols, params)
     return out
 
 
@@ -105,11 +108,9 @@ def scaled_covariance(samples: np.ndarray, scale: int) -> np.ndarray:
 
 def gram_only(params: model.SystemParams, rng: np.random.Generator) -> np.ndarray:
     """The normal-equation matrix T for one fresh code draw (no data needed)."""
-    codes = model.sample_codes(params, rng)
-    received = model.ReceivedBlock(
-        windows=np.zeros((params.symbols, params.window), dtype=complex)
+    chips = model.sample_codes(params, rng)
+    windows = np.zeros((params.symbols, params.window), dtype=complex)
+    _, gram = sos.build_normal_equations(
+        chips, windows, range(params.symbols), 0.0, include_gram=True
     )
-    system = sos.build_normal_equations(
-        codes, received, range(params.symbols), 0.0, include_gram=True
-    )
-    return system.gram
+    return gram

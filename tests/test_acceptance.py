@@ -49,22 +49,22 @@ C12_TRIALS = 500
 
 @pytest.fixture(scope="module")
 def identity_run():
-    channels = representative_channels(
+    gains = representative_channels(
         C12_PARAMS, SALT, 12, user0_range=(0.95, 1.05)
     )
     start = time.time()
-    estimates = sos_trials(C12_PARAMS, channels, C12_TRIALS, SALT, 120, mode="identity")
-    return channels, estimates, time.time() - start
+    estimates = sos_trials(C12_PARAMS, gains, C12_TRIALS, SALT, 120, mode="identity")
+    return gains, estimates, time.time() - start
 
 
 def test_criterion_01_average_sos_variance(identity_run):
-    channels, estimates, elapsed = identity_run
+    gains, estimates, elapsed = identity_run
     closed = analytic.average_sos_variance(C12_PARAMS)
     exact_ok = abs(closed - 5 / 3) <= 2 * math.ulp(5 / 3)
 
     total = 0.0
     for k in range(C12_PARAMS.users):
-        cov = scaled_covariance(estimates[:, k, :] - channels.sos[k], C12_PARAMS.symbols)
+        cov = scaled_covariance(estimates[:, k, :] - model.vec_outer(gains[k]), C12_PARAMS.symbols)
         total += np.trace(cov).real
     emp = total / (C12_PARAMS.users * C12_PARAMS.taps**2)
     emp_ok = abs(emp / (5 / 3) - 1) < 0.15
@@ -81,10 +81,10 @@ def test_criterion_01_average_sos_variance(identity_run):
 
 
 def test_criterion_02_sos_covariance_structure(identity_run):
-    channels, estimates, _ = identity_run
-    g0 = channels.gains[0]
+    gains, estimates, _ = identity_run
+    g0 = gains[0]
     pred = analytic.predict_sos_covariance(g0, C12_PARAMS).sigma_dd
-    emp = scaled_covariance(estimates[:, 0, :] - channels.sos[0], C12_PARAMS.symbols)
+    emp = scaled_covariance(estimates[:, 0, :] - model.vec_outer(gains[0]), C12_PARAMS.symbols)
 
     diag_ratio = np.diag(emp).real / np.diag(pred).real
     diag_ok = bool(np.all(np.abs(diag_ratio - 1) < 0.15))
@@ -178,26 +178,26 @@ def test_criterion_05_subspace_baselines():
         users=16, gain=64, taps=3, symbols=400, train_symbols=80, noise_var=0.5
     )
     alpha, s2 = params.train_frac, params.noise_var
-    g_ref = representative_channels(params, SALT, 5).gains[0]
+    g_ref = representative_channels(params, SALT, 5)[0]
 
     base = analytic.predict_subspace_mse(g_ref, params, 0.0)
     base_ok = abs(base - s2 / alpha) <= 1e-12 * (s2 / alpha)
     perfect = analytic.predict_subspace_mse(g_ref, params, 1.0, angle_var=0.0)
     perfect_ok = abs(perfect - s2 / (alpha * params.taps)) <= 1e-12 * perfect
 
-    channels = representative_channels(params, SALT, 50)
+    gains = representative_channels(params, SALT, 50)
     trials = 500
     err = np.zeros((trials, params.users))
     for t in range(trials):
-        codes, frame, rec = draw_block(params, channels, seeded_rng(SALT, 51, t))
-        train = estimators.training_estimate(rec, codes, frame, params)
-        system = sos.build_normal_equations(
-            codes, rec, range(80, 400), s2, include_gram=False
+        chips, symbols, windows = draw_block(params, gains, seeded_rng(SALT, 51, t))
+        g_bar = estimators.training_estimate(windows, chips, symbols, params)
+        rhs, _ = sos.build_normal_equations(
+            chips, windows, range(80, 400), s2, include_gram=False
         )
-        d_hat = sos.hermitianize(sos.estimate_sos(system, "identity"))
+        d_hat = sos.hermitianize(sos.estimate_sos(rhs))
         for k in range(params.users):
-            fit = estimators.subspace_semiblind(train.gains[k], d_hat[k], 0.0)
-            err[t, k] = np.sum(np.abs(fit.gains - channels.gains[k]) ** 2)
+            fit = estimators.subspace_semiblind(g_bar[k], d_hat[k], 0.0)
+            err[t, k] = np.sum(np.abs(fit.gains - gains[k]) ** 2)
     emp = float(params.symbols * err.mean() / params.taps)
     emp_ok = abs(emp / (s2 / alpha) - 1) < 0.10
 
@@ -325,12 +325,12 @@ def test_criterion_09_subspace_angle():
     params = model.SystemParams(
         users=32, gain=64, taps=3, symbols=400, train_symbols=0, noise_var=0.5
     )
-    channels = representative_channels(params, SALT, 9, user0_range=(0.8, 1.2))
-    g0 = channels.gains[0]
+    gains = representative_channels(params, SALT, 9, user0_range=(0.8, 1.2))
+    g0 = gains[0]
     energy = float(np.linalg.norm(g0) ** 2)
     predicted = analytic.predict_subspace_angle(g0, params)
 
-    estimates = sos_trials(params, channels, 500, SALT, 90, mode="solve")
+    estimates = sos_trials(params, gains, 500, SALT, 90, mode="solve")
     sin2 = [
         1 - abs(estimators.principal_eigvec(d[0]).conj() @ g0) ** 2 / energy
         for d in estimates
@@ -457,14 +457,14 @@ def test_criterion_11_numerical_hygiene():
         p_small = model.SystemParams(
             users=users, gain=gain, taps=taps, symbols=4, noise_var=0.3
         )
-        ch = model.sample_channel(p_small, seeded_rng(SALT, 113, users, gain))
-        codes, _, rec = draw_block(p_small, ch, seeded_rng(SALT, 114, users, gain))
-        system = sos.build_normal_equations(codes, rec, range(4), 0.3)
-        gram_ref, rhs_ref = brute_force_system(p_small, codes, rec, 0.3)
+        gains = model.sample_channel(p_small, seeded_rng(SALT, 113, users, gain))
+        chips, _, windows = draw_block(p_small, gains, seeded_rng(SALT, 114, users, gain))
+        rhs, gram = sos.build_normal_equations(chips, windows, range(4), 0.3)
+        gram_ref, rhs_ref = brute_force_system(p_small, chips, windows, 0.3)
         worst = max(
             worst,
-            np.max(np.abs(system.gram - gram_ref)) / np.max(np.abs(gram_ref)),
-            np.max(np.abs(system.rhs - rhs_ref)) / np.max(np.abs(rhs_ref)),
+            np.max(np.abs(gram - gram_ref)) / np.max(np.abs(gram_ref)),
+            np.max(np.abs(rhs - rhs_ref)) / np.max(np.abs(rhs_ref)),
         )
     clauses.append(("structured build equals Kronecker oracle to 1e-12", worst <= 1e-12,
                     f"worst rel {worst:.1e}"))

@@ -152,20 +152,20 @@ class TestRealCovariance:
         # end-to-end: empirical diag of the stacked real observation error
         # matches sigma_zz within 15% (K=16, N=64, P=2, M=400, M_t=80)
         p = params_for(users=16, taps=2, noise=4.0)
-        ch = representative_channels(p, 90, user0_range=(0.8, 1.2))
-        pred = self.build(ch.gains[0], p).sigma_zz
+        gains = representative_channels(p, 90, user0_range=(0.8, 1.2))
+        pred = self.build(gains[0], p).sigma_zz
 
         trials = 1000
         z_err = np.empty((trials, 2 * 2 + 4))
         for t in range(trials):
-            codes, frame, rec = draw_block(p, ch, seeded_rng(91, t))
-            train = estimators.training_estimate(rec, codes, frame, p)
-            system = sos.build_normal_equations(
-                codes, rec, range(80, 400), p.noise_var, include_gram=False
+            chips, symbols, windows = draw_block(p, gains, seeded_rng(91, t))
+            g_bar = estimators.training_estimate(windows, chips, symbols, p)
+            rhs, _ = sos.build_normal_equations(
+                chips, windows, range(80, 400), p.noise_var, include_gram=False
             )
-            d0 = sos.hermitianize(sos.estimate_sos(system, "identity"))[0]
-            dg = train.gains[0] - ch.gains[0]
-            dd = sos.free_vars(d0) - sos.free_vars(ch.sos[0])
+            d0 = sos.hermitianize(sos.estimate_sos(rhs))[0]
+            dg = g_bar[0] - gains[0]
+            dd = sos.free_vars(d0) - sos.free_vars(model.vec_outer(gains[0]))
             z_err[t] = np.concatenate([dg.real, dg.imag, dd])
         emp = np.cov(z_err.T)
         ratio = np.diag(emp) / np.diag(pred)
@@ -196,10 +196,10 @@ class TestSubspaceAngle:
         p = params_for()
         ratios = []
         for set_key in (160, 161, 162):
-            ch = representative_channels(p, set_key, user0_range=(0.8, 1.2))
-            g0 = ch.gains[0]
+            gains = representative_channels(p, set_key, user0_range=(0.8, 1.2))
+            g0 = gains[0]
             energy = np.linalg.norm(g0) ** 2
-            draws = sos_trials(p, ch, 200, set_key + 10, mode="solve")
+            draws = sos_trials(p, gains, 200, set_key + 10, mode="solve")
             sin2 = [
                 1 - abs(estimators.principal_eigvec(d[0]).conj() @ g0) ** 2 / energy
                 for d in draws
@@ -338,20 +338,20 @@ class TestMmErrorCovariance:
         # K=16, N=64, P=3, beta=0.25, sigma=1, alpha=0.2, M=400, 500 trials:
         # empirical scaled MSE within 25% of the prediction (user-averaged)
         p = params_for(users=16, noise=1.0)
-        ch = representative_channels(p, 103)
+        gains = representative_channels(p, 103)
         w = estimators.weight_w(p.train_frac, p.noise_var, analytic.average_sos_variance(p))
-        pred = np.array([analytic.mm_error_covariance(ch.gains[k], p)[1] for k in range(16)])
+        pred = np.array([analytic.mm_error_covariance(gains[k], p)[1] for k in range(16)])
 
         trials = 500
         err = np.zeros((trials, 16))
         for t in range(trials):
-            codes, frame, rec = draw_block(p, ch, seeded_rng(104, t))
-            train = estimators.training_estimate(rec, codes, frame, p)
-            system = sos.build_normal_equations(codes, rec, range(80, 400), p.noise_var)
-            d_hat = sos.hermitianize(sos.estimate_sos(system, "solve"))
+            chips, symbols, windows = draw_block(p, gains, seeded_rng(104, t))
+            g_bar = estimators.training_estimate(windows, chips, symbols, p)
+            rhs, gram = sos.build_normal_equations(chips, windows, range(80, 400), p.noise_var)
+            d_hat = sos.hermitianize(sos.estimate_sos(rhs, gram))
             for k in range(16):
-                fit = estimators.mm_semiblind(train.gains[k], d_hat[k], w)
-                err[t, k] = np.sum(np.abs(fit.gains - ch.gains[k]) ** 2)
+                fit = estimators.mm_semiblind(g_bar[k], d_hat[k], w)
+                err[t, k] = np.sum(np.abs(fit.gains - gains[k]) ** 2)
         emp = p.symbols * err.mean(axis=0) / p.taps
         assert np.mean(emp / pred) == pytest.approx(1.0, abs=0.25)
 

@@ -1,0 +1,91 @@
+"""Tests for the public surface: exported names, the README quick start and
+the functions the benchmark's per-layer trace wraps."""
+
+import ast
+import collections
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import semiblind
+from semiblind import estimators, harness, model
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(f"semiblind.{info.name}" for info in pkgutil.iter_modules(semiblind.__path__))
+
+
+def _perfbench_targets() -> dict[str, list[str]]:
+    """The ``TARGETS`` table of perfbench/child.py, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/child.py defines no TARGETS")
+
+
+TARGETS = _perfbench_targets()
+
+
+@pytest.mark.parametrize("name", ["semiblind", *MODULES])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, f"{name}.__all__ names missing attributes {missing}"
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert block, "README's quick start has no python block"
+    namespace: dict = {}
+    exec(compile(block.group(1), "README.md quick start", "exec"), namespace)
+    params = namespace["params"]
+    assert namespace["fit"].gains.shape == (params.users, params.taps)
+    assert namespace["sub"].gains.shape == (params.users, params.taps)
+
+
+def test_traced_functions_resolve():
+    for layer, names in TARGETS.items():
+        module = importlib.import_module(f"semiblind.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_mm_fit_reports_newton_steps():
+    # perfbench counts the Newton steps off the result's diagnostics
+    rng = np.random.default_rng(0)
+    g_bar = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    d_hat = model.vec_outer(g_bar + 0.1)
+    diag = estimators.mm_semiblind(g_bar, d_hat, 0.5).diagnostics
+    assert isinstance(diag.iterations, int) and diag.iterations >= 1
+    assert diag.converged is True
+
+
+@pytest.mark.parametrize("sos_mode", ["identity", "solve"])
+def test_trial_calls_every_traced_layer_function(monkeypatch, sos_mode):
+    # the trace wraps module attributes, so a trial must call through them
+    calls = collections.Counter()
+    layers = ("model", "sos", "estimators")
+    for layer in layers:
+        module = importlib.import_module(f"semiblind.{layer}")
+        for name in TARGETS[layer]:
+
+            def counted(*args, _fn=getattr(module, name), _span=f"{layer}.{name}", **kwargs):
+                calls[_span] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    cfg = harness.ExperimentConfig(
+        gain=32, symbols=40, beta=(0.25,), taps=(2,), alpha=(0.25,), trials=1,
+        estimator="all", sos_mode=sos_mode,
+    )
+    harness.run_trial(cfg, harness.grid_cells(cfg)[0], 0)
+    assert set(calls) == {f"{layer}.{name}" for layer in layers for name in TARGETS[layer]}
+    assert calls["sos.estimate_sos"] == 1

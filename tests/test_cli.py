@@ -88,6 +88,19 @@ def test_simulate_single_cell(tmp_path, capsys):
     assert "diagnostics" in text
 
 
+def test_simulate_diagnostics_on_failed_cell(capsys):
+    # alpha = 1 fails the cell; --diagnostics must not re-run its trial
+    code = cli.main(
+        ["simulate", "--beta", "0.25", "--sigma-n2", "0.5", "--P", "2",
+         "--alpha", "1.0", "--N", "32", "--M", "40", "--trials", "2",
+         "--estimator", "mm", "--diagnostics"]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "1 grid cell(s) failed" in captured.err
+    assert "diagnostics" not in captured.out
+
+
 def test_simulate_rejects_grids(tmp_path):
     code = cli.main(
         ["simulate", "--beta", "0.25,0.5", "--sigma-n2", "0.5", "--P", "2",
@@ -124,6 +137,18 @@ def test_non_finite_grid_flag_is_config_error(capsys, flag, value):
     err = capsys.readouterr().err
     assert f"={value} must be positive and finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, key", [("--beta", "0.25,x", "beta"), ("--omega", "foo", "omega")]
+)
+def test_bad_flag_value_names_the_setting(capsys, flag, value, key):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["predict", flag, value])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"bad value for {key!r}: {value!r}" in err
+    assert "<lambda>" not in err and "_omega" not in err
 
 
 def test_removed_synthesis_flag_is_rejected(capsys):

@@ -19,22 +19,22 @@ class TestTrainingEstimate:
     def test_single_user_noiseless_exact(self):
         # unit symbols and dyadic chips make the estimate exact in floats
         p = model.SystemParams(users=1, gain=16, taps=1, symbols=4, train_symbols=4)
-        ch = model.sample_channel(p, seeded_rng(120))
-        codes = model.sample_codes(p, seeded_rng(121))
-        frame = model.SymbolFrame(symbols=np.ones((1, 4), complex))
-        rec = model.synthesize_received(p, ch, codes, frame, seeded_rng(122))
-        out = estimators.training_estimate(rec, codes, frame, p)
+        gains = model.sample_channel(p, seeded_rng(120))
+        chips = model.sample_codes(p, seeded_rng(121))
+        symbols = np.ones((1, 4), complex)
+        windows = model.synthesize_received(p, gains, chips, symbols, seeded_rng(122))
+        g_bar = estimators.training_estimate(windows, chips, symbols, p)
         # exact up to summation order: every product in the chain is dyadic
-        assert np.max(np.abs(out.gains - ch.gains)) < 1e-15
+        assert np.max(np.abs(g_bar - gains)) < 1e-15
 
     def test_single_user_noiseless_multipath(self):
         # K=1, sigma=0, P=3, M_t=200, N=64: the joint least-squares fit
         # removes the inter-tap self-interference, so it is exact up to rounding
         p = model.SystemParams(users=1, gain=64, taps=3, symbols=200, train_symbols=200)
-        ch = model.sample_channel(p, seeded_rng(123))
-        codes, frame, rec = draw_block(p, ch, seeded_rng(124))
-        out = estimators.training_estimate(rec, codes, frame, p)
-        rel = np.linalg.norm(out.gains - ch.gains) / np.linalg.norm(ch.gains)
+        gains = model.sample_channel(p, seeded_rng(123))
+        chips, symbols, windows = draw_block(p, gains, seeded_rng(124))
+        g_bar = estimators.training_estimate(windows, chips, symbols, p)
+        rel = np.linalg.norm(g_bar - gains) / np.linalg.norm(gains)
         assert rel < 1e-12
 
     def test_error_variance(self):
@@ -44,9 +44,9 @@ class TestTrainingEstimate:
         p = model.SystemParams(
             users=16, gain=64, taps=2, symbols=100, train_symbols=100, noise_var=4.0
         )
-        ch = representative_channels(p, 125)
-        draws = training_trials(p, ch, 500, 126)
-        err = draws - ch.gains[None]
+        gains = representative_channels(p, 125)
+        draws = training_trials(p, gains, 500, 126)
+        err = draws - gains[None]
         emp = np.var(err)  # E|x - mean|^2, the complex variance
         assert emp == pytest.approx(p.noise_var / 100, rel=0.15)
 
@@ -55,19 +55,19 @@ class TestTrainingEstimate:
         p = model.SystemParams(
             users=3, gain=8, taps=2, symbols=6, train_symbols=4, noise_var=0.3
         )
-        ch = model.sample_channel(p, seeded_rng(129))
-        codes, frame, rec = draw_block(p, ch, seeded_rng(130))
+        gains = model.sample_channel(p, seeded_rng(129))
+        chips, symbols, windows = draw_block(p, gains, seeded_rng(130))
         stacked = np.vstack([
             np.hstack([
-                frame.symbols[k, m] * model.sylvester(codes.chips[k, m], p.taps)
+                symbols[k, m] * model.sylvester(chips[k, m], p.taps)
                 for k in range(p.users)
             ])
             for m in range(p.train_symbols)
         ])
-        rhs = rec.windows[: p.train_symbols].reshape(-1)
+        rhs = windows[: p.train_symbols].reshape(-1)
         ref = np.linalg.lstsq(stacked, rhs, rcond=None)[0].reshape(p.users, p.taps)
-        out = estimators.training_estimate(rec, codes, frame, p)
-        assert np.max(np.abs(out.gains - ref)) < 1e-12
+        g_bar = estimators.training_estimate(windows, chips, symbols, p)
+        assert np.max(np.abs(g_bar - ref)) < 1e-12
 
     @pytest.mark.parametrize("seed", [57, 97, 99, 119])
     def test_exactly_singular_gram_takes_the_ridge(self, seed):
@@ -79,10 +79,10 @@ class TestTrainingEstimate:
             users=4, gain=3, taps=1, symbols=4, train_symbols=2, noise_var=0.3
         )
         rng = seeded_rng(seed)
-        ch = model.sample_channel(p, rng)
-        codes, frame, rec = draw_block(p, ch, rng)
-        gains = estimators.training_estimate(rec, codes, frame, p).gains
-        assert np.all(np.isfinite(gains))
+        gains = model.sample_channel(p, rng)
+        chips, symbols, windows = draw_block(p, gains, rng)
+        g_bar = estimators.training_estimate(windows, chips, symbols, p)
+        assert np.all(np.isfinite(g_bar))
 
     @given(
         users=st.integers(1, 4),
@@ -118,17 +118,17 @@ class TestTrainingEstimate:
     def test_rejects_underdetermined_training(self):
         # M_t (N-P+1) = 1 * 6 training samples cannot fix K P = 24 taps
         p = model.SystemParams(users=8, gain=8, taps=3, symbols=10, train_symbols=1)
-        ch = model.sample_channel(p, seeded_rng(131))
-        codes, frame, rec = draw_block(p, ch, seeded_rng(132))
+        gains = model.sample_channel(p, seeded_rng(131))
+        chips, symbols, windows = draw_block(p, gains, seeded_rng(132))
         with pytest.raises(ConfigError, match="K P"):
-            estimators.training_estimate(rec, codes, frame, p)
+            estimators.training_estimate(windows, chips, symbols, p)
 
     def test_requires_training_symbols(self):
         p = model.SystemParams(users=2, gain=16, taps=2, symbols=10, train_symbols=0)
-        ch = model.sample_channel(p, seeded_rng(127))
-        codes, frame, rec = draw_block(p, ch, seeded_rng(128))
+        gains = model.sample_channel(p, seeded_rng(127))
+        chips, symbols, windows = draw_block(p, gains, seeded_rng(128))
         with pytest.raises(ConfigError):
-            estimators.training_estimate(rec, codes, frame, p)
+            estimators.training_estimate(windows, chips, symbols, p)
 
 
 class TestWeightW:
@@ -348,22 +348,22 @@ class TestSubspaceBeatsTraining:
             users=16, gain=64, taps=3, symbols=400, train_symbols=80,
             noise_var=noise_var,
         )
-        ch = representative_channels(p, 152)
-        omega = np.array([analytic.optimal_omega(g, p) for g in ch.gains])
+        gains = representative_channels(p, 152)
+        omega = np.array([analytic.optimal_omega(g, p) for g in gains])
         trials = 500
         diff = np.empty(trials)  # training error - subspace error, per trial
         for t in range(trials):
-            codes, frame, rec = draw_block(p, ch, seeded_rng(153, t))
-            train = estimators.training_estimate(rec, codes, frame, p)
-            system = sos.build_normal_equations(
-                codes, rec, range(80, 400), p.noise_var, include_gram=False
+            chips, symbols, windows = draw_block(p, gains, seeded_rng(153, t))
+            g_bar = estimators.training_estimate(windows, chips, symbols, p)
+            rhs, _ = sos.build_normal_equations(
+                chips, windows, range(80, 400), p.noise_var, include_gram=False
             )
-            d_hat = sos.hermitianize(sos.estimate_sos(system, "identity"))
+            d_hat = sos.hermitianize(sos.estimate_sos(rhs))
             err_tr = err_sub = 0.0
             for k in range(p.users):
-                fit = estimators.subspace_semiblind(train.gains[k], d_hat[k], omega[k])
-                err_tr += np.sum(np.abs(train.gains[k] - ch.gains[k]) ** 2)
-                err_sub += np.sum(np.abs(fit.gains - ch.gains[k]) ** 2)
+                fit = estimators.subspace_semiblind(g_bar[k], d_hat[k], omega[k])
+                err_tr += np.sum(np.abs(g_bar[k] - gains[k]) ** 2)
+                err_sub += np.sum(np.abs(fit.gains - gains[k]) ** 2)
             diff[t] = err_tr - err_sub
         se = diff.std(ddof=1) / np.sqrt(trials)
         assert diff.mean() > 2 * se

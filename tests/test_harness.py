@@ -134,7 +134,7 @@ class TestRunTrial:
         assert cell.params.users == 1
         result = harness.run_trial(cfg, cell, 0)
         rng = harness._trial_rng(cfg.seed, cell, 0)
-        gains = model.sample_channel(cell.params, rng).gains
+        gains = model.sample_channel(cell.params, rng)
         assert result.errors["training"][0] < (0.1 * np.linalg.norm(gains[0])) ** 2
 
     def test_subspace_weight_source_recorded(self):

@@ -41,29 +41,29 @@ class TestSystemParams:
 class TestSampleChannel:
     def test_p1_rank_one_identity(self):
         p = make_params(taps=1, users=1)
-        ch = model.sample_channel(p, seeded_rng(1))
-        g = ch.gains[0, 0]
-        assert model.unvec(ch.sos[0], 1)[0, 0] == pytest.approx(abs(g) ** 2)
+        gains = model.sample_channel(p, seeded_rng(1))
+        g = gains[0, 0]
+        assert model.unvec(model.vec_outer(gains[0]), 1)[0, 0] == pytest.approx(abs(g) ** 2)
 
     def test_trace_identity(self):
         p = make_params()
-        ch = model.sample_channel(p, seeded_rng(2))
+        gains = model.sample_channel(p, seeded_rng(2))
         for k in range(p.users):
-            mat = model.unvec(ch.sos[k], p.taps)
+            mat = model.unvec(model.vec_outer(gains[k]), p.taps)
             assert np.trace(mat).real == pytest.approx(
-                np.linalg.norm(ch.gains[k]) ** 2, rel=1e-12
+                np.linalg.norm(gains[k]) ** 2, rel=1e-12
             )
             # rank-one Hermitian PSD
             assert np.allclose(mat, mat.conj().T)
             vals = np.linalg.eigvalsh(mat)
-            assert vals[-1] == pytest.approx(np.linalg.norm(ch.gains[k]) ** 2, rel=1e-12)
+            assert vals[-1] == pytest.approx(np.linalg.norm(gains[k]) ** 2, rel=1e-12)
             assert np.all(vals[:-1] < 1e-12)
 
     def test_tap_variance(self):
         # 1e5 draws at P=3: mean |g(p)|^2 within 0.333 +- 0.01
         p = model.SystemParams(users=100, gain=8, taps=3, symbols=1)
         draws = np.concatenate(
-            [model.sample_channel(p, seeded_rng(3, i)).gains for i in range(334)]
+            [model.sample_channel(p, seeded_rng(3, i)) for i in range(334)]
         )
         assert draws.shape[0] * draws.shape[1] >= 1e5
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1 / 3, abs=0.01)
@@ -72,18 +72,18 @@ class TestSampleChannel:
 class TestSampleCodes:
     def test_chip_values(self):
         p = make_params(gain=4, taps=2)
-        codes = model.sample_codes(p, seeded_rng(4))
-        assert set(np.unique(codes.chips)) == {-0.5, 0.5}
+        chips = model.sample_codes(p, seeded_rng(4))
+        assert set(np.unique(chips)) == {-0.5, 0.5}
 
     def test_unit_norm_codewords(self):
         p = make_params(gain=16, taps=2)
-        codes = model.sample_codes(p, seeded_rng(5))
-        norms = np.sum(codes.chips**2, axis=-1)
+        chips = model.sample_codes(p, seeded_rng(5))
+        norms = np.sum(chips**2, axis=-1)
         assert np.all(norms == 1.0)  # 1/16 is exact in binary
 
     def test_chip_mean(self):
         p = model.SystemParams(users=10, gain=64, taps=2, symbols=200)
-        chips = model.sample_codes(p, seeded_rng(6)).chips
+        chips = model.sample_codes(p, seeded_rng(6))
         assert chips.size > 1e5
         assert abs(chips.mean()) < 0.02 / np.sqrt(64)
 
@@ -93,33 +93,33 @@ class TestSampleCodes:
         # also for an odd number of draws (1 x 3 x 9)
         p = model.SystemParams(users=users, gain=gain, taps=1, symbols=symbols)
         rng, ref_rng = seeded_rng(7), seeded_rng(7)
-        chips = model.sample_codes(p, rng).chips
+        chips = model.sample_codes(p, rng)
         size = (users, symbols, gain)
         ref = (2.0 * ref_rng.integers(0, 2, size) - 1.0) / np.sqrt(gain)
         assert chips.dtype == np.float64
         assert np.array_equal(chips, ref)
-        after = model.sample_symbols(p, rng).symbols
-        assert np.array_equal(after, model.sample_symbols(p, ref_rng).symbols)
+        after = model.sample_symbols(p, rng)
+        assert np.array_equal(after, model.sample_symbols(p, ref_rng))
 
 
 class TestSampleSymbols:
     def test_qpsk_constellation(self):
         p = make_params(symbols=100, train_symbols=7)
-        frame = model.sample_symbols(p, seeded_rng(7))
-        assert frame.symbols.shape == (p.users, 100)
-        assert np.allclose(np.abs(frame.symbols), 1.0)
-        assert np.allclose(frame.symbols**4, -1.0)
+        symbols = model.sample_symbols(p, seeded_rng(7))
+        assert symbols.shape == (p.users, 100)
+        assert np.allclose(np.abs(symbols), 1.0)
+        assert np.allclose(symbols**4, -1.0)
 
     def test_second_moment_vanishes(self):
         p = model.SystemParams(users=100, gain=8, taps=2, symbols=1000)
-        frame = model.sample_symbols(p, seeded_rng(8))
-        assert frame.symbols.size >= 1e5
-        assert abs(np.mean(frame.symbols**2)) < 0.02
+        symbols = model.sample_symbols(p, seeded_rng(8))
+        assert symbols.size >= 1e5
+        assert abs(np.mean(symbols**2)) < 0.02
 
 
 class TestSylvester:
     def test_p1_is_column(self):
-        s = model.sample_codes(make_params(gain=16, taps=1), seeded_rng(9)).chips[0, 0]
+        s = model.sample_codes(make_params(gain=16, taps=1), seeded_rng(9))[0, 0]
         mat = model.sylvester(s, 1)
         assert mat.shape == (16, 1)
         assert np.array_equal(mat[:, 0], s)
@@ -137,7 +137,7 @@ class TestSylvester:
             model.sylvester(np.ones((2, 3, 4)), 4)
 
     def test_stack_matches_single_words(self):
-        chips = model.sample_codes(make_params(), seeded_rng(39)).chips  # (K, M, N)
+        chips = model.sample_codes(make_params(), seeded_rng(39))  # (K, M, N)
         stack = model.sylvester(chips, 3)
         assert stack.shape == (*chips.shape[:2], chips.shape[2] - 2, 3)
         for k, m in [(0, 0), (1, 7), (3, 49)]:
@@ -164,29 +164,29 @@ class TestSylvester:
 class TestSynthesize:
     def test_single_user_noiseless_p1(self):
         p = model.SystemParams(users=1, gain=16, taps=1, symbols=5, noise_var=0.0)
-        ch = model.sample_channel(p, seeded_rng(12))
-        codes = model.sample_codes(p, seeded_rng(13))
-        frame = model.SymbolFrame(symbols=np.ones((1, 5), dtype=complex))
-        rec = model.synthesize_received(p, ch, codes, frame, seeded_rng(14))
+        gains = model.sample_channel(p, seeded_rng(12))
+        chips = model.sample_codes(p, seeded_rng(13))
+        symbols = np.ones((1, 5), dtype=complex)
+        windows = model.synthesize_received(p, gains, chips, symbols, seeded_rng(14))
         for m in range(5):
-            assert np.allclose(rec.windows[m], ch.gains[0, 0] * codes.chips[0, m])
+            assert np.allclose(windows[m], gains[0, 0] * chips[0, m])
 
     def test_matches_direct_sum(self):
         # independent per-user loop recomputation of sum_k C_k g_k x_k
         p = make_params(noise_var=0.0)
-        ch = model.sample_channel(p, seeded_rng(15))
-        codes = model.sample_codes(p, seeded_rng(16))
-        frame = model.sample_symbols(p, seeded_rng(17))
-        rec = model.synthesize_received(p, ch, codes, frame, seeded_rng(18))
+        gains = model.sample_channel(p, seeded_rng(15))
+        chips = model.sample_codes(p, seeded_rng(16))
+        symbols = model.sample_symbols(p, seeded_rng(17))
+        windows = model.synthesize_received(p, gains, chips, symbols, seeded_rng(18))
         for m in range(p.symbols):
             direct = np.zeros(p.window, dtype=complex)
             for k in range(p.users):
                 direct += (
-                    model.sylvester(codes.chips[k, m], p.taps)
-                    @ ch.gains[k]
-                    * frame.symbols[k, m]
+                    model.sylvester(chips[k, m], p.taps)
+                    @ gains[k]
+                    * symbols[k, m]
                 )
-            assert np.allclose(rec.windows[m], direct, atol=1e-13)
+            assert np.allclose(windows[m], direct, atol=1e-13)
 
     @given(data=st.data())
     def test_property_matches_direct_sum(self, data):
@@ -200,40 +200,40 @@ class TestSynthesize:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         p = model.SystemParams(users=users, gain=gain, taps=taps, symbols=symbols)
         rng = seeded_rng(seed)
-        ch = model.sample_channel(p, rng)
-        codes = model.sample_codes(p, rng)
-        frame = model.sample_symbols(p, rng)
-        rec = model.synthesize_received(p, ch, codes, frame, rng)
+        gains = model.sample_channel(p, rng)
+        chips = model.sample_codes(p, rng)
+        x = model.sample_symbols(p, rng)
+        windows = model.synthesize_received(p, gains, chips, x, rng)
         direct = np.array(
             [
                 sum(
-                    model.sylvester(codes.chips[k, m], taps) @ ch.gains[k] * frame.symbols[k, m]
+                    model.sylvester(chips[k, m], taps) @ gains[k] * x[k, m]
                     for k in range(users)
                 )
                 for m in range(symbols)
             ]
         )
-        assert rec.windows.shape == (symbols, p.window)
-        assert np.max(np.abs(rec.windows - direct)) <= 1e-13 * max(1.0, np.max(np.abs(direct)))
+        assert windows.shape == (symbols, p.window)
+        assert np.max(np.abs(windows - direct)) <= 1e-13 * max(1.0, np.max(np.abs(direct)))
 
     def test_full_stream_agrees_on_retained_chips(self):
         p = model.SystemParams(users=8, gain=32, taps=3, symbols=40, noise_var=0.0)
-        ch = model.sample_channel(p, seeded_rng(19))
-        codes = model.sample_codes(p, seeded_rng(20))
-        frame = model.sample_symbols(p, seeded_rng(21))
-        isi_free = model.synthesize_received(p, ch, codes, frame, seeded_rng(22))
-        full = full_stream_windows(p, ch, codes, frame)
-        assert np.allclose(isi_free.windows, full, atol=1e-13)
+        gains = model.sample_channel(p, seeded_rng(19))
+        chips = model.sample_codes(p, seeded_rng(20))
+        symbols = model.sample_symbols(p, seeded_rng(21))
+        isi_free = model.synthesize_received(p, gains, chips, symbols, seeded_rng(22))
+        full = full_stream_windows(p, gains, chips, symbols)
+        assert np.allclose(isi_free, full, atol=1e-13)
 
     def test_received_power(self):
         # sigma=0: E||r||^2 -> sum_k ||g_k||^2 (N-P+1)/N within 5%
         p = model.SystemParams(users=8, gain=64, taps=3, symbols=1000, noise_var=0.0)
-        ch = model.sample_channel(p, seeded_rng(23))
-        codes = model.sample_codes(p, seeded_rng(24))
-        frame = model.sample_symbols(p, seeded_rng(25))
-        rec = model.synthesize_received(p, ch, codes, frame, seeded_rng(26))
-        power = np.mean(np.sum(np.abs(rec.windows) ** 2, axis=1))
-        expected = np.sum(np.abs(ch.gains) ** 2) * p.window / p.gain
+        gains = model.sample_channel(p, seeded_rng(23))
+        chips = model.sample_codes(p, seeded_rng(24))
+        symbols = model.sample_symbols(p, seeded_rng(25))
+        windows = model.synthesize_received(p, gains, chips, symbols, seeded_rng(26))
+        power = np.mean(np.sum(np.abs(windows) ** 2, axis=1))
+        expected = np.sum(np.abs(gains) ** 2) * p.window / p.gain
         assert power == pytest.approx(expected, rel=0.05)
 
     def test_seed_reproducibility(self):
@@ -243,29 +243,29 @@ class TestSynthesize:
             model.sample_codes(p, seeded_rng(28)),
             model.sample_symbols(p, seeded_rng(29)),
         )
-        ch, codes, frame = args()
-        r1 = model.synthesize_received(p, ch, codes, frame, seeded_rng(30))
-        ch2, codes2, frame2 = args()
-        r2 = model.synthesize_received(p, ch2, codes2, frame2, seeded_rng(30))
-        assert np.array_equal(r1.windows, r2.windows)
+        gains, chips, symbols = args()
+        r1 = model.synthesize_received(p, gains, chips, symbols, seeded_rng(30))
+        gains2, chips2, symbols2 = args()
+        r2 = model.synthesize_received(p, gains2, chips2, symbols2, seeded_rng(30))
+        assert np.array_equal(r1, r2)
 
     def test_dimension_mismatch_rejected(self):
         p = make_params()
-        ch = model.sample_channel(p, seeded_rng(31))
-        codes = model.sample_codes(p, seeded_rng(32))
-        frame = model.sample_symbols(p, seeded_rng(33))
+        gains = model.sample_channel(p, seeded_rng(31))
+        chips = model.sample_codes(p, seeded_rng(32))
+        symbols = model.sample_symbols(p, seeded_rng(33))
         bad = model.SystemParams(users=4, gain=32, taps=2, symbols=50, train_symbols=10)
         with pytest.raises(ValueError):
-            model.synthesize_received(bad, ch, codes, frame, seeded_rng(34))
+            model.synthesize_received(bad, gains, chips, symbols, seeded_rng(34))
 
     def test_noise_retention(self):
         p = make_params()
-        ch = model.sample_channel(p, seeded_rng(35))
-        codes = model.sample_codes(p, seeded_rng(36))
-        frame = model.sample_symbols(p, seeded_rng(37))
-        rec = model.synthesize_received(p, ch, codes, frame, seeded_rng(38))
+        gains = model.sample_channel(p, seeded_rng(35))
+        chips = model.sample_codes(p, seeded_rng(36))
+        symbols = model.sample_symbols(p, seeded_rng(37))
+        windows = model.synthesize_received(p, gains, chips, symbols, seeded_rng(38))
         quiet = model.synthesize_received(
-            make_params(noise_var=0.0), ch, codes, frame, seeded_rng(38)
+            make_params(noise_var=0.0), gains, chips, symbols, seeded_rng(38)
         )
         # the documented draw: after the clean windows, every real part and
         # then every imaginary part, scaled by sqrt(noise_var / 2)
@@ -273,4 +273,4 @@ class TestSynthesize:
         noise = np.sqrt(p.noise_var / 2) * (
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         )
-        assert np.allclose(rec.windows - quiet.windows, noise, rtol=0, atol=1e-14)
+        assert np.allclose(windows - quiet, noise, rtol=0, atol=1e-14)

@@ -10,8 +10,11 @@ from semiblind.errors import SingularSystemError
 from helpers import draw_block, gram_only, seeded_rng, sos_trials
 
 
-def brute_force_system(params, codes, received, noise_var):
-    """Materialize Q(m) explicitly; the oracle the fast path must match."""
+def brute_force_system(params, chips, windows, noise_var):
+    """Materialize Q(m) explicitly; the oracle the fast path must match.
+
+    Returns (T, y) with y in the (K, P^2) per-user layout.
+    """
     k, p, n_w = params.users, params.taps, params.window
     dim = k * p * p
     gram = np.zeros((dim, dim))
@@ -21,47 +24,47 @@ def brute_force_system(params, codes, received, noise_var):
         q = np.hstack(
             [
                 np.kron(
-                    model.sylvester(codes.chips[u, m], p),
-                    model.sylvester(codes.chips[u, m], p),
+                    model.sylvester(chips[u, m], p),
+                    model.sylvester(chips[u, m], p),
                 )
                 for u in range(k)
             ]
         )
-        r = received.windows[m]
+        r = windows[m]
         gram += q.T @ q
         rhs += q.T @ np.outer(r, r.conj()).reshape(-1, order="F")
         rhs -= noise_var * (q.T @ eye_vec)
-    return gram / params.symbols, rhs / params.symbols
+    return gram / params.symbols, rhs.reshape(k, p * p) / params.symbols
 
 
 class TestBuildNormalEquations:
     def test_scalar_case_unit_gram(self):
         # K=1, P=1: T = (1/M) sum ||s||^4 = 1 (exact for dyadic 1/N)
         p = model.SystemParams(users=1, gain=16, taps=1, symbols=8, noise_var=0.1)
-        ch = model.sample_channel(p, seeded_rng(40))
-        codes, _, rec = draw_block(p, ch, seeded_rng(41))
-        system = sos.build_normal_equations(codes, rec, range(8), p.noise_var)
-        assert system.gram.shape == (1, 1)
-        assert system.gram[0, 0] == 1.0
+        gains = model.sample_channel(p, seeded_rng(40))
+        chips, _, windows = draw_block(p, gains, seeded_rng(41))
+        _, gram = sos.build_normal_equations(chips, windows, range(8), p.noise_var)
+        assert gram.shape == (1, 1)
+        assert gram[0, 0] == 1.0
 
     def test_kron_block_identity(self):
         p = model.SystemParams(users=2, gain=8, taps=2, symbols=3, noise_var=0.2)
-        ch = model.sample_channel(p, seeded_rng(42))
-        codes, _, rec = draw_block(p, ch, seeded_rng(43))
-        c0 = model.sylvester(codes.chips[0, 0], 2)
-        c1 = model.sylvester(codes.chips[1, 0], 2)
+        gains = model.sample_channel(p, seeded_rng(42))
+        chips, _, windows = draw_block(p, gains, seeded_rng(43))
+        c0 = model.sylvester(chips[0, 0], 2)
+        c1 = model.sylvester(chips[1, 0], 2)
         q0, q1 = np.kron(c0, c0), np.kron(c1, c1)
         assert np.allclose(q0.T @ q1, np.kron(c0.T @ c1, c0.T @ c1), atol=1e-14)
 
     @pytest.mark.parametrize("users,gain,taps", [(1, 6, 2), (2, 8, 2), (3, 10, 3), (2, 9, 1)])
     def test_matches_brute_force(self, users, gain, taps):
         p = model.SystemParams(users=users, gain=gain, taps=taps, symbols=5, noise_var=0.3)
-        ch = model.sample_channel(p, seeded_rng(44, users, gain))
-        codes, _, rec = draw_block(p, ch, seeded_rng(45, users, gain))
-        system = sos.build_normal_equations(codes, rec, range(5), p.noise_var)
-        gram_ref, rhs_ref = brute_force_system(p, codes, rec, p.noise_var)
-        assert np.max(np.abs(system.gram - gram_ref)) <= 1e-12 * np.max(np.abs(gram_ref))
-        assert np.max(np.abs(system.rhs - rhs_ref)) <= 1e-12 * np.max(np.abs(rhs_ref))
+        gains = model.sample_channel(p, seeded_rng(44, users, gain))
+        chips, _, windows = draw_block(p, gains, seeded_rng(45, users, gain))
+        rhs, gram = sos.build_normal_equations(chips, windows, range(5), p.noise_var)
+        gram_ref, rhs_ref = brute_force_system(p, chips, windows, p.noise_var)
+        assert np.max(np.abs(gram - gram_ref)) <= 1e-12 * np.max(np.abs(gram_ref))
+        assert np.max(np.abs(rhs - rhs_ref)) <= 1e-12 * np.max(np.abs(rhs_ref))
 
     def test_gram_concentrates(self):
         # K=4, N=32, P=2, M=200 -> max |T - I| < 0.15
@@ -71,74 +74,72 @@ class TestBuildNormalEquations:
 
     def test_info_range_subset(self):
         p = model.SystemParams(users=2, gain=16, taps=2, symbols=10, noise_var=0.1)
-        ch = model.sample_channel(p, seeded_rng(47))
-        codes, _, rec = draw_block(p, ch, seeded_rng(48))
-        sub = sos.build_normal_equations(codes, rec, range(4, 10), p.noise_var)
-        trimmed = model.CodeBook(chips=codes.chips[:, 4:, :])
-        rec_t = model.ReceivedBlock(windows=rec.windows[4:])
+        gains = model.sample_channel(p, seeded_rng(47))
+        chips, _, windows = draw_block(p, gains, seeded_rng(48))
+        sub_rhs, sub_gram = sos.build_normal_equations(chips, windows, range(4, 10), p.noise_var)
         p_t = model.SystemParams(users=2, gain=16, taps=2, symbols=6, noise_var=0.1)
-        full = sos.build_normal_equations(trimmed, rec_t, range(6), p_t.noise_var)
-        assert np.array_equal(sub.gram, full.gram)
-        assert np.array_equal(sub.rhs, full.rhs)
+        full_rhs, full_gram = sos.build_normal_equations(
+            chips[:, 4:, :], windows[4:], range(6), p_t.noise_var
+        )
+        assert np.array_equal(sub_gram, full_gram)
+        assert np.array_equal(sub_rhs, full_rhs)
 
     @pytest.mark.parametrize("users,gain,taps,symbols", [(3, 16, 3, 6), (2, 64, 3, 3)])
     def test_gram_exact_for_dyadic_gain(self, users, gain, taps, symbols):
         # 1/sqrt(N) is a power of two, so the oracle's float64 sums are exact
         # too and both round the same rational once
         p = model.SystemParams(users=users, gain=gain, taps=taps, symbols=symbols)
-        ch = model.sample_channel(p, seeded_rng(74, gain))
-        codes, _, rec = draw_block(p, ch, seeded_rng(75, gain))
-        system = sos.build_normal_equations(codes, rec, range(symbols), p.noise_var)
-        gram_ref, _ = brute_force_system(p, codes, rec, p.noise_var)
-        assert np.array_equal(system.gram, gram_ref)
+        gains = model.sample_channel(p, seeded_rng(74, gain))
+        chips, _, windows = draw_block(p, gains, seeded_rng(75, gain))
+        _, gram = sos.build_normal_equations(chips, windows, range(symbols), p.noise_var)
+        gram_ref, _ = brute_force_system(p, chips, windows, p.noise_var)
+        assert np.array_equal(gram, gram_ref)
 
     def test_chunked_gram_bit_identical(self, monkeypatch):
         p = model.SystemParams(users=4, gain=12, taps=3, symbols=20, noise_var=0.2)
-        ch = model.sample_channel(p, seeded_rng(76))
-        codes, _, rec = draw_block(p, ch, seeded_rng(77))
-        whole = sos.build_normal_equations(codes, rec, range(20), p.noise_var).gram
+        gains = model.sample_channel(p, seeded_rng(76))
+        chips, _, windows = draw_block(p, gains, seeded_rng(77))
+        _, whole = sos.build_normal_equations(chips, windows, range(20), p.noise_var)
         # room for 3 symbols of the 9 (4 x 4) cross-Grams: 7 chunks
         monkeypatch.setattr(sos, "_GRAM_CHUNK_ELEMS", 3 * 9 * 16)
-        chunked = sos.build_normal_equations(codes, rec, range(20), p.noise_var).gram
+        _, chunked = sos.build_normal_equations(chips, windows, range(20), p.noise_var)
         assert np.array_equal(chunked, whole)
 
     @pytest.mark.parametrize("case", ["one_chip", "unit_chips"])
     def test_gram_rejects_non_sign_chips(self, case):
         p = model.SystemParams(users=2, gain=16, taps=2, symbols=5, noise_var=0.1)
-        ch = model.sample_channel(p, seeded_rng(78))
-        codes, _, rec = draw_block(p, ch, seeded_rng(79))
-        chips = codes.chips.copy()
+        gains = model.sample_channel(p, seeded_rng(78))
+        bad, _, windows = draw_block(p, gains, seeded_rng(79))
         if case == "one_chip":
-            chips[1, 2, 3] *= 1.0 + 1e-12
+            bad[1, 2, 3] *= 1.0 + 1e-12
         else:
-            chips *= np.sqrt(p.gain)  # +-1, not +-1/sqrt(N)
-        bad = model.CodeBook(chips=chips)
+            bad *= np.sqrt(p.gain)  # +-1, not +-1/sqrt(N)
         with pytest.raises(ValueError, match="sqrt"):
-            sos.build_normal_equations(bad, rec, range(5), p.noise_var)
+            sos.build_normal_equations(bad, windows, range(5), p.noise_var)
         # the right-hand side alone takes any chips
-        sos.build_normal_equations(bad, rec, range(5), p.noise_var, include_gram=False)
+        sos.build_normal_equations(bad, windows, range(5), p.noise_var, include_gram=False)
 
     def test_gram_rejects_windows_beyond_exact_float32(self):
         # N-P+1 = 4097: a product of two cross-Gram entries can reach 4097^2 > 2^24
         p = model.SystemParams(users=1, gain=4098, taps=2, symbols=1)
-        codes = model.sample_codes(p, seeded_rng(82))
-        rec = model.ReceivedBlock(windows=np.zeros((1, p.window), dtype=complex))
+        chips = model.sample_codes(p, seeded_rng(82))
+        windows = np.zeros((1, p.window), dtype=complex)
         with pytest.raises(ValueError, match="4096"):
-            sos.build_normal_equations(codes, rec, range(1), 0.0)
+            sos.build_normal_equations(chips, windows, range(1), 0.0)
 
     @pytest.mark.parametrize("case", ["symbol_count", "window_too_long"])
     def test_rejects_mismatched_windows(self, case):
         p = model.SystemParams(users=2, gain=16, taps=2, symbols=6, noise_var=0.1)
-        ch = model.sample_channel(p, seeded_rng(80))
-        codes, _, rec = draw_block(p, ch, seeded_rng(81))
+        gains = model.sample_channel(p, seeded_rng(80))
+        chips, _, windows = draw_block(p, gains, seeded_rng(81))
         if case == "symbol_count":
-            windows = rec.windows[:5]
+            windows = windows[:5]
         else:
             # N + 1 chips per window would mean a channel order of 0
             windows = np.ones((p.symbols, p.gain + 1), dtype=complex)
         with pytest.raises(ValueError, match="window"):
             sos.build_normal_equations(
-                codes, model.ReceivedBlock(windows=windows), range(5), p.noise_var
+                chips, windows, range(5), p.noise_var
             )
 
     @given(data=st.data())
@@ -155,85 +156,69 @@ class TestBuildNormalEquations:
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         p = model.SystemParams(users=users, gain=gain, taps=taps, symbols=symbols, noise_var=0.3)
         rng = seeded_rng(seed)
-        codes = model.sample_codes(p, rng)
+        chips = model.sample_codes(p, rng)
         shape = (symbols, p.window)
-        rec = model.ReceivedBlock(
-            windows=rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        )
-        system = sos.build_normal_equations(codes, rec, info, p.noise_var)
+        windows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rhs, gram = sos.build_normal_equations(chips, windows, info, p.noise_var)
         p_sub = model.SystemParams(
             users=users, gain=gain, taps=taps, symbols=len(info), noise_var=0.3
         )
         gram_ref, rhs_ref = brute_force_system(
             p_sub,
-            model.CodeBook(chips=codes.chips[:, info, :]),
-            model.ReceivedBlock(windows=rec.windows[info]),
+            chips[:, info, :],
+            windows[info],
             p.noise_var,
         )
-        assert np.max(np.abs(system.gram - gram_ref)) <= 1e-12 * np.max(np.abs(gram_ref))
-        assert np.max(np.abs(system.rhs - rhs_ref)) <= 1e-12 * np.max(np.abs(rhs_ref))
+        assert np.max(np.abs(gram - gram_ref)) <= 1e-12 * np.max(np.abs(gram_ref))
+        assert np.max(np.abs(rhs - rhs_ref)) <= 1e-12 * np.max(np.abs(rhs_ref))
 
     def test_empty_range_rejected(self):
         p = model.SystemParams(users=2, gain=16, taps=2, symbols=10)
-        ch = model.sample_channel(p, seeded_rng(49))
-        codes, _, rec = draw_block(p, ch, seeded_rng(50))
+        gains = model.sample_channel(p, seeded_rng(49))
+        chips, _, windows = draw_block(p, gains, seeded_rng(50))
         with pytest.raises(ValueError):
-            sos.build_normal_equations(codes, rec, [], 0.0)
+            sos.build_normal_equations(chips, windows, [], 0.0)
 
 
 class TestEstimateSos:
     def test_consistency_noiseless_single_user(self):
         # sigma=0, K=1, M=5000, N=64, P=2: ||d_hat - d||/||d|| < 0.05
         p = model.SystemParams(users=1, gain=64, taps=2, symbols=5000, noise_var=0.0)
-        ch = model.sample_channel(p, seeded_rng(51))
-        codes, _, rec = draw_block(p, ch, seeded_rng(52))
-        system = sos.build_normal_equations(codes, rec, range(5000), 0.0, include_gram=False)
-        est = sos.estimate_sos(system, "identity")
-        rel = np.linalg.norm(est[0] - ch.sos[0]) / np.linalg.norm(ch.sos[0])
+        gains = model.sample_channel(p, seeded_rng(51))
+        chips, _, windows = draw_block(p, gains, seeded_rng(52))
+        rhs, gram = sos.build_normal_equations(chips, windows, range(5000), 0.0, include_gram=False)
+        assert gram is None
+        est = sos.estimate_sos(rhs, gram)
+        d = model.vec_outer(gains[0])
+        rel = np.linalg.norm(est[0] - d) / np.linalg.norm(d)
         assert rel < 0.05
 
     def test_identity_and_solve_agree_when_gram_trivial(self):
         p = model.SystemParams(users=1, gain=16, taps=1, symbols=6, noise_var=0.2)
-        ch = model.sample_channel(p, seeded_rng(53))
-        codes, _, rec = draw_block(p, ch, seeded_rng(54))
-        system = sos.build_normal_equations(codes, rec, range(6), p.noise_var)
-        ident = sos.estimate_sos(system, "identity")
-        solve = sos.estimate_sos(system, "solve")
+        gains = model.sample_channel(p, seeded_rng(53))
+        chips, _, windows = draw_block(p, gains, seeded_rng(54))
+        rhs, gram = sos.build_normal_equations(chips, windows, range(6), p.noise_var)
+        ident = sos.estimate_sos(rhs)
+        solve = sos.estimate_sos(rhs, gram)
         assert np.array_equal(ident, solve)
 
     def test_low_load_solve_succeeds(self):
         # K=8, N=64, P=3: beta = 0.125 < 1/P, direct solve with finite cond
         p = model.SystemParams(users=8, gain=64, taps=3, symbols=200, noise_var=0.5)
-        ch = model.sample_channel(p, seeded_rng(55))
-        codes, _, rec = draw_block(p, ch, seeded_rng(56))
-        system = sos.build_normal_equations(codes, rec, range(200), p.noise_var)
-        est = sos.estimate_sos(system, "solve")
+        gains = model.sample_channel(p, seeded_rng(55))
+        chips, _, windows = draw_block(p, gains, seeded_rng(56))
+        rhs, gram = sos.build_normal_equations(chips, windows, range(200), p.noise_var)
+        est = sos.estimate_sos(rhs, gram)
+        assert est.shape == (8, 9)
         assert np.all(np.isfinite(est))
-        assert np.linalg.cond(system.gram) < 100
-
-    def test_solve_requires_gram(self):
-        p = model.SystemParams(users=2, gain=16, taps=2, symbols=10, noise_var=0.1)
-        ch = model.sample_channel(p, seeded_rng(59))
-        codes, _, rec = draw_block(p, ch, seeded_rng(60))
-        system = sos.build_normal_equations(codes, rec, range(10), 0.1, include_gram=False)
-        assert system.gram is None
-        with pytest.raises(ValueError):
-            sos.estimate_sos(system, "solve")
-
-    def test_unknown_mode_rejected(self):
-        p = model.SystemParams(users=1, gain=16, taps=1, symbols=4)
-        ch = model.sample_channel(p, seeded_rng(61))
-        codes, _, rec = draw_block(p, ch, seeded_rng(62))
-        system = sos.build_normal_equations(codes, rec, range(4), 0.0)
-        with pytest.raises(ValueError):
-            sos.estimate_sos(system, "nonsense")
+        assert np.linalg.cond(gram) < 100
 
     def test_unbiased_identity_single_user(self):
         # mean of d_hat over 500 draws within 3 standard errors of d
         p = model.SystemParams(users=1, gain=256, taps=2, symbols=100, noise_var=1.0)
-        ch = model.sample_channel(p, seeded_rng(63))
-        draws = sos_trials(p, ch, 500, 64, mode="identity")[:, 0, :]
-        err = draws - ch.sos[0]
+        gains = model.sample_channel(p, seeded_rng(63))
+        draws = sos_trials(p, gains, 500, 64, mode="identity")[:, 0, :]
+        err = draws - model.vec_outer(gains[0])
         se = err.std(axis=0) / np.sqrt(err.shape[0])
         bias = np.abs(err.mean(axis=0))
         assert np.all(bias <= 3 * se)
