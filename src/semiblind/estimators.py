@@ -1,11 +1,12 @@
 """The three channel estimators: training-only, moment-matching, subspace.
 
 The training estimate is a joint least-squares fit of all users' taps,
-whose float64 Gram is assembled from lag products of the symbol-weighted
-chip stream rather than from a stacked Sylvester regressor; the
-semi-blind refinements then solve one problem per user (each estimator
-batched over all users in one call), since the SOS estimates decouple
-across users up to interference that vanishes in the large-system limit.
+whose Gram is summed exactly in float32 from lag products of the
+symbol-weighted chip-sign stream rather than from a stacked Sylvester
+regressor; the semi-blind refinements then solve one problem per user
+(each estimator batched over all users in one call), since the SOS
+estimates decouple across users up to interference that vanishes in the
+large-system limit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import SystemParams, unvec
-from .sos import _correlate, _solve_spd, hermitianize
+from .sos import _EXACT_INT_F32, _correlate, _solve_spd, hermitianize
 
 __all__ = [
     "SemiblindEstimate",
@@ -64,8 +65,9 @@ def training_estimate(
 ) -> np.ndarray:
     """Joint least-squares fit of every user's taps over the training prefix.
 
-    Takes the (M, N-P+1) received windows, the (K, M, N) chips and the
-    (K, M) symbols, and returns the (K, P) estimated gains.
+    Takes the (M, N-P+1) received windows, the (K, M, N) int8 chip signs
+    of :func:`model.sample_codes` and the (K, M) symbols, and returns the
+    (K, P) estimated gains.
 
     With S(m) = [x_1(m) C_1^(m), ..., x_K(m) C_K^(m)] the training model is
     r(m) = S(m) g + n(m).  The right-hand side sum_m S(m)^H r(m) stacks the
@@ -80,9 +82,10 @@ def training_estimate(
     The Gram comes from P lag products of the (M_t N, K) symbol-weighted
     chip stream with rank-M_t edge corrections (:func:`_training_gram`):
     1.8x fewer multiply-adds than a syrk of the stacked S(m) at P = 3, and
-    no copy of the Sylvester stack.  It stays in float64 because the
-    symbols may be any complex numbers, so the exact +-1 float32 arithmetic
-    of the SOS Gram does not apply.
+    no copy of the Sylvester stack.  It is summed exactly in float32, so
+    the training symbols must have real and imaginary parts in {0, +-u}
+    for one u > 0 (QPSK and real +-1 symbols both qualify); any others
+    raise ``ValueError``.
     """
     mt, k, taps = params.train_symbols, params.users, params.taps
     if mt < 1:
@@ -103,49 +106,79 @@ def training_estimate(
 def _training_gram(chips: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
     """sum_m S(m)^H S(m) from lag products of the symbol-weighted chips, (K P, K P).
 
-    ``chips`` is (K, M_t, N) and ``x`` the (K, M_t) symbols.  With
-    Y(m, u) = [x_k(m) c_k(m, u)]_k, column p of S(m) reads chips
-    P-1-p .. N-1-p, so block (a, a+d) of the Gram (rows tap a, columns tap
-    a+d) sums Y(m, u)^H Y(m, u-d) over every symbol and the window chips
-    u = P-1-a .. N-1-a.  Per lag d this is one real GEMM of the whole
-    (M_t N, 2K) chip stream against itself shifted by d chips, less the d
-    pairs that straddle each symbol boundary and the P-1-d pairs before the
-    window of block (0, d); then each step down the lag's diagonal adds the
-    pair at u = P-2-a and drops the one at u = N-1-a.  The P lag GEMMs cost
-    (4P-2) K^2 M_t N real multiply-adds (the d = 0 one is a syrk), and the
-    3P(P-1)/2 corrections, each a (2K x M_t)(M_t x 2K) product, add
-    6P(P-1) K^2 M_t; a syrk of the stacked S(m) costs 2 P^2 K^2 M_t (N-P+1).
+    ``chips`` holds the (K, M_t, N) chip signs and ``x`` the (K, M_t)
+    symbols.  With Y(m, u) = [x_k(m) c_k(m, u)]_k, column p of S(m) reads
+    chips P-1-p .. N-1-p, so block (a, a+d) of the Gram (rows tap a,
+    columns tap a+d) sums Y(m, u)^H Y(m, u-d) over every symbol and the
+    window chips u = P-1-a .. N-1-a.  Per lag d this is one real GEMM of
+    the whole (2K, M_t N) chip stream against itself shifted by d chips,
+    less the d pairs that straddle each symbol boundary and the P-1-d pairs
+    before the window of block (0, d); then each step down the lag's
+    diagonal adds the pair at u = P-2-a and drops the one at u = N-1-a.
+    The P lag GEMMs cost (4P-2) K^2 M_t N real multiply-adds (the d = 0 one
+    is a syrk), and the 3P(P-1)/2 corrections, each a (2K x M_t)(M_t x 2K)
+    product, add 6P(P-1) K^2 M_t; a syrk of the stacked S(m) costs
+    2 P^2 K^2 M_t (N-P+1).
+
+    The stream holds sign * (Re x, Im x) / u, entries in {0, +-1}, so in
+    float32 every sum is an exact integer while a chunk of the stream keeps
+    its rows within 2^24; the chunks add up in float64, and the Gram is
+    scaled by u^2 / N once at the end.
+
+    Raises
+    ------
+    ValueError
+        If the real and imaginary parts of ``x`` are not all in {0, +-u}
+        for one u > 0.
     """
     k, mt, n = chips.shape
-    stream = np.empty((mt, n, k), dtype=complex)
-    np.multiply(chips.transpose(1, 2, 0), x.T[:, None, :], out=stream)
-    by_chip = stream.view(float)  # (M_t, N, 2K): (Re, Im) of Y(m, u)
-    flat = by_chip.reshape(mt * n, 2 * k)
+    comps = np.stack([x.real, x.imag], axis=-1)  # (K, M_t, 2)
+    scale = np.max(np.abs(comps))
+    if not (scale > 0 and np.all((np.abs(comps) == scale) | (comps == 0))):
+        raise ValueError(
+            "the exact training Gram needs symbols whose real and imaginary "
+            "parts are all 0 or +-u for one u > 0"
+        )
+    levels = (comps / scale).astype(np.float32).transpose(0, 2, 1)[..., None]  # (K, 2, M_t, 1)
+    # integer sums, per lag d: the lag GEMM less the boundary pairs, and the
+    # per-symbol pairs at the head chips u = d .. P-2 and the tail chips
+    # u = N-1-a, a = 0 .. P-2-d
+    lags = np.zeros((taps, 2 * k, 2 * k))
+    edges = [np.zeros((2 * (taps - 1 - d), 2 * k, 2 * k)) for d in range(taps)]
+    step = max(1, _EXACT_INT_F32 // n)
+    for lo in range(0, mt, step):
+        ms = min(step, mt - lo)
+        stream = np.empty((k, 2, ms, n), dtype=np.float32)
+        np.multiply(chips[:, None, lo : lo + ms], levels[:, :, lo : lo + ms], out=stream)
+        by_chip = stream.reshape(2 * k, ms, n)  # (Re, Im) of Y(m, u) / u by row
+        flat = stream.reshape(2 * k, ms * n)
+        for d in range(taps):
+            lags[d] += flat[:, d:] @ flat[:, : ms * n - d].T
+            # pairs that straddle a boundary: chip j < d of symbol m+1 with chip N-d+j of m
+            after, before = by_chip[:, 1:, :d], by_chip[:, :-1, n - d :]
+            lags[d] -= after.reshape(2 * k, -1) @ before.reshape(2 * k, -1).T
+            u = np.concatenate([np.arange(d, taps - 1), n - 1 - np.arange(taps - 1 - d)])
+            edges[d] += np.matmul(
+                by_chip[:, :, u].transpose(2, 0, 1), by_chip[:, :, u - d].transpose(2, 1, 0)
+            )
+    del stream, by_chip, flat  # free the stream before the blocks are assembled
     real = np.zeros((taps, taps, 2 * k, 2 * k))
     for d in range(taps):
-        block = flat[d:].T @ flat[: mt * n - d]
-        # pairs that straddle a boundary: chip j < d of symbol m+1 with chip N-d+j of m
-        block -= by_chip[1:, :d].reshape(-1, 2 * k).T @ by_chip[:-1, n - d :].reshape(-1, 2 * k)
-        # sum_m Y(m, u)^T Y(m, u-d) at the head chips u = d .. P-2 and the tail
-        # chips u = N-1-a, a = 0 .. P-2-d
-        u = np.concatenate([np.arange(d, taps - 1), n - 1 - np.arange(taps - 1 - d)])
-        edge = np.matmul(by_chip[:, u].transpose(1, 2, 0), by_chip[:, u - d].transpose(1, 0, 2))
-        head, tail = edge[: taps - 1 - d], edge[taps - 1 - d :]
-        block -= head.sum(axis=0)
+        head, tail = edges[d][: taps - 1 - d], edges[d][taps - 1 - d :]
+        block = lags[d] - head.sum(axis=0)
         real[0, d] = block
         for a in range(taps - 1 - d):
             block = block + head[taps - 2 - a - d] - tail[a]
             real[a + 1, a + 1 + d] = block
-    # Y^H Y = (Re^T Re + Im^T Im) + j (Re^T Im - Im^T Re) from the float view
+    # Y^H Y = (Re^T Re + Im^T Im) + j (Re^T Im - Im^T Re) from the float view;
+    # the integer sums make every diagonal block exactly Hermitian
     parts = real.reshape(taps, taps, k, 2, k, 2)
     blocks = parts[:, :, :, 0, :, 0] + parts[:, :, :, 1, :, 1]
     blocks = blocks + 1j * (parts[:, :, :, 0, :, 1] - parts[:, :, :, 1, :, 0])
     for a in range(taps):
-        # Hermitian in exact arithmetic; made exactly so whatever the BLAS
-        blocks[a, a] = 0.5 * (blocks[a, a] + blocks[a, a].conj().T)
         for b in range(a + 1, taps):
             blocks[b, a] = blocks[a, b].conj().T
-    return blocks.transpose(2, 0, 3, 1).reshape(k * taps, k * taps)
+    return blocks.transpose(2, 0, 3, 1).reshape(k * taps, k * taps) * (scale * scale / n)
 
 
 def weight_w(alpha: float, sigma_n2: float, sigma_d2: float) -> float:

@@ -14,7 +14,6 @@ import io
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from itertools import product
@@ -451,6 +450,9 @@ def run_sweep(
     """Simulate every grid cell; failed cells are recorded, not fatal."""
     cells = grid_cells(config)
     if config.workers > 1:
+        # imported here: multiprocessing costs every serial run its startup time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = [pool.submit(_run_cell, config, cell) for cell in cells]
             return _gather((cell, fut.result) for cell, fut in zip(cells, futures))

@@ -2,7 +2,9 @@
 
 Everything here is a pure function of (parameters, rng) returning plain
 arrays: the (K, P) channel gains, the (K, M, N) spreading chips, the (K, M)
-symbols and the (M, N-P+1) ISI-free received windows.  Chip indices follow
+symbols and the (M, N-P+1) ISI-free received windows.  Each chip is
++-1/sqrt(N); the chips array holds only its int8 sign, and every consumer
+applies the 1/sqrt(N) once, in float64, after its sums.  Chip indices follow
 the 1-based convention l = 1..N in all interface documentation; arrays are
 stored 0-based.
 """
@@ -26,6 +28,8 @@ __all__ = [
 
 # QPSK constellation (+-1 +-j)/sqrt(2), indexed by 2-bit symbol
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
+# chip signs converted to float64 at a time by the consumers (512 KB)
+_CHUNK_ELEMS = 2**16
 
 
 @dataclass(frozen=True)
@@ -115,18 +119,16 @@ def sample_channel(params: SystemParams, rng: np.random.Generator) -> np.ndarray
 
 
 def sample_codes(params: SystemParams, rng: np.random.Generator) -> np.ndarray:
-    """Draw the (K, M, N) i.i.d. Rademacher chips, each +-1/sqrt(N).
+    """Draw the (K, M, N) i.i.d. Rademacher chip signs as int8 +-1.
 
-    The int32 draw consumes the generator exactly as the default int64 one
-    would, and the in-place scaling gives the same chips as
-    (2 b - 1) / sqrt(N) without its float64 temporaries.
+    Chip (k, m, l) is sign / sqrt(N).  The int32 draw consumes the generator
+    exactly as the default int64 one would, and the signs equal its 2 b - 1.
     """
     shape = (params.users, params.symbols, params.gain)
-    chips = rng.integers(0, 2, size=shape, dtype=np.int32).astype(float)
-    chips *= 2.0
-    chips -= 1.0
-    chips /= np.sqrt(params.gain)
-    return chips
+    signs = rng.integers(0, 2, size=shape, dtype=np.int32).astype(np.int8)
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 def sample_symbols(params: SystemParams, rng: np.random.Generator) -> np.ndarray:
@@ -161,9 +163,11 @@ def synthesize_received(
 
     r(m) = sum_k C_k^(m) g_k x_k(m) + n(m), the analysis model.  With P < N
     the retained N-P+1 chips of each symbol never see the previous symbol's
-    tail, so convolving the whole chip stream gives the same windows.  The
-    noise is drawn last: the (M, N-P+1) real parts, then the imaginary
-    parts, each standard normal and scaled by sqrt(noise_var / 2).
+    tail, so convolving the whole chip stream gives the same windows.
+    ``chips`` holds the int8 chip signs of :func:`sample_codes`; the
+    1/sqrt(N) scales the transmit weights instead.  The noise is drawn
+    last: the (M, N-P+1) real parts, then the imaginary parts, each
+    standard normal and scaled by sqrt(noise_var / 2).
     """
     k, n, p, m = params.users, params.gain, params.taps, params.symbols
     if gains.shape != (k, p):
@@ -174,9 +178,16 @@ def synthesize_received(
         raise ValueError("symbols shape inconsistent with params")
 
     # z(m)[l, p] = sum_k c_k(m)[l] x_k(m) g_k[p]: one real GEMM per symbol
-    # of the chips against the (Re, Im)-interleaved transmit weights
-    weights = np.multiply(symbols.T[:, :, None], gains, dtype=complex)
-    z = np.matmul(chips.transpose(1, 2, 0), weights.view(float)).view(complex)
+    # of the chip signs against the (Re, Im)-interleaved transmit weights,
+    # over symbol chunks converted to float64
+    weights = np.multiply(symbols.T[:, :, None], gains / np.sqrt(n), dtype=complex)
+    z = np.empty((m, n, 2 * p))
+    step = max(1, _CHUNK_ELEMS // (k * n))
+    for lo in range(0, m, step):
+        block = slice(lo, lo + step)
+        signs = chips[:, block].astype(float)
+        np.matmul(signs.transpose(1, 2, 0), weights[block].view(float), out=z[block])
+    z = z.view(complex)
     # window chip n of C_k g_k is sum_p c_k[n + P-1-p] g_k[p]: P shifted slices
     clean = z[:, p - 1 : p - 1 + params.window, 0].copy()
     for tap in range(1, p):

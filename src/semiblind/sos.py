@@ -9,8 +9,12 @@ O(K P N) per symbol: the correlators a_k are one real GEMM of the chips
 against P shifts of r, and the bias term C_k^T C_k is read off chip lag
 products, so no Sylvester window stack is built.
 
-T is built from the +-1 chip signs in float32.  Every partial sum is then
-an integer, and binary32 holds every integer of magnitude up to 2^24
+Every sum runs over the int8 +-1 chip signs of :func:`model.sample_codes`,
+and the chip scale 1/sqrt(N) is applied once, in float64, to its result:
+to the correlator outputs, to the integer lag sums of C_k^T C_k, and to T.
+
+T is built from the signs in float32.  Every partial sum is then an
+integer, and binary32 holds every integer of magnitude up to 2^24
 exactly, so each chunk of symbols is summed exactly as long as it keeps
 its sums, at most chunk * (N-P+1)^2, within 2^24; the chunks add up in
 float64 and one division by M_i N^2 gives the correctly rounded T.  Per
@@ -28,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from .errors import SingularSystemError
-from .model import unvec
+from .model import _CHUNK_ELEMS, unvec
 
 __all__ = [
     "build_normal_equations",
@@ -43,9 +47,12 @@ __all__ = [
 ]
 
 _RIDGE = 1e-8  # relative ridge of the Cholesky fallback
+_EPS = np.finfo(float).eps  # pivots below order * _EPS of the largest count as zero
+_SOLVE_BLOCK = 64  # rows per diagonal block of the triangular solves
 _HERMITIAN_TOL = 1e-10
 _EXACT_INT_F32 = 2**24  # binary32 holds every integer of magnitude <= 2^24
 _GRAM_CHUNK_ELEMS = 2**20  # float32 cross-Gram entries per symbol chunk (4 MB)
+_INT8_TERMS = 127  # int8 holds every sum of up to 127 products of +-1 signs
 
 
 def build_normal_equations(
@@ -64,10 +71,9 @@ def build_normal_equations(
     Parameters
     ----------
     chips, windows :
-        The (K, M, N) spreading chips and the matching (M, N-P+1) ISI-free
-        windows.  The window length N-P+1 sets the channel order P; the
-        Gram needs the chips to be exactly +-1/sqrt(N), as
-        :func:`model.sample_codes` draws them.
+        The (K, M, N) int8 chip signs of :func:`model.sample_codes` (chip
+        = sign / sqrt(N)) and the matching (M, N-P+1) ISI-free windows.
+        The window length N-P+1 sets the channel order P.
     info_range :
         Symbol indices (0-based) contributing to the statistics; must be
         nonempty.
@@ -86,9 +92,9 @@ def build_normal_equations(
     ValueError
         For an empty or out-of-bounds ``info_range``, windows whose count
         differs from the chips' symbol count or whose length implies a channel
-        order outside 1 <= P < N, and (with ``include_gram``) chips that are
-        not +-1/sqrt(N) or windows longer than 4096 chips, whose products
-        float32 would round.
+        order outside 1 <= P < N, chips that are not integer signs of
+        exactly +-1, and (with ``include_gram``) windows longer than 4096
+        chips, whose products float32 would round.
     """
     idx = np.asarray(list(info_range), dtype=int)
     if idx.size == 0:
@@ -106,6 +112,11 @@ def build_normal_equations(
         )
     if np.any(idx < 0) or np.any(idx >= m_total):
         raise ValueError("info_range indices out of bounds")
+    if not (np.issubdtype(chips.dtype, np.integer) and np.all(np.abs(chips) == 1)):
+        raise ValueError(
+            "chips must be integer signs of exactly +-1 (each chip is sign/sqrt(N)), "
+            "as model.sample_codes draws them"
+        )
 
     # a contiguous range selects views, so no copy of the chips is held
     # while the Gram accumulates
@@ -124,33 +135,37 @@ def _gram(chips: np.ndarray, taps: int) -> np.ndarray:
     G[a, b, c, d][i, j] = sum_m B_ij[a, b] B_ij[c, d] at row (a, c), column
     (b, d), divided by Mi N^2.  G is unchanged by swapping (a, b) with
     (c, d) and is transposed over (i, j) by swapping a with b and c with d
-    (B_ji = B_ij^T), so only one (a, b, c, d) per orbit is summed.
+    (B_ji = B_ij^T), so only one (a, b, c, d) per orbit is summed, and each
+    sum is written into T through its (K, P, P, K, P, P) view.
     """
     k, mi, n = chips.shape
     n_w = n - taps + 1
     if n_w * n_w > _EXACT_INT_F32:
         raise ValueError(f"the exact float32 Gram needs N-P+1 <= 4096, not {n_w}")
-    if not np.all(np.abs(chips) == 1.0 / np.sqrt(n)):
-        raise ValueError("the Gram needs chips of exactly +-1/sqrt(N)")
-    signs = np.sign(chips.transpose(1, 0, 2)).astype(np.float32)  # (Mi, K, N)
     quads = _kron_orbits(taps)
     acc = np.zeros((len(quads), k, k))
-    chunk = max(1, min(_GRAM_CHUNK_ELEMS // (taps * taps * k * k), _EXACT_INT_F32 // n_w**2))
+    chunk = max(1, min(mi, _GRAM_CHUNK_ELEMS // (taps * taps * k * k), _EXACT_INT_F32 // n_w**2))
+    signs = np.empty((chunk, k, n), dtype=np.float32)
+    cross = np.empty((taps, taps, chunk, k, k), dtype=np.float32)
     for lo in range(0, mi, chunk):
-        s = signs[lo : lo + chunk]
+        size = min(chunk, mi - lo)
+        s = signs[:size]
+        np.copyto(s, chips[:, lo : lo + size].transpose(1, 0, 2))
         # Sylvester column a of every code word: chips P-1-a .. N-1-a
         cols = [s[:, :, taps - 1 - a : n - a] for a in range(taps)]
-        cross = np.empty((taps, taps, s.shape[0], k, k), dtype=np.float32)
         for a, b in itertools.product(range(taps), repeat=2):
-            np.matmul(cols[a], cols[b].transpose(0, 2, 1), out=cross[a, b])
+            np.matmul(cols[a], cols[b].transpose(0, 2, 1), out=cross[a, b, :size])
         for q, (a, b, c, d) in enumerate(quads):
-            acc[q] += np.einsum("mij,mij->ij", cross[a, b], cross[c, d])
-    g = np.empty((taps,) * 4 + (k, k))
-    for q, (a, b, c, d) in enumerate(quads):
-        g[a, b, c, d] = g[c, d, a, b] = acc[q]
-        g[b, a, d, c] = g[d, c, b, a] = acc[q].T
+            acc[q] += np.einsum("mij,mij->ij", cross[a, b, :size], cross[c, d, :size])
+    del signs, cross  # free the chunk buffers before T is allocated
+    acc /= mi * n * n
     dim = k * taps * taps
-    return g.transpose(4, 0, 2, 5, 1, 3).reshape(dim, dim) / (mi * n * n)
+    gram = np.empty((dim, dim))
+    view = gram.reshape(k, taps, taps, k, taps, taps)  # [i, a, c, j, b, d]
+    for q, (a, b, c, d) in enumerate(quads):
+        view[:, a, c, :, b, d] = view[:, c, a, :, d, b] = acc[q]
+        view[:, b, d, :, a, c] = view[:, d, b, :, c, a] = acc[q].T
+    return gram
 
 
 @cache
@@ -166,20 +181,30 @@ def _kron_orbits(taps: int) -> tuple[tuple[int, int, int, int], ...]:
 def _correlate(chips: np.ndarray, r: np.ndarray, taps: int) -> np.ndarray:
     """Per-user correlator outputs a_k(m) = C_k^(m)T r(m), (Mi, K, P) complex.
 
-    ``chips`` is (K, Mi, N) and ``r`` the matching (Mi, N-P+1) windows.  Tap
-    p reads chip n + P-1-p against r(m)[n], so this is one real GEMM of the
-    chips against P zero-padded shifts of (Re r, Im r), interleaved to view
-    as complex.  The SOS right-hand side squares these outputs; the joint
-    training fit weights them by the conjugate training symbols.
+    ``chips`` holds the (K, Mi, N) chip signs and ``r`` the matching
+    (Mi, N-P+1) windows.  Tap p reads chip n + P-1-p against r(m)[n], so
+    this is one real GEMM of the signs, converted to float64 a symbol chunk
+    at a time, against P zero-padded shifts of (Re r, Im r), interleaved to
+    view as complex and scaled by 1/sqrt(N).  The SOS right-hand side
+    squares these outputs; the joint training fit weights them by the
+    conjugate training symbols.
     """
-    _, mi, n = chips.shape
+    k, mi, n = chips.shape
     n_w = r.shape[1]
     shifted = np.zeros((mi, n, taps, 2))
     for p in range(taps):
         lo = taps - 1 - p
         shifted[:, lo : lo + n_w, p, 0] = r.real
         shifted[:, lo : lo + n_w, p, 1] = r.imag
-    return np.matmul(chips.transpose(1, 0, 2), shifted.reshape(mi, n, 2 * taps)).view(complex)
+    shifted = shifted.reshape(mi, n, 2 * taps)
+    out = np.empty((mi, k, 2 * taps))
+    step = max(1, _CHUNK_ELEMS // (k * n))
+    for lo in range(0, mi, step):
+        block = slice(lo, lo + step)
+        signs = chips[:, block].astype(float)
+        np.matmul(signs.transpose(1, 0, 2), shifted[block], out=out[block])
+    out /= np.sqrt(n)
+    return out.view(complex)
 
 
 def _sos_rhs(chips: np.ndarray, r: np.ndarray, taps: int, noise_var: float) -> np.ndarray:
@@ -196,19 +221,24 @@ def _self_gram(chips: np.ndarray, taps: int) -> np.ndarray:
 
     Entry (p, q), p >= q, sums c(n + P-1-p) c(n + P-1-p + p-q) over the
     N-P+1 window chips n: a window, starting at chip P-1-p, of the lag-(p-q)
-    products summed over symbols, read off their cumulative sum.
+    products summed over symbols, read off their cumulative sum.  The
+    products of the +-1 signs are summed exactly in int8 over blocks of
+    ``_INT8_TERMS`` symbols, then in int64, and divided by N once.
     """
-    k, _, n = chips.shape
+    k, mi, n = chips.shape
     n_w = n - taps + 1
     out = np.empty((k, taps, taps))
     for lag in range(taps):
-        prods = np.einsum("kml,kml->kl", chips[..., : n - lag], chips[..., lag:])
-        csum = np.zeros((k, n - lag + 1))
+        prods = np.zeros((k, n - lag), dtype=np.int64)
+        for lo in range(0, mi, _INT8_TERMS):
+            block = chips[:, lo : lo + _INT8_TERMS]
+            prods += np.multiply(block[..., : n - lag], block[..., lag:]).sum(axis=1, dtype=np.int8)
+        csum = np.zeros((k, n - lag + 1), dtype=np.int64)
         np.cumsum(prods, axis=-1, out=csum[:, 1:])
         for p in range(lag, taps):
             lo = taps - 1 - p
             out[:, p, p - lag] = out[:, p - lag, p] = csum[:, lo + n_w] - csum[:, lo]
-    return out
+    return out / n
 
 
 def estimate_sos(rhs: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
@@ -226,19 +256,23 @@ def estimate_sos(rhs: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve gram x = rhs for a symmetric (or Hermitian) positive definite Gram.
 
-    A Gram that fails its Cholesky factorization, or that passes it on a
-    tiny positive pivot but is exactly singular to the solve, is retried
-    with a relative ridge 1e-8 ||diag(gram)|| on the diagonal; a second
-    failure raises :class:`SingularSystemError`.  A real Gram solves the
-    complex rhs as two real columns.
+    One Cholesky factorization gram = L L^H serves both as the
+    positive-definiteness test and as the solve, by blocked forward and
+    back substitution.  A Gram whose factorization fails, or whose factor
+    is singular to working precision -- its smallest pivot L_ii^2 is at
+    most n * eps times its largest, eps = ``_EPS`` the float64 machine
+    epsilon and n the order -- is retried with a relative ridge
+    1e-8 ||diag(gram)|| on the diagonal; a second failure raises
+    :class:`SingularSystemError`.  A real Gram solves the complex rhs as
+    two real columns.
     """
     try:
-        return _checked_solve(gram, rhs)
+        return _cholesky_solve(gram, rhs)
     except np.linalg.LinAlgError:
         pass
     ridged = gram + _RIDGE * np.linalg.norm(np.diag(gram)) * np.eye(gram.shape[0])
     try:
-        return _checked_solve(ridged, rhs)
+        return _cholesky_solve(ridged, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "normal-equation matrix is singular or not positive definite",
@@ -246,13 +280,36 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _checked_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve after a Cholesky positive-definiteness check; both raise LinAlgError."""
-    np.linalg.cholesky(gram)
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^H x = rhs with L the Cholesky factor; raises LinAlgError if singular."""
+    factor = np.linalg.cholesky(gram)
+    pivots = np.diagonal(factor).real ** 2
+    if pivots.min() <= gram.shape[0] * _EPS * pivots.max():
+        raise np.linalg.LinAlgError("Cholesky factor is singular to working precision")
     if np.iscomplexobj(gram):
-        return np.linalg.solve(gram, rhs)
+        return _substitute(factor, rhs)
     columns = np.ascontiguousarray(rhs, dtype=complex).view(float).reshape(-1, 2)
-    return np.ascontiguousarray(np.linalg.solve(gram, columns)).view(complex)[:, 0]
+    return np.ascontiguousarray(_substitute(factor, columns)).view(complex)[:, 0]
+
+
+def _substitute(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Blocked forward then back substitution through a lower triangular factor.
+
+    Each ``_SOLVE_BLOCK``-row diagonal block is solved directly after the
+    GEMM update from the rows already solved.
+    """
+    x = np.array(rhs, dtype=np.result_type(factor, rhs))
+    starts = range(0, factor.shape[0], _SOLVE_BLOCK)
+    for lo in starts:
+        hi = lo + _SOLVE_BLOCK
+        x[lo:hi] -= factor[lo:hi, :lo] @ x[:lo]
+        x[lo:hi] = np.linalg.solve(factor[lo:hi, lo:hi], x[lo:hi])
+    upper = factor.conj().T
+    for lo in reversed(starts):
+        hi = lo + _SOLVE_BLOCK
+        x[lo:hi] -= upper[lo:hi, hi:] @ x[hi:]
+        x[lo:hi] = np.linalg.solve(upper[lo:hi, lo:hi], x[lo:hi])
+    return x
 
 
 def hermitianize(d: np.ndarray) -> np.ndarray:

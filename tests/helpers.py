@@ -51,10 +51,11 @@ def full_stream_windows(params, gains, chips, symbols) -> np.ndarray:
 
     Each symbol's first P-1 chips carry the previous symbol's tail; window m
     keeps chips mN+P .. (m+1)N (1-based chip times), which with P < N that
-    tail never reaches.
+    tail never reaches.  ``chips`` holds the signs; each chip is
+    sign / sqrt(N).
     """
     k, m, n = chips.shape
-    stream = (symbols[:, :, None] * chips).reshape(k, m * n)
+    stream = (symbols[:, :, None] * chips / np.sqrt(n)).reshape(k, m * n)
     total = sum(np.convolve(stream[ku], gains[ku]) for ku in range(k))
     starts = np.arange(m) * n + params.taps - 1
     return total[starts[:, None] + np.arange(params.window)[None, :]]

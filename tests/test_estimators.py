@@ -59,7 +59,7 @@ class TestTrainingEstimate:
         chips, symbols, windows = draw_block(p, gains, seeded_rng(130))
         stacked = np.vstack([
             np.hstack([
-                symbols[k, m] * model.sylvester(chips[k, m], p.taps)
+                symbols[k, m] * model.sylvester(chips[k, m] / np.sqrt(p.gain), p.taps)
                 for k in range(p.users)
             ])
             for m in range(p.train_symbols)
@@ -89,31 +89,66 @@ class TestTrainingEstimate:
         gain=st.integers(2, 12),
         taps=st.integers(1, 11),
         mt=st.integers(1, 6),
-        qpsk=st.booleans(),
+        kind=st.sampled_from(["qpsk", "real", "gaussian"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(users=1, gain=2, taps=1, mt=1, qpsk=True, seed=0)
-    @example(users=4, gain=12, taps=1, mt=6, qpsk=False, seed=1)
-    @example(users=3, gain=12, taps=11, mt=1, qpsk=False, seed=2)
-    @example(users=2, gain=7, taps=6, mt=5, qpsk=True, seed=3)
-    def test_property_lag_gram_matches_stacked(self, users, gain, taps, mt, qpsk, seed):
-        # oracle: sum_m S(m)^H S(m) over the explicitly stacked Sylvester blocks
+    @example(users=1, gain=2, taps=1, mt=1, kind="qpsk", seed=0)
+    @example(users=4, gain=12, taps=1, mt=6, kind="real", seed=1)
+    @example(users=3, gain=12, taps=11, mt=1, kind="real", seed=2)
+    @example(users=2, gain=7, taps=6, mt=5, kind="qpsk", seed=3)
+    @example(users=2, gain=7, taps=3, mt=5, kind="gaussian", seed=4)
+    def test_property_lag_gram_matches_stacked(self, users, gain, taps, mt, kind, seed):
+        # oracle: sum_m S(m)^H S(m) over the explicitly stacked float64
+        # Sylvester blocks of the +-1/sqrt(N) chips
         taps = min(taps, gain - 1)  # so P = N-1 comes up often
         rng = seeded_rng(seed)
-        chips = rng.choice([-1.0, 1.0], size=(users, mt, gain)) / np.sqrt(gain)
-        if qpsk:
-            signs = rng.choice([-1.0, 1.0], size=(2, users, mt))
+        chips = rng.choice(np.array([-1, 1], dtype=np.int8), size=(users, mt, gain))
+        signs = rng.choice([-1.0, 1.0], size=(2, users, mt))
+        if kind == "qpsk":
             x = (signs[0] + 1j * signs[1]) / np.sqrt(2.0)
+        elif kind == "real":
+            x = signs[0]
         else:
             x = rng.standard_normal((users, mt)) + 1j * rng.standard_normal((users, mt))
+            # not summable exactly in float32
+            with pytest.raises(ValueError, match="real and imaginary"):
+                estimators._training_gram(chips, x, taps)
+            return
         stacked = np.vstack([
-            np.hstack([x[k, m] * model.sylvester(chips[k, m], taps) for k in range(users)])
+            np.hstack([
+                x[k, m] * model.sylvester(chips[k, m] / np.sqrt(gain), taps)
+                for k in range(users)
+            ])
             for m in range(mt)
         ])
         ref = stacked.conj().T @ stacked
         gram = estimators._training_gram(chips, x, taps)
         assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.array_equal(gram, gram.conj().T)
+
+    def test_chunked_lag_gram_bit_identical(self, monkeypatch):
+        # every chunk's float32 sums are exact integers, so the chunking
+        # (here 3 symbols of 7 chips, with a partial last chunk) cannot
+        # change the Gram
+        rng = seeded_rng(133)
+        chips = rng.choice(np.array([-1, 1], dtype=np.int8), size=(3, 8, 7))
+        signs = rng.choice([-1.0, 1.0], size=(2, 3, 8))
+        x = (signs[0] + 1j * signs[1]) / np.sqrt(2.0)
+        whole = estimators._training_gram(chips, x, 3)
+        monkeypatch.setattr(estimators, "_EXACT_INT_F32", 3 * 7)
+        assert np.array_equal(estimators._training_gram(chips, x, 3), whole)
+
+    @pytest.mark.parametrize("case", ["two_levels", "zero"])
+    def test_rejects_symbols_off_one_level(self, case):
+        p = model.SystemParams(users=2, gain=8, taps=2, symbols=4, train_symbols=4)
+        gains = model.sample_channel(p, seeded_rng(134))
+        chips, symbols, windows = draw_block(p, gains, seeded_rng(135))
+        if case == "two_levels":
+            symbols[1, 2] *= 2.0  # parts +-sqrt(2) beside +-1/sqrt(2)
+        else:
+            symbols[:] = 0.0
+        with pytest.raises(ValueError, match="0 or \\+-u"):
+            estimators.training_estimate(windows, chips, symbols, p)
 
     def test_rejects_underdetermined_training(self):
         # M_t (N-P+1) = 1 * 6 training samples cannot fix K P = 24 taps

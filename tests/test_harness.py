@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo sweep engine, configs and record emission."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,26 @@ class TestRunTrial:
             assert np.shape(diag.weight) in ((), (cell0.params.users,))
             if expected == "given":
                 assert diag.weight == 0.5
+
+
+    def test_solve_trial_memory_stays_below_float64_chips(self):
+        # the chips stay int8 signs from draw to Gram: one solve-mode trial at
+        # N = 64, K = 64, M = 400, P = 3 peaks below the K M N * 8 bytes
+        # (13.1 MB) that float64 chips alone would take
+        cfg = harness.ExperimentConfig(
+            gain=64, symbols=400, beta=(1.0,), sigma_n2=(0.5,), taps=(3,),
+            alpha=(0.2,), trials=1, seed=5, estimator="subspace", sos_mode="solve",
+        )
+        cell = harness.grid_cells(cfg)[0]
+        p = cell.params
+        assert (p.users, p.symbols, p.gain, p.taps) == (64, 400, 64, 3)
+        tracemalloc.start()
+        try:
+            harness.run_trial(cfg, cell, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p.users * p.symbols * p.gain * 8
 
 
 class TestRunSweep:

@@ -73,30 +73,31 @@ class TestSampleCodes:
     def test_chip_values(self):
         p = make_params(gain=4, taps=2)
         chips = model.sample_codes(p, seeded_rng(4))
-        assert set(np.unique(chips)) == {-0.5, 0.5}
+        assert chips.dtype == np.int8
+        assert set(np.unique(chips)) == {-1, 1}  # signs of the +-0.5 chips
 
     def test_unit_norm_codewords(self):
         p = make_params(gain=16, taps=2)
-        chips = model.sample_codes(p, seeded_rng(5))
+        chips = model.sample_codes(p, seeded_rng(5)) / np.sqrt(p.gain)
         norms = np.sum(chips**2, axis=-1)
         assert np.all(norms == 1.0)  # 1/16 is exact in binary
 
     def test_chip_mean(self):
         p = model.SystemParams(users=10, gain=64, taps=2, symbols=200)
-        chips = model.sample_codes(p, seeded_rng(6))
+        chips = model.sample_codes(p, seeded_rng(6)) / np.sqrt(p.gain)
         assert chips.size > 1e5
         assert abs(chips.mean()) < 0.02 / np.sqrt(64)
 
     @pytest.mark.parametrize("users,symbols,gain", [(3, 5, 64), (2, 7, 48), (3, 3, 10), (1, 3, 9)])
     def test_draw_pinned_to_int64_formula(self, users, symbols, gain):
-        # same chips and same generator state afterwards as the int64 draw,
-        # also for an odd number of draws (1 x 3 x 9)
+        # int8 signs equal to 2 b - 1 of the int64 draw, and the same
+        # generator state afterwards, also for an odd number of draws (1 x 3 x 9)
         p = model.SystemParams(users=users, gain=gain, taps=1, symbols=symbols)
         rng, ref_rng = seeded_rng(7), seeded_rng(7)
         chips = model.sample_codes(p, rng)
         size = (users, symbols, gain)
-        ref = (2.0 * ref_rng.integers(0, 2, size) - 1.0) / np.sqrt(gain)
-        assert chips.dtype == np.float64
+        ref = 2 * ref_rng.integers(0, 2, size) - 1
+        assert chips.dtype == np.int8
         assert np.array_equal(chips, ref)
         after = model.sample_symbols(p, rng)
         assert np.array_equal(after, model.sample_symbols(p, ref_rng))
@@ -119,7 +120,7 @@ class TestSampleSymbols:
 
 class TestSylvester:
     def test_p1_is_column(self):
-        s = model.sample_codes(make_params(gain=16, taps=1), seeded_rng(9))[0, 0]
+        s = model.sample_codes(make_params(gain=16, taps=1), seeded_rng(9))[0, 0] / 4.0
         mat = model.sylvester(s, 1)
         assert mat.shape == (16, 1)
         assert np.array_equal(mat[:, 0], s)
@@ -169,7 +170,7 @@ class TestSynthesize:
         symbols = np.ones((1, 5), dtype=complex)
         windows = model.synthesize_received(p, gains, chips, symbols, seeded_rng(14))
         for m in range(5):
-            assert np.allclose(windows[m], gains[0, 0] * chips[0, m])
+            assert np.allclose(windows[m], gains[0, 0] * chips[0, m] / np.sqrt(p.gain))
 
     def test_matches_direct_sum(self):
         # independent per-user loop recomputation of sum_k C_k g_k x_k
@@ -182,7 +183,7 @@ class TestSynthesize:
             direct = np.zeros(p.window, dtype=complex)
             for k in range(p.users):
                 direct += (
-                    model.sylvester(chips[k, m], p.taps)
+                    model.sylvester(chips[k, m] / np.sqrt(p.gain), p.taps)
                     @ gains[k]
                     * symbols[k, m]
                 )
@@ -207,7 +208,7 @@ class TestSynthesize:
         direct = np.array(
             [
                 sum(
-                    model.sylvester(chips[k, m], taps) @ gains[k] * x[k, m]
+                    model.sylvester(chips[k, m] / np.sqrt(gain), taps) @ gains[k] * x[k, m]
                     for k in range(users)
                 )
                 for m in range(symbols)

@@ -13,9 +13,11 @@ from helpers import draw_block, gram_only, seeded_rng, sos_trials
 def brute_force_system(params, chips, windows, noise_var):
     """Materialize Q(m) explicitly; the oracle the fast path must match.
 
+    ``chips`` holds the signs, scaled here to the +-1/sqrt(N) chips.
     Returns (T, y) with y in the (K, P^2) per-user layout.
     """
     k, p, n_w = params.users, params.taps, params.window
+    chips = chips / np.sqrt(params.gain)
     dim = k * p * p
     gram = np.zeros((dim, dim))
     rhs = np.zeros(dim, dtype=complex)
@@ -51,8 +53,8 @@ class TestBuildNormalEquations:
         p = model.SystemParams(users=2, gain=8, taps=2, symbols=3, noise_var=0.2)
         gains = model.sample_channel(p, seeded_rng(42))
         chips, _, windows = draw_block(p, gains, seeded_rng(43))
-        c0 = model.sylvester(chips[0, 0], 2)
-        c1 = model.sylvester(chips[1, 0], 2)
+        c0 = model.sylvester(chips[0, 0] / np.sqrt(p.gain), 2)
+        c1 = model.sylvester(chips[1, 0] / np.sqrt(p.gain), 2)
         q0, q1 = np.kron(c0, c0), np.kron(c1, c1)
         assert np.allclose(q0.T @ q1, np.kron(c0.T @ c1, c0.T @ c1), atol=1e-14)
 
@@ -111,13 +113,13 @@ class TestBuildNormalEquations:
         gains = model.sample_channel(p, seeded_rng(78))
         bad, _, windows = draw_block(p, gains, seeded_rng(79))
         if case == "one_chip":
-            bad[1, 2, 3] *= 1.0 + 1e-12
+            bad[1, 2, 3] = 0
         else:
-            bad *= np.sqrt(p.gain)  # +-1, not +-1/sqrt(N)
-        with pytest.raises(ValueError, match="sqrt"):
-            sos.build_normal_equations(bad, windows, range(5), p.noise_var)
-        # the right-hand side alone takes any chips
-        sos.build_normal_equations(bad, windows, range(5), p.noise_var, include_gram=False)
+            bad = bad / np.sqrt(p.gain)  # the +-1/sqrt(N) chips, not their signs
+        # the right-hand side sums the signs exactly in int8 too
+        for include_gram in (True, False):
+            with pytest.raises(ValueError, match="exactly"):
+                sos.build_normal_equations(bad, windows, range(5), p.noise_var, include_gram)
 
     def test_gram_rejects_windows_beyond_exact_float32(self):
         # N-P+1 = 4097: a product of two cross-Gram entries can reach 4097^2 > 2^24
