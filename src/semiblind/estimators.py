@@ -1,16 +1,16 @@
 """The three channel estimators: training-only, moment-matching, subspace.
 
 The training estimate is a joint least-squares fit of all users' taps,
-whose Gram is summed exactly in float32 from lag products of the
-symbol-weighted chip-sign stream rather than from a stacked Sylvester
-regressor; the semi-blind refinements then solve one problem per user
-(each estimator batched over all users in one call), since the SOS
-estimates decouple across users up to interference that vanishes in the
-large-system limit.
+whose Gram is summed exactly in float32 from the chip-sign cross-Grams
+of the SOS Gram rather than from a stacked Sylvester regressor; the
+semi-blind refinements then solve one problem per user (each estimator
+batched over all users in one call), since the SOS estimates decouple
+across users up to interference that vanishes in the large-system limit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import SystemParams, unvec
-from .sos import _EXACT_INT_F32, _correlate, _solve_spd, hermitianize
+from .sos import _EXACT_INT_F32, _correlate, _cross_grams, _solve_spd, hermitianize
 
 __all__ = [
     "SemiblindEstimate",
@@ -79,13 +79,11 @@ def training_estimate(
     additive noise of variance noise_var / M_t per tap in the large-system
     limit.  Needs at least K*P training samples: M_t (N-P+1) >= K P.
 
-    The Gram comes from P lag products of the (M_t N, K) symbol-weighted
-    chip stream with rank-M_t edge corrections (:func:`_training_gram`):
-    1.8x fewer multiply-adds than a syrk of the stacked S(m) at P = 3, and
-    no copy of the Sylvester stack.  It is summed exactly in float32, so
-    the training symbols must have real and imaginary parts in {0, +-u}
-    for one u > 0 (QPSK and real +-1 symbols both qualify); any others
-    raise ``ValueError``.
+    The Gram weights the per-symbol chip-sign cross-Grams C_k^T C_j by
+    conj(x_k) x_j (:func:`_training_gram`), with no copy of the Sylvester
+    stack.  It is summed exactly in float32, so the training symbols must
+    have real and imaginary parts in {0, +-u} for one u > 0 (QPSK and real
+    +-1 symbols both qualify); any others raise ``ValueError``.
     """
     mt, k, taps = params.train_symbols, params.users, params.taps
     if mt < 1:
@@ -104,26 +102,19 @@ def training_estimate(
 
 
 def _training_gram(chips: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
-    """sum_m S(m)^H S(m) from lag products of the symbol-weighted chips, (K P, K P).
+    """sum_m S(m)^H S(m) from the chip-sign cross-Grams, (K P, K P).
 
     ``chips`` holds the (K, M_t, N) chip signs and ``x`` the (K, M_t)
-    symbols.  With Y(m, u) = [x_k(m) c_k(m, u)]_k, column p of S(m) reads
-    chips P-1-p .. N-1-p, so block (a, a+d) of the Gram (rows tap a,
-    columns tap a+d) sums Y(m, u)^H Y(m, u-d) over every symbol and the
-    window chips u = P-1-a .. N-1-a.  Per lag d this is one real GEMM of
-    the whole (2K, M_t N) chip stream against itself shifted by d chips,
-    less the d pairs that straddle each symbol boundary and the P-1-d pairs
-    before the window of block (0, d); then each step down the lag's
-    diagonal adds the pair at u = P-2-a and drops the one at u = N-1-a.
-    The P lag GEMMs cost (4P-2) K^2 M_t N real multiply-adds (the d = 0 one
-    is a syrk), and the 3P(P-1)/2 corrections, each a (2K x M_t)(M_t x 2K)
-    product, add 6P(P-1) K^2 M_t; a syrk of the stacked S(m) costs
-    2 P^2 K^2 M_t (N-P+1).
-
-    The stream holds sign * (Re x, Im x) / u, entries in {0, +-1}, so in
-    float32 every sum is an exact integer while a chunk of the stream keeps
-    its rows within 2^24; the chunks add up in float64, and the Gram is
-    scaled by u^2 / N once at the end.
+    symbols.  Column p of S(m) is [x_k(m) c_k(m, P-1-p .. N-1-p)]_k, so
+    block (a, b) of the Gram (rows tap a, columns tap b) is
+    sum_m conj(x_k(m)) x_j(m) B_kj[a, b](m) / N, with B[a, b] the sign
+    cross-Grams of :func:`sos._cross_grams`; the blocks b < a are the
+    conjugate transposes of those above.  With x = u (alpha + j beta) the
+    weight conj(x_k) x_j / u^2 has real part alpha_k alpha_j + beta_k beta_j
+    and imaginary part alpha_k beta_j - beta_k alpha_j, each in
+    {0, +-1, +-2}, so in float32 every sum is an exact integer while a
+    chunk keeps its sums within 2^24; the chunks add up in float64, and the
+    Gram is scaled by u^2 / N once at the end.
 
     Raises
     ------
@@ -139,45 +130,20 @@ def _training_gram(chips: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
             "the exact training Gram needs symbols whose real and imaginary "
             "parts are all 0 or +-u for one u > 0"
         )
-    levels = (comps / scale).astype(np.float32).transpose(0, 2, 1)[..., None]  # (K, 2, M_t, 1)
-    # integer sums, per lag d: the lag GEMM less the boundary pairs, and the
-    # per-symbol pairs at the head chips u = d .. P-2 and the tail chips
-    # u = N-1-a, a = 0 .. P-2-d
-    lags = np.zeros((taps, 2 * k, 2 * k))
-    edges = [np.zeros((2 * (taps - 1 - d), 2 * k, 2 * k)) for d in range(taps)]
-    step = max(1, _EXACT_INT_F32 // n)
-    for lo in range(0, mt, step):
-        ms = min(step, mt - lo)
-        stream = np.empty((k, 2, ms, n), dtype=np.float32)
-        np.multiply(chips[:, None, lo : lo + ms], levels[:, :, lo : lo + ms], out=stream)
-        by_chip = stream.reshape(2 * k, ms, n)  # (Re, Im) of Y(m, u) / u by row
-        flat = stream.reshape(2 * k, ms * n)
-        for d in range(taps):
-            lags[d] += flat[:, d:] @ flat[:, : ms * n - d].T
-            # pairs that straddle a boundary: chip j < d of symbol m+1 with chip N-d+j of m
-            after, before = by_chip[:, 1:, :d], by_chip[:, :-1, n - d :]
-            lags[d] -= after.reshape(2 * k, -1) @ before.reshape(2 * k, -1).T
-            u = np.concatenate([np.arange(d, taps - 1), n - 1 - np.arange(taps - 1 - d)])
-            edges[d] += np.matmul(
-                by_chip[:, :, u].transpose(2, 0, 1), by_chip[:, :, u - d].transpose(2, 1, 0)
-            )
-    del stream, by_chip, flat  # free the stream before the blocks are assembled
-    real = np.zeros((taps, taps, 2 * k, 2 * k))
-    for d in range(taps):
-        head, tail = edges[d][: taps - 1 - d], edges[d][taps - 1 - d :]
-        block = lags[d] - head.sum(axis=0)
-        real[0, d] = block
-        for a in range(taps - 1 - d):
-            block = block + head[taps - 2 - a - d] - tail[a]
-            real[a + 1, a + 1 + d] = block
-    # Y^H Y = (Re^T Re + Im^T Im) + j (Re^T Im - Im^T Re) from the float view;
-    # the integer sums make every diagonal block exactly Hermitian
-    parts = real.reshape(taps, taps, k, 2, k, 2)
-    blocks = parts[:, :, :, 0, :, 0] + parts[:, :, :, 1, :, 1]
-    blocks = blocks + 1j * (parts[:, :, :, 0, :, 1] - parts[:, :, :, 1, :, 0])
-    for a in range(taps):
-        for b in range(a + 1, taps):
-            blocks[b, a] = blocks[a, b].conj().T
+    levels = (comps / scale).astype(np.float32).transpose(1, 0, 2)  # (M_t, K, 2)
+    # the weights' (Re, Im): (alpha, beta) times (alpha, beta) and (beta, -alpha)
+    partners = np.stack([levels, np.stack([levels[..., 1], -levels[..., 0]], axis=-1)])
+    sums = np.zeros((taps, taps, 2, k, k))  # (Re, Im) integer sums of the blocks a <= b
+    # |weight| <= 2 times a cross-Gram entry of at most N-P+1
+    for block, cross in _cross_grams(chips, taps, _EXACT_INT_F32 // (2 * (n - taps + 1))):
+        weights = np.matmul(levels[block], partners[:, block].transpose(0, 1, 3, 2))
+        for (a, b), b_ab in cross.items():
+            sums[a, b] += np.einsum("rmkj,mkj->rkj", weights, b_ab)
+        del weights  # before the next chunk's are computed
+    del cross, b_ab  # free the chunk buffers before the blocks are assembled
+    blocks = sums[:, :, 0] + 1j * sums[:, :, 1]
+    for a, b in itertools.combinations(range(taps), 2):
+        blocks[b, a] = blocks[a, b].conj().T
     return blocks.transpose(2, 0, 3, 1).reshape(k * taps, k * taps) * (scale * scale / n)
 
 

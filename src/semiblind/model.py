@@ -28,7 +28,7 @@ __all__ = [
 
 # QPSK constellation (+-1 +-j)/sqrt(2), indexed by 2-bit symbol
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
-# chip signs converted to float64 at a time by the consumers (512 KB)
+# chip signs drawn, or converted to float64 by the consumers, at a time (512 KB)
 _CHUNK_ELEMS = 2**16
 
 
@@ -123,9 +123,13 @@ def sample_codes(params: SystemParams, rng: np.random.Generator) -> np.ndarray:
 
     Chip (k, m, l) is sign / sqrt(N).  The int32 draw consumes the generator
     exactly as the default int64 one would, and the signs equal its 2 b - 1.
+    It goes straight into the int8 signs in pieces, which continue one
+    stream: the generator keeps the unused half of its last 64-bit word.
     """
-    shape = (params.users, params.symbols, params.gain)
-    signs = rng.integers(0, 2, size=shape, dtype=np.int32).astype(np.int8)
+    signs = np.empty((params.users, params.symbols, params.gain), dtype=np.int8)
+    for lo in range(0, signs.size, _CHUNK_ELEMS):
+        size = min(_CHUNK_ELEMS, signs.size - lo)
+        signs.reshape(-1)[lo : lo + size] = rng.integers(0, 2, size=size, dtype=np.int32)
     signs *= 2
     signs -= 1
     return signs

@@ -18,9 +18,9 @@ integer, and binary32 holds every integer of magnitude up to 2^24
 exactly, so each chunk of symbols is summed exactly as long as it keeps
 its sums, at most chunk * (N-P+1)^2, within 2^24; the chunks add up in
 float64 and one division by M_i N^2 gives the correctly rounded T.  Per
-symbol that is P^2 cross-Grams of K x (N-P+1) chip windows, K^2 P^2 (N-P+1)
-multiply-adds, plus the (P^4 + 3 P^2)/4 products of K x K cross-Grams (27
-for P = 3) that the symmetries of the Kronecker squares leave distinct.
+symbol, :func:`_cross_grams` builds the P^2 cross-Grams of K x (N-P+1) chip
+windows from P GEMMs and P(P-1)/2 rank-2 updates, and T sums the (P^4 + 3 P^2)/4
+products of them (27 for P = 3) that the Kronecker symmetries leave distinct.
 """
 
 from __future__ import annotations
@@ -84,8 +84,9 @@ def build_normal_equations(
         Skip the (comparatively expensive) T accumulation when False and
         return None in its place, for identity-T estimation.  T is an
         exact integer sum in float32 (see the module docstring), chunked so
-        that each chunk's sums stay within 2^24; it costs about
-        K^2 P^2 (N-P+1) multiply-adds per symbol.
+        that each chunk's sums stay within 2^24.  Per symbol it costs
+        P K^2 (N-P+1) GEMM multiply-adds, P(P-1)/2 rank-2 updates of K x K
+        cross-Grams and (P^4 + 3 P^2)/4 Hadamard sums of them.
 
     Raises
     ------
@@ -144,20 +145,12 @@ def _gram(chips: np.ndarray, taps: int) -> np.ndarray:
         raise ValueError(f"the exact float32 Gram needs N-P+1 <= 4096, not {n_w}")
     quads = _kron_orbits(taps)
     acc = np.zeros((len(quads), k, k))
-    chunk = max(1, min(mi, _GRAM_CHUNK_ELEMS // (taps * taps * k * k), _EXACT_INT_F32 // n_w**2))
-    signs = np.empty((chunk, k, n), dtype=np.float32)
-    cross = np.empty((taps, taps, chunk, k, k), dtype=np.float32)
-    for lo in range(0, mi, chunk):
-        size = min(chunk, mi - lo)
-        s = signs[:size]
-        np.copyto(s, chips[:, lo : lo + size].transpose(1, 0, 2))
-        # Sylvester column a of every code word: chips P-1-a .. N-1-a
-        cols = [s[:, :, taps - 1 - a : n - a] for a in range(taps)]
-        for a, b in itertools.product(range(taps), repeat=2):
-            np.matmul(cols[a], cols[b].transpose(0, 2, 1), out=cross[a, b, :size])
+    for _, cross in _cross_grams(chips, taps, _EXACT_INT_F32 // n_w**2):
+        for a, b in itertools.combinations(range(taps), 2):
+            cross[b, a] = np.ascontiguousarray(cross[a, b].transpose(0, 2, 1))
         for q, (a, b, c, d) in enumerate(quads):
-            acc[q] += np.einsum("mij,mij->ij", cross[a, b, :size], cross[c, d, :size])
-    del signs, cross  # free the chunk buffers before T is allocated
+            acc[q] += np.einsum("mij,mij->ij", cross[a, b], cross[c, d])
+    del cross  # free the chunk buffers before T is allocated
     acc /= mi * n * n
     dim = k * taps * taps
     gram = np.empty((dim, dim))
@@ -166,6 +159,43 @@ def _gram(chips: np.ndarray, taps: int) -> np.ndarray:
         view[:, a, c, :, b, d] = view[:, c, a, :, d, b] = acc[q]
         view[:, b, d, :, a, c] = view[:, d, b, :, c, a] = acc[q].T
     return gram
+
+
+def _cross_grams(chips: np.ndarray, taps: int, max_chunk: int):
+    """Yield ``(block, cross)`` per symbol chunk of the (K, M, N) chip signs.
+
+    A chunk holds at most ``max_chunk`` symbols, and fewer where P^2
+    cross-Grams (with the lower ones a consumer may copy) would pass
+    ``_GRAM_CHUNK_ELEMS``.  ``cross`` maps (a, b), a <= b, to the chunk's
+    (size, K, K) float32 sign cross-Grams B[a, b] = W_a W_b^T of the
+    Sylvester windows W_a (chips P-1-a .. N-1-a), overwritten by the next
+    chunk.  Row B[0, b] is one batched GEMM each; down each diagonal,
+    window a gains chip P-1-a and drops chip N-a, so B[a, b] = B[a-1, b-1]
+    + s(P-1-a) s(P-1-b)^T - s(N-a) s(N-b)^T, one batched rank-2 product.
+    Every entry is an integer of magnitude at most N-P+1, exact in float32.
+    """
+    k, m, n = chips.shape
+    chunk = max(1, min(m, max_chunk, _GRAM_CHUNK_ELEMS // (taps * taps * k * k)))
+    pairs = [(a, b) for a in range(taps) for b in range(a, taps)]
+    buf = np.empty((len(pairs), chunk, k, k), dtype=np.float32)
+    signs = np.empty((chunk, k, n), dtype=np.float32)
+    # chips gained and dropped by windows 1 .. P-1; a product negates the dropped
+    # ones, as numpy 2.4's np.negative writes wrong values into strided ``out``s
+    edge_chips = np.stack([np.arange(taps - 2, -1, -1), np.arange(n - 1, n - taps, -1)], axis=-1)
+    flip = np.array([[1], [-1]], dtype=np.float32)
+    for lo in range(0, m, chunk):
+        s = signs[: min(chunk, m - lo)]
+        np.copyto(s, chips[:, lo : lo + chunk].transpose(1, 0, 2))
+        cross = dict(zip(pairs, buf[:, : len(s)]))
+        for b in range(taps):
+            window = s[:, :, taps - 1 - b : n - b].transpose(0, 2, 1)
+            np.matmul(s[:, :, taps - 1 :], window, out=cross[0, b])
+        edges = s.transpose(0, 2, 1)[:, edge_chips]  # (size, P-1, 2, K)
+        signed = edges * flip
+        for a, b in pairs[taps:]:  # rows 1 .. P-1, each after the row above
+            np.matmul(edges[:, a - 1].transpose(0, 2, 1), signed[:, b - 1], out=cross[a, b])
+            cross[a, b] += cross[a - 1, b - 1]
+        yield slice(lo, lo + len(s)), cross
 
 
 @cache

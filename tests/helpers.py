@@ -115,3 +115,17 @@ def gram_only(params: model.SystemParams, rng: np.random.Generator) -> np.ndarra
         chips, windows, range(params.symbols), 0.0, include_gram=True
     )
     return gram
+
+
+def record_chunk_sizes(monkeypatch, module) -> list[int]:
+    """Patch ``module._cross_grams`` to append each chunk's symbol count to the returned list."""
+    sizes = []
+    kernel = sos._cross_grams
+
+    def recording(*args):
+        for block, cross in kernel(*args):
+            sizes.append(block.stop - block.start)
+            yield block, cross
+
+    monkeypatch.setattr(module, "_cross_grams", recording)
+    return sizes

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from semiblind import analytic, estimators, model, sos
 from semiblind.errors import ConfigError
-from helpers import draw_block, representative_channels, seeded_rng, training_trials
+from helpers import (
+    draw_block,
+    record_chunk_sizes,
+    representative_channels,
+    seeded_rng,
+    training_trials,
+)
 
 
 def random_taps(taps, *key):
@@ -128,15 +134,17 @@ class TestTrainingEstimate:
 
     def test_chunked_lag_gram_bit_identical(self, monkeypatch):
         # every chunk's float32 sums are exact integers, so the chunking
-        # (here 3 symbols of 7 chips, with a partial last chunk) cannot
-        # change the Gram
+        # (here 3 symbols whose weighted sums of 5-chip windows reach
+        # 3 * 2 * 5, with a partial last chunk) cannot change the Gram
         rng = seeded_rng(133)
         chips = rng.choice(np.array([-1, 1], dtype=np.int8), size=(3, 8, 7))
         signs = rng.choice([-1.0, 1.0], size=(2, 3, 8))
         x = (signs[0] + 1j * signs[1]) / np.sqrt(2.0)
         whole = estimators._training_gram(chips, x, 3)
-        monkeypatch.setattr(estimators, "_EXACT_INT_F32", 3 * 7)
+        monkeypatch.setattr(estimators, "_EXACT_INT_F32", 3 * 2 * 5)
+        sizes = record_chunk_sizes(monkeypatch, estimators)
         assert np.array_equal(estimators._training_gram(chips, x, 3), whole)
+        assert sizes == [3, 3, 2]
 
     @pytest.mark.parametrize("case", ["two_levels", "zero"])
     def test_rejects_symbols_off_one_level(self, case):

@@ -172,6 +172,25 @@ class TestRunTrial:
             tracemalloc.stop()
         assert peak < p.users * p.symbols * p.gain * 8
 
+    @pytest.mark.parametrize("sos_mode", ["identity", "solve"])
+    def test_trial_peak_memory(self, sos_mode):
+        # the chips are drawn in pieces and each Gram holds one chunk of
+        # cross-Grams, so one trial at N = 64, K = 64, M = 400, P = 3 peaks
+        # below 9.46 MB in either mode
+        cfg = harness.ExperimentConfig(
+            gain=64, symbols=400, beta=(1.0,), sigma_n2=(0.5,), taps=(3,),
+            alpha=(0.2,), trials=1, seed=5, estimator="subspace", sos_mode=sos_mode,
+        )
+        cell = harness.grid_cells(cfg)[0]
+        assert cell.params.users == 64
+        tracemalloc.start()
+        try:
+            harness.run_trial(cfg, cell, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.46e6
+
 
 class TestRunSweep:
     def test_single_cell_consistent_with_trials(self):

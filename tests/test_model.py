@@ -1,5 +1,7 @@
 """Tests for the signal model: sampling, Sylvester structure, synthesis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -101,6 +103,31 @@ class TestSampleCodes:
         assert np.array_equal(chips, ref)
         after = model.sample_symbols(p, rng)
         assert np.array_equal(after, model.sample_symbols(p, ref_rng))
+
+    @pytest.mark.parametrize("users,symbols,gain", [(3, 7, 9), (5, 3, 11)])
+    def test_pieces_continue_the_stream(self, monkeypatch, users, symbols, gain):
+        # pieces of 7 values end inside a 64-bit generator word, whose unused
+        # half the next piece must take up, as the one-piece draw does
+        monkeypatch.setattr(model, "_CHUNK_ELEMS", 7)
+        p = model.SystemParams(users=users, gain=gain, taps=1, symbols=symbols)
+        rng, ref_rng = seeded_rng(8), seeded_rng(8)
+        chips = model.sample_codes(p, rng)
+        ref = 2 * ref_rng.integers(0, 2, (users, symbols, gain)) - 1
+        assert np.array_equal(chips, ref)
+        assert np.array_equal(model.sample_codes(p, rng), model.sample_codes(p, ref_rng))
+
+    def test_draw_peak_memory(self):
+        # drawn in pieces: the 1.6 MB of int8 signs plus one int32 piece,
+        # not a 6.6 MB int32 array of every chip
+        p = model.SystemParams(users=64, gain=64, taps=3, symbols=400)
+        rng = seeded_rng(9)
+        tracemalloc.start()
+        try:
+            model.sample_codes(p, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
 
 class TestSampleSymbols:

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from semiblind import model, sos
 from semiblind.errors import SingularSystemError
-from helpers import draw_block, gram_only, seeded_rng, sos_trials
+from helpers import draw_block, gram_only, record_chunk_sizes, seeded_rng, sos_trials
 
 
 def brute_force_system(params, chips, windows, noise_var):
@@ -37,6 +37,38 @@ def brute_force_system(params, chips, windows, noise_var):
         rhs += q.T @ np.outer(r, r.conj()).reshape(-1, order="F")
         rhs -= noise_var * (q.T @ eye_vec)
     return gram / params.symbols, rhs.reshape(k, p * p) / params.symbols
+
+
+class TestCrossGrams:
+    @given(
+        users=st.integers(1, 4),
+        taps=st.integers(1, 5),
+        gain=st.integers(2, 16),
+        symbols=st.integers(1, 7),
+        chunk=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(users=2, taps=5, gain=6, symbols=7, chunk=3, seed=0)  # P = N-1, last chunk of 1
+    @example(users=4, taps=3, gain=16, symbols=7, chunk=2, seed=1)
+    @example(users=1, taps=1, gain=2, symbols=1, chunk=1, seed=2)
+    # strides on which numpy 2.4's np.negative(x, out=y) writes wrong values
+    @example(users=1, taps=3, gain=4, symbols=5, chunk=5, seed=3)
+    def test_property_matches_window_products(self, users, taps, gain, symbols, chunk, seed):
+        # oracle: W_a W_b^T of the float64 Sylvester windows, symbol by symbol
+        gain = max(gain, taps + 1)
+        chips = seeded_rng(seed).choice(np.array([-1, 1], dtype=np.int8), (users, symbols, gain))
+        windows = [chips[:, :, taps - 1 - a : gain - a].astype(float) for a in range(taps)]
+        pairs = [(a, b) for a in range(taps) for b in range(a, taps)]
+        lo = 0
+        for block, cross in sos._cross_grams(chips, taps, chunk):
+            assert block == slice(lo, min(lo + chunk, symbols))
+            assert sorted(cross) == pairs
+            for (a, b), got in cross.items():
+                assert got.dtype == np.float32
+                ref = np.einsum("imn,jmn->mij", windows[a][:, block], windows[b][:, block])
+                assert np.array_equal(got, ref)
+            lo = block.stop
+        assert lo == symbols
 
 
 class TestBuildNormalEquations:
@@ -104,7 +136,9 @@ class TestBuildNormalEquations:
         _, whole = sos.build_normal_equations(chips, windows, range(20), p.noise_var)
         # room for 3 symbols of the 9 (4 x 4) cross-Grams: 7 chunks
         monkeypatch.setattr(sos, "_GRAM_CHUNK_ELEMS", 3 * 9 * 16)
+        sizes = record_chunk_sizes(monkeypatch, sos)
         _, chunked = sos.build_normal_equations(chips, windows, range(20), p.noise_var)
+        assert sizes == [3] * 6 + [2]
         assert np.array_equal(chunked, whole)
 
     @pytest.mark.parametrize("case", ["one_chip", "unit_chips"])
