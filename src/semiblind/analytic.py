@@ -12,22 +12,16 @@ float where the result is a scalar.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import estimators
 from .errors import ConfigError, SingularSystemError
 from .model import SystemParams
-from .sos import free_slot_index, hermitian_basis, outer_free_jacobian
+from .sos import free_weights, hermitian_basis, outer_free_jacobian
 
 __all__ = [
-    "SosErrorModel",
-    "RealErrorModel",
     "predict_sos_covariance",
     "average_sos_variance",
-    "sos_pseudo_covariance",
     "real_covariance",
     "predict_subspace_angle",
     "predict_subspace_mse",
@@ -39,35 +33,6 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
-
-
-@dataclass
-class SosErrorModel:
-    """Scaled covariance of one user's SOS estimation error.
-
-    ``sigma_dd`` is the P^2 x P^2 Hermitian PSD matrix whose (i, j) entry is
-    the scaled covariance between error components i and j; it decomposes as
-    c*I + lam*omega with lam = noise_var + load the per-tap power of the
-    despread interference plus noise, the channel-independent floor
-    c = lam^2, and the rank-structured, channel-dependent ``omega``.
-    """
-
-    sigma_dd: np.ndarray  # (..., P^2, P^2) complex
-    omega: np.ndarray  # (..., P^2, P^2) complex
-
-
-@dataclass
-class RealErrorModel:
-    """Real covariance of the stacked observation (training est., free SOS vars).
-
-    ``sigma_df`` is the scaled P^2 x P^2 covariance of the SOS free
-    variables; ``sigma_zz`` the unscaled (2P+P^2)-dim covariance of the full
-    observation error, block-diagonal with training block
-    noise_var/(2 M_t) * I.
-    """
-
-    sigma_zz: np.ndarray
-    sigma_df: np.ndarray
 
 
 def _interference_power(params: SystemParams) -> float:
@@ -95,40 +60,29 @@ def _scalar(x: np.ndarray) -> float | np.ndarray:
 def _omega_matrix(g: np.ndarray) -> np.ndarray:
     """Channel-dependent part of the SOS error covariance, (..., P^2, P^2).
 
-    Index i of the vec'd error addresses matrix position
-    (row, col) = (i mod P, i // P); the four cases are: both positions equal
-    (sum of the two tap powers), matching rows (conjugate product of the
-    column taps), matching columns (product of the row taps), else zero.
+    With G = g g^H and the column-stacked vec, Omega = conj(G) (x) I + I (x) G:
+    errors at positions sharing a column covary through G, those sharing a
+    row through conj(G), and both at once (the diagonal) through the sum.
+    ``np.kron`` of a (..., P, P) stack with I gives one product per matrix.
     """
-    p = g.shape[-1]
-    idx = np.arange(p * p)
-    row, col = idx % p, idx // p
-    same_row = row[:, None] == row[None, :]
-    same_col = col[:, None] == col[None, :]
-    gc = g.conj()
-    om = np.where(
-        same_col,
-        g[..., row[:, None]] * gc[..., row[None, :]],
-        np.where(same_row, gc[..., col[:, None]] * g[..., col[None, :]], 0),
-    )
-    om[..., idx, idx] = np.abs(g[..., col]) ** 2 + np.abs(g[..., row]) ** 2
-    return om
+    gram = g[..., :, None] * g[..., None, :].conj()
+    eye = np.eye(g.shape[-1])
+    return np.kron(gram.conj(), eye) + np.kron(eye, gram)
 
 
-def predict_sos_covariance(g: np.ndarray, params: SystemParams) -> SosErrorModel:
+def predict_sos_covariance(g: np.ndarray, params: SystemParams) -> np.ndarray:
     """Scaled SOS error covariance lam^2*I + lam*Omega for one user's taps.
 
     With a_k = g_k x_k + e_k and e_k of per-tap power lam, the per-symbol
     covariance of vec(a_k a_k^H) is lam^2 I from e_k e_k^H plus lam*Omega(g_k)
     from the cross terms; |x_k|^2 = 1 (QPSK), so the own signal adds none.
-    Its channel average lam^2 + 2*lam/P is :func:`average_sos_variance`.
+    Returns the (..., P^2, P^2) Hermitian PSD matrix; its channel average
+    of trace/P^2, lam^2 + 2*lam/P, is :func:`average_sos_variance`.
     """
     g = np.asarray(g, dtype=complex)
     _energy(g, nonzero=True)
     lam = _interference_power(params)
-    omega = _omega_matrix(g)
-    sigma = lam * lam * np.eye(g.shape[-1] ** 2) + lam * omega
-    return SosErrorModel(sigma_dd=sigma, omega=omega)
+    return lam * lam * np.eye(g.shape[-1] ** 2) + lam * _omega_matrix(g)
 
 
 def average_sos_variance(params: SystemParams) -> float:
@@ -141,68 +95,31 @@ def average_sos_variance(params: SystemParams) -> float:
     return 2 * beta * s2 + s2 * s2 + beta * beta + 2 * (beta + s2) / p
 
 
-def sos_pseudo_covariance(sigma_dd: np.ndarray) -> np.ndarray:
-    """Scaled pseudo-covariance (no conjugate) of the SOS error.
+def real_covariance(sigma_dd: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Real covariance of the stacked observation (training est., free SOS vars).
 
-    Because the reshaped error matrix is Hermitian, component pi(j) at the
-    transposed position equals the conjugate of component j, so the
-    pseudo-covariance is the covariance with its columns permuted by pi.
-    """
-    dim = sigma_dd.shape[-1]
-    p = math.isqrt(dim)
-    j = np.arange(dim)
-    perm = (j % p) * p + j // p
-    return sigma_dd[..., perm]
-
-
-def real_covariance(
-    sigma_dd: np.ndarray, pseudo: np.ndarray, params: SystemParams
-) -> RealErrorModel:
-    """Assemble the real observation covariance from (covariance, pseudo).
-
-    For complex entries u, v with covariance C = E{u conj(v)} and
-    pseudo-covariance R = E{u v}:
-
-        cov(Re u, Re v) = (Re C + Re R) / 2
-        cov(Im u, Im v) = (Re C - Re R) / 2
-        cov(Re u, Im v) = (Im R - Im C) / 2
-        cov(Im u, Re v) = (Im R + Im C) / 2
-
-    restricted here to the canonical free-variable ordering.  Leading
-    batch axes of the inputs carry through to both outputs.
+    The free variables of a Hermitian error E are f = A vec(E) with
+    A = hermitian_basis reshaped to (P^2, P^2) over the free weights
+    (f_s = tr(B_s E) / w_s), so the scaled SOS covariance ``sigma_dd`` gives
+    them the scaled real covariance (A sigma_dd A^H).real.  Returns the
+    unscaled (2P + P^2)-dim covariance, block-diagonal with training block
+    noise_var/(2 M_t) * I and SOS block (A sigma_dd A^H).real / (M - M_t).
+    Leading batch axes carry through.
     """
     if params.train_symbols == 0:
         raise ConfigError("degenerate configuration: no training symbols (M_t = 0)")
     if params.train_symbols == params.symbols:
         raise ConfigError("degenerate configuration: no information symbols (M_t = M)")
     taps = params.taps
-    row, col, is_im = free_slot_index(taps)
-    pos = col * taps + row  # free-slot positions in the vec'd matrix
-    c_sub = sigma_dd[..., pos[:, None], pos[None, :]]
-    r_sub = pseudo[..., pos[:, None], pos[None, :]]
-
-    re_u = ~is_im[:, None]
-    re_v = ~is_im[None, :]
-    out = np.where(
-        re_u & re_v,
-        0.5 * (c_sub.real + r_sub.real),
-        np.where(
-            re_u & ~re_v,
-            0.5 * (r_sub.imag - c_sub.imag),
-            np.where(~re_u & re_v, 0.5 * (r_sub.imag + c_sub.imag),
-                     0.5 * (c_sub.real - r_sub.real)),
-        ),
-    )
-    sigma_df = 0.5 * (out + np.swapaxes(out, -1, -2))
-
-    two_p = 2 * taps
-    dim = two_p + taps * taps
-    sigma_zz = np.zeros((*out.shape[:-2], dim, dim))
+    two_p, dim = 2 * taps, taps * taps
+    free_map = hermitian_basis(taps).reshape(dim, dim) / free_weights(taps)[:, None]
+    sigma_df = (free_map @ sigma_dd @ free_map.conj().T).real
+    sigma_zz = np.zeros((*sigma_df.shape[:-2], two_p + dim, two_p + dim))
     sigma_zz[..., :two_p, :two_p] = (
         params.noise_var / (2.0 * params.train_symbols)
     ) * np.eye(two_p)
     sigma_zz[..., two_p:, two_p:] = sigma_df / (params.symbols - params.train_symbols)
-    return RealErrorModel(sigma_zz=sigma_zz, sigma_df=sigma_df)
+    return sigma_zz
 
 
 def predict_subspace_angle(g: np.ndarray, params: SystemParams) -> float:
@@ -295,12 +212,9 @@ def _scaled_obs_covariance(g: np.ndarray, params: SystemParams) -> np.ndarray:
 
     Equals (symbols count) times the unscaled observation covariance: the
     training block becomes noise_var/(2 alpha) I and the SOS block
-    sigma_df/(1 - alpha).
+    (A Sigma A^H).real/(1 - alpha), A the free-variable map.
     """
-    model = predict_sos_covariance(g, params)
-    pseudo = sos_pseudo_covariance(model.sigma_dd)
-    real = real_covariance(model.sigma_dd, pseudo, params)
-    return params.symbols * real.sigma_zz
+    return params.symbols * real_covariance(predict_sos_covariance(g, params), params)
 
 
 def _stationarity_jacobians(
@@ -308,27 +222,20 @@ def _stationarity_jacobians(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jacobians of the moment-matching stationarity map F at the true point.
 
-    Returns (dF/dg_real, dF/dz_real) evaluated at g with exact moments, for
-    the cost w ||vec(g g^H) - d||^2 + (1 - w) ||g - g_bar||^2; shapes
-    (..., 2P, 2P) and (..., 2P, 2P + P^2).
+    The cost w sum_s W_s (f_s(g) - d_s)^2 + (1 - w) ||g - g_bar||^2 in real
+    coordinates, with f the free variables of g g^H, J = df/dg and W the free
+    weights, has gradient F = 2w J^T W (f - d) + 2(1 - w)(g - g_bar).  At exact
+    moments (f = d) the curvature of f drops out, leaving
+    dF/dg = 2w J^T W J + 2(1 - w) I and dF/d(g_bar, d) = [-2(1 - w) I, -2w J^T W];
+    shapes (..., 2P, 2P) and (..., 2P, 2P + P^2).
     """
     g = np.asarray(g, dtype=complex)
     p = g.shape[-1]
-    a, b = g.real[..., :, None], g.imag[..., :, None]
-    d_mat = g[..., :, None] * g.conj()[..., None, :]
-    diag = _energy(g)[..., None, None] * np.eye(p) - d_mat.real
-
-    h_aa = 4 * weight * (2 * a * a.swapaxes(-1, -2) + diag)
-    h_bb = 4 * weight * (2 * b * b.swapaxes(-1, -2) + diag)
-    h_ab = 4 * weight * (2 * a * b.swapaxes(-1, -2) + d_mat.imag)
-    h_ba = 4 * weight * (2 * b * a.swapaxes(-1, -2) - d_mat.imag)
-    hess = np.block([[h_aa, h_ab], [h_ba, h_bb]])
-    hess += 2 * (1 - weight) * np.eye(2 * p)
-
-    bg = np.einsum("sij,...j->...si", hermitian_basis(p), g)  # (..., P^2, P)
-    df_dfree = -4 * weight * np.concatenate([bg.real, bg.imag], axis=-1).swapaxes(-1, -2)
-    eye = np.broadcast_to(-2 * (1 - weight) * np.eye(2 * p), df_dfree.shape[:-1] + (2 * p,))
-    return hess, np.concatenate([eye, df_dfree], axis=-1)
+    jac_t = np.swapaxes(outer_free_jacobian(g), -1, -2)  # (..., 2P, P^2)
+    jtw = 2 * weight * jac_t * free_weights(p)
+    hess = jtw @ np.swapaxes(jac_t, -1, -2) + 2 * (1 - weight) * np.eye(2 * p)
+    eye = np.broadcast_to(-2 * (1 - weight) * np.eye(2 * p), hess.shape)
+    return hess, np.concatenate([eye, -jtw], axis=-1)
 
 
 def mm_error_covariance(

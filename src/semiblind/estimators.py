@@ -42,7 +42,6 @@ class FitDiagnostics:
 
     method: str
     weight: float  # moment-matching w or subspace omega (per entry if batched)
-    weight_source: str = "given"  # given | oracle | plugin
     iterations: int = 0
     cost: float = 0.0
     converged: bool = True

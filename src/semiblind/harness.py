@@ -14,7 +14,7 @@ import io
 import json
 import logging
 import math
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -314,11 +314,10 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
             diagnostics["mm"] = fit.diagnostics
 
         if "subspace" in which:
-            source = config.omega if isinstance(config.omega, str) else "given"
             omega = _subspace_omega(config, params, gains, g_bar)
             fit = estimators.subspace_semiblind(g_bar, d_hat, omega)
             errors["subspace"] = np.sum(np.abs(fit.gains - gains) ** 2, axis=1)
-            diagnostics["subspace"] = replace(fit.diagnostics, weight_source=source)
+            diagnostics["subspace"] = fit.diagnostics
 
     return TrialResult(errors=errors, diagnostics=diagnostics)
 
@@ -354,12 +353,15 @@ def _analytic_draws(config: ExperimentConfig, taps: int) -> np.ndarray:
 
 def _analytic_cell(
     config: ExperimentConfig, cell: Cell, estimator: str
-) -> tuple[float, float, float]:
-    """Channel-averaged (sigma_g2_ana, its standard error, eta_ana)."""
+) -> tuple[float, float, float | None]:
+    """Channel-averaged (sigma_g2_ana, its standard error, eta_ana).
+
+    eta divides by 1 - alpha, so a training-only cell at alpha = 1 has none.
+    """
     params = cell.params
     alpha, s2 = params.train_frac, params.noise_var
     if estimator == "training":
-        return s2 / alpha, 0.0, 0.0
+        return s2 / alpha, 0.0, (0.0 if alpha < 1 else None)
 
     draws = _analytic_draws(config, cell.taps)
     if estimator == "mm":
@@ -388,9 +390,9 @@ def _cell_records(
 ) -> list[SweepRecord]:
     """One record per estimator of the cell.
 
-    The analytic columns are always filled; the empirical ones come from
-    ``per_trial`` (each estimator's per-trial mean squared errors) when it is
-    given, and are otherwise left empty in an analytic-only record.
+    The analytic columns are filled, bar eta at alpha = 1; the empirical ones
+    come from ``per_trial`` (each estimator's per-trial mean squared errors)
+    when it is given, and are otherwise left empty in an analytic-only record.
     """
     params = cell.params
     records = []
@@ -402,7 +404,8 @@ def _cell_records(
             scaled = params.symbols * np.asarray(per_trial[name]) / params.taps
             trials, emp = scaled.size, float(scaled.mean())
             se = float(scaled.std(ddof=1) / math.sqrt(scaled.size)) if scaled.size > 1 else None
-            eta_emp = analytic.efficiency(emp, params.noise_var, params.train_frac)
+            if eta_ana is not None:
+                eta_emp = analytic.efficiency(emp, params.noise_var, params.train_frac)
         records.append(
             SweepRecord(
                 beta=cell.beta,

@@ -405,14 +405,14 @@ def outer_free_jacobian(g: np.ndarray) -> np.ndarray:
     """Jacobian of the free variables of vec(g g^H) wrt (Re g, Im g).
 
     Row s is the gradient of free variable s; every entry is linear in g.
-    Shape (P^2, 2P).
+    Shape (P^2, 2P), or (..., P^2, 2P) for a (..., P) stack.
     """
     g = np.asarray(g, dtype=complex)
-    taps = g.shape[0]
+    taps = g.shape[-1]
     row, col, _ = free_slot_index(taps)
-    bg = hermitian_basis(taps) @ g  # (P^2, P)
+    bg = np.einsum("sij,...j->...si", hermitian_basis(taps), g)  # (..., P^2, P)
     scale = np.where(row == col, 2.0, 1.0)
-    return scale[:, None] * np.concatenate([bg.real, bg.imag], axis=1)
+    return scale[:, None] * np.concatenate([bg.real, bg.imag], axis=-1)
 
 
 def free_vars(d: np.ndarray) -> np.ndarray:

@@ -83,7 +83,7 @@ def test_criterion_01_average_sos_variance(identity_run):
 def test_criterion_02_sos_covariance_structure(identity_run):
     gains, estimates, _ = identity_run
     g0 = gains[0]
-    pred = analytic.predict_sos_covariance(g0, C12_PARAMS).sigma_dd
+    pred = analytic.predict_sos_covariance(g0, C12_PARAMS)
     emp = scaled_covariance(estimates[:, 0, :] - model.vec_outer(gains[0]), C12_PARAMS.symbols)
 
     diag_ratio = np.diag(emp).real / np.diag(pred).real
@@ -92,7 +92,8 @@ def test_criterion_02_sos_covariance_structure(identity_run):
     taps = C12_PARAMS.taps
     idx = np.arange(taps * taps)
     row, col = idx % taps, idx // taps
-    omega = analytic.predict_sos_covariance(g0, C12_PARAMS).omega
+    lam = C12_PARAMS.noise_var + C12_PARAMS.load  # pred = lam^2 I + lam Omega
+    omega = (pred - lam * lam * np.eye(taps * taps)) / lam
     off = (np.abs(omega) > 1e-12) & ~np.eye(taps * taps, dtype=bool)
 
     sign_ok = bool(np.all(np.real(emp[off] * pred[off].conj()) > 0))

@@ -27,39 +27,74 @@ def random_taps(taps, *key):
     return (rng.standard_normal(taps) + 1j * rng.standard_normal(taps)) / np.sqrt(2 * taps)
 
 
+def omega_part(sigma, params):
+    """Omega read back from Sigma = lam^2 I + lam Omega."""
+    lam = params.noise_var + params.load  # despread interference-plus-noise power
+    return (sigma - lam * lam * np.eye(sigma.shape[-1])) / lam
+
+
+def entrywise_omega(g):
+    """Omega by its entrywise four-case rule, the oracle of the Kronecker form.
+
+    Index i of the vec'd error addresses matrix position
+    (row, col) = (i mod P, i // P): both positions equal gives the sum of the
+    two tap powers, matching columns the product of the row taps, matching
+    rows the conjugate product of the column taps, and anything else zero.
+    """
+    p = g.shape[0]
+    om = np.zeros((p * p, p * p), dtype=complex)
+    for i in range(p * p):
+        for j in range(p * p):
+            (ri, ci), (rj, cj) = (i % p, i // p), (j % p, j // p)
+            if i == j:
+                om[i, j] = abs(g[ci]) ** 2 + abs(g[ri]) ** 2
+            elif ci == cj:
+                om[i, j] = g[ri] * g[rj].conj()
+            elif ri == rj:
+                om[i, j] = g[ci].conj() * g[cj]
+    return om
+
+
 class TestSosCovariance:
     def test_scalar_channel(self):
         p = params_for(taps=1)
         g = np.array([0.8 + 0.6j])
-        out = analytic.predict_sos_covariance(g, p)
+        sig = analytic.predict_sos_covariance(g, p)
         lam = p.noise_var + p.load  # despread interference-plus-noise power
-        assert out.omega[0, 0] == pytest.approx(2 * abs(g[0]) ** 2)
+        assert omega_part(sig, p)[0, 0] == pytest.approx(2 * abs(g[0]) ** 2)
         expected = lam**2 + 2 * lam * abs(g[0]) ** 2
-        assert out.sigma_dd[0, 0].real == pytest.approx(expected)
+        assert sig[0, 0].real == pytest.approx(expected)
 
     def test_omega_diagonal(self):
         p = params_for()
         g = random_taps(3, 80)
-        om = analytic.predict_sos_covariance(g, p).omega
+        om = omega_part(analytic.predict_sos_covariance(g, p), p)
         idx = np.arange(9)
         expect = np.abs(g[idx // 3]) ** 2 + np.abs(g[idx % 3]) ** 2
         assert np.allclose(np.diag(om).real, expect)
         assert np.allclose(np.diag(om).imag, 0.0)
 
+    @pytest.mark.parametrize("taps", [1, 2, 3, 4])
+    def test_omega_matches_entrywise_rule(self, taps):
+        g = np.stack([random_taps(taps, 79, taps, i) for i in range(4)])
+        om = analytic._omega_matrix(g)
+        for gi, oi in zip(g, om):
+            np.testing.assert_allclose(oi, entrywise_omega(gi), rtol=1e-15, atol=1e-15)
+
     def test_hermitian_psd(self):
         p = params_for()
         for i in range(10):
             g = random_taps(3, 81, i)
-            sig = analytic.predict_sos_covariance(g, p).sigma_dd
+            sig = analytic.predict_sos_covariance(g, p)
             assert np.allclose(sig, sig.conj().T)
             assert np.linalg.eigvalsh(sig).min() >= -1e-10
 
     def test_diagonal_floor(self):
         # the channel-independent floor c = lam^2 of lam^2 I + lam Omega
         p = params_for()
-        out = analytic.predict_sos_covariance(random_taps(3, 82), p)
+        sig = analytic.predict_sos_covariance(random_taps(3, 82), p)
         floor = (p.noise_var + p.load) ** 2
-        assert np.all(np.diag(out.sigma_dd).real >= floor - 1e-12)
+        assert np.all(np.diag(sig).real >= floor - 1e-12)
 
     def test_rejects_zero_channel(self):
         with pytest.raises(ValueError):
@@ -80,60 +115,50 @@ class TestAverageSosVariance:
         # sigma_d2 = E_g{trace(Sigma)/P^2}: Omega's diagonal averages to 2/P
         p = params_for()
         traces = [
-            np.trace(analytic.predict_sos_covariance(random_taps(3, 83, i), p).sigma_dd).real / 9
+            np.trace(analytic.predict_sos_covariance(random_taps(3, 83, i), p)).real / 9
             for i in range(1000)
         ]
         assert np.mean(traces) == pytest.approx(analytic.average_sos_variance(p), rel=0.02)
 
 
-class TestPseudoCovariance:
-    def test_scalar_identity(self):
-        sig = np.array([[3.7 + 0j]])
-        assert np.array_equal(analytic.sos_pseudo_covariance(sig), sig)
-
-    def test_involution(self):
-        p = params_for()
-        sig = analytic.predict_sos_covariance(random_taps(3, 84), p).sigma_dd
-        once = analytic.sos_pseudo_covariance(sig)
-        assert np.allclose(analytic.sos_pseudo_covariance(once), sig)
-
-    def test_diagonal_support(self):
-        # with the isotropic floor removed, pseudo-covariance diagonals vanish
-        # except at positions addressing diagonal entries of g g^H
-        p = params_for()
-        g = random_taps(3, 85)
-        out = analytic.predict_sos_covariance(g, p)
-        pseudo_omega = analytic.sos_pseudo_covariance(p.noise_var * out.omega)
-        idx = np.arange(9)
-        on_diag = idx // 3 == idx % 3
-        assert np.allclose(np.diag(pseudo_omega)[~on_diag], 0.0, atol=1e-14)
-        assert np.all(np.abs(np.diag(pseudo_omega)[on_diag]) > 0)
-
-
 class TestRealCovariance:
     @staticmethod
     def build(g, p):
-        out = analytic.predict_sos_covariance(g, p)
-        pseudo = analytic.sos_pseudo_covariance(out.sigma_dd)
-        return analytic.real_covariance(out.sigma_dd, pseudo, p)
+        return analytic.real_covariance(analytic.predict_sos_covariance(g, p), p)
 
     def test_scalar_channel(self):
         # P=1: the single free variable is real, so its variance is the full
         # complex variance
         p = params_for(taps=1)
         g = np.array([0.9 - 0.2j])
-        real = self.build(g, p)
-        sig = analytic.predict_sos_covariance(g, p).sigma_dd[0, 0].real
-        assert real.sigma_df[0, 0] == pytest.approx(sig)
-        assert real.sigma_zz.shape == (3, 3)
-        assert real.sigma_zz[0, 0] == pytest.approx(p.noise_var / (2 * p.train_symbols))
+        sigma_zz = self.build(g, p)
+        sigma_df = sigma_zz[2:, 2:] * (p.symbols - p.train_symbols)
+        sig = analytic.predict_sos_covariance(g, p)[0, 0].real
+        assert sigma_df[0, 0] == pytest.approx(sig)
+        assert sigma_zz.shape == (3, 3)
+        assert sigma_zz[0, 0] == pytest.approx(p.noise_var / (2 * p.train_symbols))
+
+    @pytest.mark.parametrize("taps", [1, 2, 3, 4])
+    def test_free_map_recovers_free_covariance(self, taps):
+        # free variables f of covariance S give vec(E) = B f with B the
+        # matrix of free_vars_inverse, hence cov(vec E) = B S B^H; the SOS
+        # block must map that back to S exactly
+        p = params_for(taps=taps)
+        dim = taps * taps
+        rng = seeded_rng(89, taps)
+        half = rng.standard_normal((dim, dim))
+        s_free = half @ half.T
+        b = np.stack([sos.free_vars_inverse(e) for e in np.eye(dim)], axis=1)
+        sigma_zz = analytic.real_covariance(b @ s_free @ b.conj().T, p)
+        sigma_df = sigma_zz[2 * taps:, 2 * taps:] * (p.symbols - p.train_symbols)
+        assert np.max(np.abs(sigma_df - s_free)) <= 1e-13 * np.max(np.abs(s_free))
 
     def test_symmetric_psd(self):
         p = params_for()
         for i in range(10):
-            real = self.build(random_taps(3, 86, i), p)
-            assert np.allclose(real.sigma_zz, real.sigma_zz.T)
-            assert np.linalg.eigvalsh(real.sigma_zz).min() >= -1e-12
+            sigma_zz = self.build(random_taps(3, 86, i), p)
+            assert np.allclose(sigma_zz, sigma_zz.T)
+            assert np.linalg.eigvalsh(sigma_zz).min() >= -1e-12
 
     def test_degenerate_configs_rejected(self):
         g = random_taps(3, 87)
@@ -144,8 +169,7 @@ class TestRealCovariance:
 
     def test_training_block_scale(self):
         p = params_for()
-        real = self.build(random_taps(3, 88), p)
-        block = real.sigma_zz[:6, :6]
+        block = self.build(random_taps(3, 88), p)[:6, :6]
         assert np.allclose(block, (p.noise_var / 160) * np.eye(6))
 
     def test_empirical_observation_covariance(self):
@@ -153,7 +177,7 @@ class TestRealCovariance:
         # matches sigma_zz within 15% (K=16, N=64, P=2, M=400, M_t=80)
         p = params_for(users=16, taps=2, noise=4.0)
         gains = representative_channels(p, 90, user0_range=(0.8, 1.2))
-        pred = self.build(gains[0], p).sigma_zz
+        pred = self.build(gains[0], p)
 
         trials = 1000
         z_err = np.empty((trials, 2 * 2 + 4))
@@ -292,16 +316,17 @@ class TestMmErrorCovariance:
         assert sg2 == pytest.approx(p.noise_var / p.train_frac, rel=1e-12)
 
     def test_stationarity_jacobians_fd(self):
-        # dF/dg and dF/dz against central differences of the cost gradient
+        # dF/dg and dF/dz against central differences of the gradient of the
+        # estimator's own cost, in real coordinates, at exact moments
         g = random_taps(3, 102)
         w = 0.6
         p = 3
-        wts = sos.free_weights(p)
 
         def cost(gr, gbar_r, dfree):
-            gv = gr[:p] + 1j * gr[p:]
-            f = sos.free_vars(model.vec_outer(gv))
-            return w * np.sum(wts * (f - dfree) ** 2) + (1 - w) * np.sum((gr - gbar_r) ** 2)
+            d_mat = model.unvec(sos.free_vars_inverse(dfree), p)
+            return estimators._mm_cost(
+                gr[:p] + 1j * gr[p:], d_mat, gbar_r[:p] + 1j * gbar_r[p:], w
+            )
 
         gr = np.concatenate([g.real, g.imag])
         z_d = sos.free_vars(model.vec_outer(g))
@@ -388,7 +413,7 @@ class TestBatchedCalls:
         p = params_for(users=16)
         g = self.draws()
         sig, sg2 = analytic.mm_error_covariance(g, p)
-        sos_cov = analytic.predict_sos_covariance(g, p).sigma_dd
+        sos_cov = analytic.predict_sos_covariance(g, p)
         angle = analytic.predict_subspace_angle(g, p)
         omega = analytic.optimal_omega(g, p)
         mse = analytic.predict_subspace_mse(g, p, omega)
@@ -398,7 +423,7 @@ class TestBatchedCalls:
             np.testing.assert_allclose(sig[i], row_sig, rtol=1e-13, atol=0)
             assert sg2[i] == pytest.approx(row_sg2, rel=1e-13)
             np.testing.assert_allclose(
-                sos_cov[i], analytic.predict_sos_covariance(gi, p).sigma_dd, rtol=1e-13, atol=0
+                sos_cov[i], analytic.predict_sos_covariance(gi, p), rtol=1e-13, atol=0
             )
             assert angle[i] == pytest.approx(analytic.predict_subspace_angle(gi, p), rel=1e-13)
             row_omega = analytic.optimal_omega(gi, p)

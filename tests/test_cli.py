@@ -101,6 +101,19 @@ def test_simulate_diagnostics_on_failed_cell(capsys):
     assert "diagnostics" not in captured.out
 
 
+def test_training_only_sweep_at_alpha_one(tmp_path):
+    # eta divides by 1 - alpha, so the row keeps both eta fields empty
+    out = tmp_path / "out.csv"
+    code = cli.main(
+        ["sweep", "--estimator", "training", "--alpha", "1", "--N", "16", "--M", "20",
+         "--P", "2", "--trials", "2", "--out", str(out)]
+    )
+    assert code == 0
+    rows = harness.load_records(out)
+    assert len(rows) == 1 and rows[0].trials == 2 and rows[0].sigma_g2_emp is not None
+    assert rows[0].eta_emp is None and rows[0].eta_ana is None
+
+
 def test_simulate_rejects_grids(tmp_path):
     code = cli.main(
         ["simulate", "--beta", "0.25,0.5", "--sigma-n2", "0.5", "--P", "2",

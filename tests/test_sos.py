@@ -402,6 +402,15 @@ class TestFreeVars:
         direct = np.einsum("s,sij->ij", f, basis)
         assert np.allclose(direct.reshape(-1, order="F"), sos.free_vars_inverse(f))
 
+    @pytest.mark.parametrize("taps", [1, 2, 3, 4])
+    def test_outer_free_jacobian_batched(self, taps):
+        rng = seeded_rng(74, taps)
+        g = rng.standard_normal((2, 3, taps)) + 1j * rng.standard_normal((2, 3, taps))
+        stack = sos.outer_free_jacobian(g)
+        assert stack.shape == (2, 3, taps * taps, 2 * taps)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(stack[idx], sos.outer_free_jacobian(g[idx]))
+
     def test_weights_measure_frobenius(self):
         taps = 3
         rng = seeded_rng(73)
