@@ -142,6 +142,22 @@ def _check_train_frac(params: SystemParams) -> float:
     return alpha
 
 
+def _subspace_terms(g: np.ndarray, params: SystemParams, angle_var: float | None) -> tuple:
+    """Terms (A, B, C) of the subspace MSE quadratic P*MSE = w^2 A + (1-w)^2 B + C.
+
+    A = ||g||^2 (1 + 1/P) theta^2 / (1 - alpha) is the projection error,
+    B = (P - 1) s2 / alpha the training error that the projection removes
+    and C = s2 / alpha the floor that both keep; theta^2 is ``angle_var``
+    or, by default, predicted from g.
+    """
+    alpha = _check_train_frac(params)
+    p, s2 = params.taps, params.noise_var
+    g = np.asarray(g, dtype=complex)
+    if angle_var is None:
+        angle_var = predict_subspace_angle(g, params)
+    return _energy(g) * (1 + 1 / p) * angle_var / (1 - alpha), (p - 1) * s2 / alpha, s2 / alpha
+
+
 def predict_subspace_mse(
     g: np.ndarray,
     params: SystemParams,
@@ -157,42 +173,21 @@ def predict_subspace_mse(
     omega = np.asarray(omega, dtype=float)
     if np.any(omega < 0) or np.any(omega > 1):
         raise ValueError(f"omega={omega} must lie in [0, 1]")
-    alpha = _check_train_frac(params)
-    p, s2 = params.taps, params.noise_var
-    g = np.asarray(g, dtype=complex)
-    energy = _energy(g)
-    theta2 = predict_subspace_angle(g, params) if angle_var is None else angle_var
-    return _scalar(
-        omega**2 * energy * (1 + 1 / p) * theta2 / ((1 - alpha) * p)
-        + (1 - omega) ** 2 * (p - 1) * s2 / (p * alpha)
-        + s2 / (p * alpha)
-    )
+    proj, train, floor = _subspace_terms(g, params, angle_var)
+    return _scalar((omega**2 * proj + (1 - omega) ** 2 * train + floor) / params.taps)
 
 
 def optimal_omega(
     g: np.ndarray, params: SystemParams, angle_var: float | None = None
 ) -> float | np.ndarray:
-    """Minimizer of the subspace MSE quadratic, clamped to [0, 1].
+    """Minimizer B/(A + B) of the subspace MSE quadratic, 0 where A + B = 0.
 
-    P = 1 leaves the MSE flat in omega (the projection step is vacuous) and
-    returns 0 by convention; a perfect subspace (zero angle variance) makes
-    full projection optimal, omega = 1.
+    With A, B >= 0 it lies in [0, 1]: P = 1 (B = 0) gives 0, the projection
+    step being vacuous, and a perfect subspace (A = 0) gives 1.
     """
-    alpha = _check_train_frac(params)
-    p, s2 = params.taps, params.noise_var
-    g = np.asarray(g, dtype=complex)
-    energy = _energy(g)
-    if p == 1:
-        omega = np.zeros_like(energy)
-    elif angle_var == 0:
-        omega = np.ones_like(energy)
-    else:
-        if angle_var is None:
-            angle_var = predict_subspace_angle(g, params)
-        num = (p - 1) * s2 / alpha
-        den = energy * (1 + 1 / p) * angle_var / (1 - alpha) + num
-        omega = np.minimum(1.0, np.maximum(0.0, num / den))
-    return _scalar(omega)
+    proj, train, _ = _subspace_terms(g, params, angle_var)
+    total = proj + train
+    return _scalar(np.divide(train, total, out=np.zeros_like(total), where=total > 0))
 
 
 def moment_jacobian(g: np.ndarray) -> np.ndarray:
@@ -200,11 +195,12 @@ def moment_jacobian(g: np.ndarray) -> np.ndarray:
 
     The observation maps the channel to (itself, free SOS variables); the
     top 2P x 2P block is the identity and the bottom rows are the gradients
-    of the free variables of vec(g g^H), all linear in g.
+    of the free variables of vec(g g^H), all linear in g.  Shape
+    (..., 2P + P^2, 2P).
     """
-    g = np.asarray(g, dtype=complex)
-    p = g.shape[0]
-    return np.vstack([np.eye(2 * p), outer_free_jacobian(g)])
+    free = outer_free_jacobian(g)
+    eye = np.broadcast_to(np.eye(free.shape[-1]), free.shape[:-2] + (free.shape[-1],) * 2)
+    return np.concatenate([eye, free], axis=-2)
 
 
 def _scaled_obs_covariance(g: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -217,25 +213,22 @@ def _scaled_obs_covariance(g: np.ndarray, params: SystemParams) -> np.ndarray:
     return params.symbols * real_covariance(predict_sos_covariance(g, params), params)
 
 
-def _stationarity_jacobians(
-    g: np.ndarray, weight: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _stationarity_jacobians(g: np.ndarray, weight: float) -> tuple[np.ndarray, np.ndarray]:
     """Jacobians of the moment-matching stationarity map F at the true point.
 
     The cost w sum_s W_s (f_s(g) - d_s)^2 + (1 - w) ||g - g_bar||^2 in real
-    coordinates, with f the free variables of g g^H, J = df/dg and W the free
-    weights, has gradient F = 2w J^T W (f - d) + 2(1 - w)(g - g_bar).  At exact
-    moments (f = d) the curvature of f drops out, leaving
-    dF/dg = 2w J^T W J + 2(1 - w) I and dF/d(g_bar, d) = [-2(1 - w) I, -2w J^T W];
-    shapes (..., 2P, 2P) and (..., 2P, 2P + P^2).
+    coordinates, with f the free variables of g g^H and W the free weights,
+    is weighted least squares of z(g) = (g, f(g)) against z = (g_bar, d),
+    weights V = (1 - w on the 2P channel coordinates, w W on f), with
+    gradient F = 2 J^T V (z(g) - z), J = :func:`moment_jacobian`.  At exact
+    moments the curvature of f drops out, leaving dF/dg = 2 J^T V J (the
+    normal matrix) and dF/dz = -2 J^T V, (..., 2P, 2P) and (..., 2P, 2P + P^2).
     """
-    g = np.asarray(g, dtype=complex)
-    p = g.shape[-1]
-    jac_t = np.swapaxes(outer_free_jacobian(g), -1, -2)  # (..., 2P, P^2)
-    jtw = 2 * weight * jac_t * free_weights(p)
-    hess = jtw @ np.swapaxes(jac_t, -1, -2) + 2 * (1 - weight) * np.eye(2 * p)
-    eye = np.broadcast_to(-2 * (1 - weight) * np.eye(2 * p), hess.shape)
-    return hess, np.concatenate([eye, -jtw], axis=-1)
+    jac = moment_jacobian(g)
+    taps = jac.shape[-1] // 2
+    v = np.concatenate([np.full(2 * taps, 1.0 - weight), weight * free_weights(taps)])
+    jtv = np.swapaxes(jac, -1, -2) * v
+    return 2 * jtv @ jac, -2 * jtv
 
 
 def mm_error_covariance(
@@ -273,24 +266,26 @@ def mm_error_covariance(
 def mm_lower_bound(g: np.ndarray, params: SystemParams) -> np.ndarray:
     """Scaled covariance floor for any estimator built on the same moments.
 
-    In the no-information-symbols limit (M_t = M) the SOS block carries no
-    information and the bound reduces to the training covariance
-    noise_var/(2 alpha) I.
+    Shape (..., 2P, 2P).  With no information symbols (M_t = M) the SOS
+    block carries no information and the bound reduces to the training
+    covariance noise_var/(2 alpha) I.  A singular system raises
+    :class:`SingularSystemError` with the stack's largest condition number.
     """
-    p = params.taps
+    g = np.asarray(g, dtype=complex)
+    two_p = 2 * params.taps
     if params.train_symbols == params.symbols:
-        return (params.noise_var / 2.0) * np.eye(2 * p)
+        return np.zeros((*g.shape[:-1], two_p, two_p)) + params.noise_var / 2.0 * np.eye(two_p)
     jac = moment_jacobian(g)
     cov = _scaled_obs_covariance(g, params)
     try:
-        info = jac.T @ np.linalg.solve(cov, jac)
+        info = np.swapaxes(jac, -1, -2) @ np.linalg.solve(cov, jac)
         bound = np.linalg.inv(info)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "observation covariance or information matrix is singular",
-            condition=float(np.linalg.cond(cov)),
+            condition=float(np.max(np.linalg.cond(cov))),
         ) from exc
-    return 0.5 * (bound + bound.T)
+    return 0.5 * (bound + np.swapaxes(bound, -1, -2))
 
 
 def efficiency(sigma_g2, sigma_n2: float, alpha: float) -> float | np.ndarray:

@@ -80,10 +80,12 @@ def _cmd_simulate(args) -> int:
     records, failures = harness.run_sweep(config)
     for rec in records:
         se = f" +- {rec.sigma_g2_se:.4f}" if rec.sigma_g2_se is not None else ""
+        eta = ""  # empty at alpha = 1, where eta is undefined
+        if rec.eta_ana is not None:
+            eta = f"  eta = {rec.eta_emp:+.4f} (analytic {rec.eta_ana:+.4f})"
         print(
             f"  {rec.estimator:>9}: sigma_g2 = {rec.sigma_g2_emp:.4f}{se}"
-            f" (analytic {rec.sigma_g2_ana:.4f})"
-            f"  eta = {rec.eta_emp:+.4f} (analytic {rec.eta_ana:+.4f})"
+            f" (analytic {rec.sigma_g2_ana:.4f}){eta}"
         )
     if args.diagnostics and records:  # a failed cell would only fail again
         _print_diagnostics(config, cell)

@@ -416,27 +416,27 @@ def outer_free_jacobian(g: np.ndarray) -> np.ndarray:
 
 
 def free_vars(d: np.ndarray) -> np.ndarray:
-    """Real free variables of one vec'd Hermitian matrix.
+    """Real free variables of vec'd Hermitian matrices, (..., P^2) -> (..., P^2).
 
-    Raises ``ValueError`` when the reshaped matrix deviates from Hermitian
+    Raises ``ValueError`` when a reshaped matrix deviates from Hermitian
     symmetry by more than 1e-10 (max-abs).
     """
     d = np.asarray(d)
     taps = math.isqrt(d.shape[-1])
     mat = unvec(d, taps)
-    if np.max(np.abs(mat - mat.conj().T)) > _HERMITIAN_TOL:
+    if np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))) > _HERMITIAN_TOL:
         raise ValueError("input is not Hermitian within tolerance 1e-10")
     row, col, is_im = free_slot_index(taps)
-    entries = mat[row, col]
+    entries = mat[..., row, col]
     return np.where(is_im, entries.imag, entries.real)
 
 
 def free_vars_inverse(f: np.ndarray) -> np.ndarray:
-    """Rebuild the full vec'd Hermitian matrix from its free variables."""
+    """Exact rebuild of vec'd Hermitian matrices sum_s f_s B_s, (..., P^2) -> (..., P^2).
+
+    B_s is :func:`hermitian_basis`; each entry takes one or two free variables.
+    """
     f = np.asarray(f)
     taps = math.isqrt(f.shape[-1])
-    row, col, is_im = free_slot_index(taps)
-    upper = np.zeros((taps, taps), dtype=complex)
-    np.add.at(upper, (row, col), np.where(is_im, 1j, 1.0) * f)
-    mat = upper + np.triu(upper, 1).conj().T
-    return mat.reshape(-1, order="F")
+    mat_t = np.einsum("sij,...s->...ji", hermitian_basis(taps), f)
+    return mat_t.reshape(*f.shape[:-1], taps * taps)

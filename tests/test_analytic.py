@@ -1,5 +1,6 @@
 """Tests for the closed-form error predictions and their Monte Carlo oracles."""
 
+import inspect
 import math
 
 import numpy as np
@@ -365,7 +366,7 @@ class TestMmErrorCovariance:
         p = params_for(users=16, noise=1.0)
         gains = representative_channels(p, 103)
         w = estimators.weight_w(p.train_frac, p.noise_var, analytic.average_sos_variance(p))
-        pred = np.array([analytic.mm_error_covariance(gains[k], p)[1] for k in range(16)])
+        pred = analytic.mm_error_covariance(gains, p)[1]
 
         trials = 500
         err = np.zeros((trials, 16))
@@ -374,9 +375,8 @@ class TestMmErrorCovariance:
             g_bar = estimators.training_estimate(windows, chips, symbols, p)
             rhs, gram = sos.build_normal_equations(chips, windows, range(80, 400), p.noise_var)
             d_hat = sos.hermitianize(sos.estimate_sos(rhs, gram))
-            for k in range(16):
-                fit = estimators.mm_semiblind(g_bar[k], d_hat[k], w)
-                err[t, k] = np.sum(np.abs(fit.gains - gains[k]) ** 2)
+            fit = estimators.mm_semiblind(g_bar, d_hat, w)
+            err[t] = np.sum(np.abs(fit.gains - gains) ** 2, axis=-1)
         emp = p.symbols * err.mean(axis=0) / p.taps
         assert np.mean(emp / pred) == pytest.approx(1.0, abs=0.25)
 
@@ -400,6 +400,50 @@ class TestMmLowerBound:
             sig, _ = analytic.mm_error_covariance(g, p)
             bound = analytic.mm_lower_bound(g, p)
             assert np.linalg.eigvalsh(sig - bound).min() >= -1e-8
+
+
+class TestMmClosedForm:
+    """Eigenvalues of the MM covariance and of the bound in the frame of g.
+
+    Rotating the frame so that g lies along its unit direction makes Omega
+    diagonal, and the linearized MM cost decouples into a radial direction,
+    the phase direction i*g and 2(P - 1) perpendicular ones.  With
+    r^2 = ||g||^2, lam = s2 + beta, alpha = M_t/M and w the default weight,
+    the radial and perpendicular variances are a weighted training term plus
+    a weighted SOS term over the squared curvature; the phase direction sees
+    only the training error.
+    """
+
+    @pytest.mark.parametrize("taps", [1, 2, 3, 4])
+    @pytest.mark.parametrize("users,noise,train", [(16, 0.5, 80), (64, 2.0, 40), (8, 0.1, 200)])
+    def test_eigenvalues(self, taps, users, noise, train):
+        p = params_for(users=users, taps=taps, train=train, noise=noise)
+        g = np.stack([random_taps(taps, 112, taps, i) for i in range(4)])
+        r2 = np.sum(np.abs(g) ** 2, axis=-1)
+        lam, a = noise + p.load, p.train_frac
+        w = estimators.weight_w(a, noise, analytic.average_sos_variance(p))
+        v_rad = (
+            4 * w**2 * r2 * (lam**2 + 2 * lam * r2) / (1 - a) + (1 - w) ** 2 * noise / (2 * a)
+        ) / (4 * w * r2 + 1 - w) ** 2
+        v_ph = np.full_like(r2, noise / (2 * a))
+        v_perp = (
+            4 * w**2 * r2 * (lam**2 + lam * r2) / (1 - a) + (1 - w) ** 2 * noise / a
+        ) / (2 * w * r2 + 1 - w) ** 2
+        b_rad = 1 / (2 * a / noise + 4 * r2 * (1 - a) / (lam**2 + 2 * lam * r2))
+        b_perp = 1 / (a / noise + r2 * (1 - a) / (lam**2 + lam * r2))
+
+        def spectrum(rad, perp):
+            perps = np.repeat(perp[:, None] / 2, 2 * (taps - 1), axis=1)
+            return np.sort(np.column_stack([rad, v_ph, perps]), axis=1)
+
+        sig, sg2 = analytic.mm_error_covariance(g, p)
+        bound = analytic.mm_lower_bound(g, p)
+        for got, want in [
+            (np.linalg.eigvalsh(sig), spectrum(v_rad, v_perp)),
+            (np.linalg.eigvalsh(bound), spectrum(b_rad, b_perp)),
+            (sg2, (v_rad + v_ph + (taps - 1) * v_perp) / taps),
+        ]:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 class TestBatchedCalls:
@@ -433,6 +477,35 @@ class TestBatchedCalls:
             assert eta[i] == pytest.approx(
                 analytic.efficiency(row_sg2, p.noise_var, p.train_frac), rel=1e-13
             )
+
+    @pytest.mark.parametrize("taps", [1, 2, 3, 4])
+    def test_stack_contract(self, taps):
+        # every public analytic function of a channel g, found by its first
+        # parameter, and the free-variable maps take a stack and give, row
+        # for row, what single calls give
+        rng = seeded_rng(111, taps)
+        g = np.stack([random_taps(taps, 111, taps, i) for i in range(4)])
+        half = rng.standard_normal((4, taps, taps)) + 1j * rng.standard_normal((4, taps, taps))
+        calls = [
+            (sos.free_vars, (half @ half.conj().swapaxes(-1, -2)).reshape(4, -1), {}),
+            (sos.free_vars_inverse, rng.standard_normal((4, taps * taps)), {}),
+        ]
+        known = {"params": params_for(users=16, taps=taps), "omega": 0.5}
+        for name in analytic.__all__:
+            fn = getattr(analytic, name)
+            first, *rest = inspect.signature(fn).parameters.values()
+            if first.name == "g":
+                required = [q.name for q in rest if q.default is inspect.Parameter.empty]
+                calls.append((fn, g, {q: known[q] for q in required}))
+        assert len(calls) >= 9
+        for fn, stack, kwargs in calls:
+            stacked = fn(stack, **kwargs)
+            for i, row in enumerate(stack):
+                single = fn(row, **kwargs)
+                pairs = zip(stacked, single) if isinstance(single, tuple) else [(stacked, single)]
+                for whole, part in pairs:
+                    diff = np.max(np.abs(np.asarray(whole)[i] - part))
+                    assert diff <= 1e-14 * np.max(np.abs(part)), (fn.__name__, i, diff)
 
     def test_single_vector_gives_floats(self):
         p = params_for(users=16)

@@ -114,6 +114,18 @@ def test_training_only_sweep_at_alpha_one(tmp_path):
     assert rows[0].eta_emp is None and rows[0].eta_ana is None
 
 
+def test_training_only_simulate_at_alpha_one(capsys):
+    # the printed line drops the eta pair the row leaves empty
+    code = cli.main(
+        ["simulate", "--estimator", "training", "--alpha", "1", "--N", "16", "--M", "20",
+         "--P", "2", "--trials", "2"]
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "training: sigma_g2 = " in captured.out and "eta =" not in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_simulate_rejects_grids(tmp_path):
     code = cli.main(
         ["simulate", "--beta", "0.25,0.5", "--sigma-n2", "0.5", "--P", "2",
