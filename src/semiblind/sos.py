@@ -9,18 +9,29 @@ O(K P N) per symbol: the correlators a_k are one real GEMM of the chips
 against P shifts of r, and the bias term C_k^T C_k is read off chip lag
 products, so no Sylvester window stack is built.
 
+T is never formed either.  It commutes with the per-user vec-transpose,
+so it maps the real part of a vec'd Hermitian matrix (symmetric) and its
+imaginary part (antisymmetric) separately.  In the P^2 real free variables
+of :func:`free_slot_index` it splits into a real block of order
+K P(P+1)/2, over the diagonal and upper real parts, and an imaginary block
+of order K P(P-1)/2, over the upper imaginary parts.  The solve factors
+each block once and returns an exactly Hermitian d.
+
 Every sum runs over the int8 +-1 chip signs of :func:`model.sample_codes`,
 and the chip scale 1/sqrt(N) is applied once, in float64, to its result:
-to the correlator outputs, to the integer lag sums of C_k^T C_k, and to T.
+to the correlator outputs, to the integer lag sums of C_k^T C_k, and to
+the Gram blocks.
 
-T is built from the signs in float32.  Every partial sum is then an
-integer, and binary32 holds every integer of magnitude up to 2^24
+The blocks are built from the signs in float32.  Every partial sum is
+then an integer, and binary32 holds every integer of magnitude up to 2^24
 exactly, so each chunk of symbols is summed exactly as long as it keeps
 its sums, at most chunk * (N-P+1)^2, within 2^24; the chunks add up in
-float64 and one division by M_i N^2 gives the correctly rounded T.  Per
+float64, each block entry is an integer sum or difference of two of these
+sums, and one division by 2 M_i N^2 rounds it correctly.  Per
 symbol, :func:`_cross_grams` builds the P^2 cross-Grams of K x (N-P+1) chip
-windows from P GEMMs and P(P-1)/2 rank-2 updates, and T sums the (P^4 + 3 P^2)/4
-products of them (27 for P = 3) that the Kronecker symmetries leave distinct.
+windows from P GEMMs and P(P-1)/2 rank-2 updates, and the Gram sums the
+(P^4 + 3 P^2)/4 products of them (27 for P = 3) that the Kronecker
+symmetries leave distinct.
 """
 
 from __future__ import annotations
@@ -61,12 +72,20 @@ def build_normal_equations(
     info_range,
     noise_var: float,
     include_gram: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
     """Accumulate T and y over the given information-symbol indices.
 
     Returns ``(rhs, gram)``: y as the (K, P^2) complex per-user blocks, and
-    the real symmetric PSD T = (1/M_i) sum_m Q^T(m) Q(m), (K P^2, K P^2),
-    which depends only on the chips, never on the received data.
+    T = (1/M_i) sum_m Q^T(m) Q(m) as the pair ``(real, imag)`` of its
+    Hermitian blocks, real symmetric PSD matrices of orders K P(P+1)/2
+    and K P(P-1)/2 (0 x 0 at P = 1, where the real block is T).  Rows and
+    columns run user-major over the slots of :func:`free_slot_index`
+    without and with ``is_im``; entry ((i, s), (j, t)) is
+    (T[(i, v_s), (j, v_t)] +- T[(i, v_s), (j, v_t^T)]) / 2, + for the real
+    block and - for the imaginary one, with v_s the vec position of slot s
+    and v_t^T that of its transpose.  The blocks depend only on the chips,
+    never on the received data, and the (K P^2)^2 matrix T is never
+    allocated.
 
     Parameters
     ----------
@@ -81,10 +100,10 @@ def build_normal_equations(
         Complex noise variance used for the bias correction
         sigma_n^2 Q^T(m) vec(I) = sigma_n^2 vec(C_k^T C_k) per user block.
     include_gram :
-        Skip the (comparatively expensive) T accumulation when False and
-        return None in its place, for identity-T estimation.  T is an
-        exact integer sum in float32 (see the module docstring), chunked so
-        that each chunk's sums stay within 2^24.  Per symbol it costs
+        Skip the (comparatively expensive) Gram accumulation when False and
+        return None in its place, for identity-T estimation.  The Gram is
+        an exact integer sum in float32 (see the module docstring), chunked
+        so that each chunk's sums stay within 2^24.  Per symbol it costs
         P K^2 (N-P+1) GEMM multiply-adds, P(P-1)/2 rank-2 updates of K x K
         cross-Grams and (P^4 + 3 P^2)/4 Hadamard sums of them.
 
@@ -128,16 +147,19 @@ def build_normal_equations(
     return rhs, _gram(info_chips, taps) if include_gram else None
 
 
-def _gram(chips: np.ndarray, taps: int) -> np.ndarray:
-    """T = (1/Mi) sum_m Q^T(m) Q(m) from the +-1 chip signs, (K P^2, K P^2).
+def _gram(chips: np.ndarray, taps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary Hermitian blocks of T = (1/Mi) sum_m Q^T(m) Q(m).
 
     With B_ij[a, b] = sum_n s_i(n + P-1-a) s_j(n + P-1-b) the sign
     cross-Gram of Sylvester columns a and b, block (i, j) of T holds
     G[a, b, c, d][i, j] = sum_m B_ij[a, b] B_ij[c, d] at row (a, c), column
     (b, d), divided by Mi N^2.  G is unchanged by swapping (a, b) with
     (c, d) and is transposed over (i, j) by swapping a with b and c with d
-    (B_ji = B_ij^T), so only one (a, b, c, d) per orbit is summed, and each
-    sum is written into T through its (K, P, P, K, P, P) view.
+    (B_ji = B_ij^T), so only one (a, b, c, d) per orbit is summed.  The
+    first swap maps row (a, c) to (c, a) and column (b, d) to (d, b), which
+    is why T commutes with the per-user vec-transpose.  Each block entry is
+    an integer sum or difference of two orbit sums, divided once by
+    2 Mi N^2.
     """
     k, mi, n = chips.shape
     n_w = n - taps + 1
@@ -150,15 +172,17 @@ def _gram(chips: np.ndarray, taps: int) -> np.ndarray:
             cross[b, a] = np.ascontiguousarray(cross[a, b].transpose(0, 2, 1))
         for q, (a, b, c, d) in enumerate(quads):
             acc[q] += np.einsum("mij,mij->ij", cross[a, b], cross[c, d])
-    del cross  # free the chunk buffers before T is allocated
-    acc /= mi * n * n
-    dim = k * taps * taps
-    gram = np.empty((dim, dim))
-    view = gram.reshape(k, taps, taps, k, taps, taps)  # [i, a, c, j, b, d]
-    for q, (a, b, c, d) in enumerate(quads):
-        view[:, a, c, :, b, d] = view[:, c, a, :, d, b] = acc[q]
-        view[:, b, d, :, a, c] = view[:, d, b, :, c, a] = acc[q].T
-    return gram
+    del cross  # free the chunk buffers before the blocks are allocated
+    sums = (acc, acc.transpose(0, 2, 1))
+    blocks = []
+    for sign, terms in zip((1, -1), _hermitian_block_terms(taps)):
+        slots = math.isqrt(len(terms))
+        block = np.empty((k, slots, k, slots))
+        for s, t, (tr1, q1), (tr2, q2) in terms:
+            block[:, s, :, t] = sums[tr1][q1] + sign * sums[tr2][q2]
+        block /= 2 * mi * n * n
+        blocks.append(block.reshape(k * slots, k * slots))
+    return blocks[0], blocks[1]
 
 
 def _cross_grams(chips: np.ndarray, taps: int, max_chunk: int):
@@ -206,6 +230,33 @@ def _kron_orbits(taps: int) -> tuple[tuple[int, int, int, int], ...]:
         for q in itertools.product(range(taps), repeat=4)
         if q <= min((q[2], q[3], q[0], q[1]), (q[1], q[0], q[3], q[2]), (q[3], q[2], q[1], q[0]))
     )
+
+
+@cache
+def _hermitian_block_terms(taps: int) -> tuple[tuple, tuple]:
+    """The orbit sums behind each entry of the real and the imaginary block.
+
+    Entry (s, t) combines G[v_s, v_t] and G[v_s, v_t^T] (see
+    :func:`build_normal_equations`), with G[(a, c), (b, d)] = G[a, b, c, d]
+    and v_s = col_s P + row_s the vec position of slot s.  Per block this
+    returns (s, t, first, second) for every slot pair, each term a
+    (transposed, orbit) index into the orbit sums of :func:`_kron_orbits`.
+    """
+    where = {}
+    for q, (a, b, c, d) in enumerate(_kron_orbits(taps)):
+        where[a, b, c, d] = where[c, d, a, b] = (0, q)
+        where[b, a, d, c] = where[d, c, b, a] = (1, q)
+    row, col, is_im = free_slot_index(taps)
+    terms = []
+    for part in (~is_im, is_im):
+        r, c = row[part].tolist(), col[part].tolist()
+        terms.append(
+            tuple(
+                (s, t, where[c[s], c[t], r[s], r[t]], where[c[s], r[t], r[s], c[t]])
+                for s, t in itertools.product(range(len(r)), repeat=2)
+            )
+        )
+    return terms[0], terms[1]
 
 
 def _correlate(chips: np.ndarray, r: np.ndarray, taps: int) -> np.ndarray:
@@ -271,16 +322,33 @@ def _self_gram(chips: np.ndarray, taps: int) -> np.ndarray:
     return out / n
 
 
-def estimate_sos(rhs: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
+def estimate_sos(
+    rhs: np.ndarray, gram: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Solve (or approximate) T d = y; returns the per-user SOS vectors (K, P^2).
 
     Without a Gram this takes d = y outright (the large-system T -> I
-    approximation); with one it runs a Cholesky factorization with a
-    relative ridge fallback on the stacked (K P^2,) system.
+    approximation).  With the (real, imaginary) blocks of
+    :func:`build_normal_equations` it solves each block, by
+    :func:`_solve_spd`, against the matching free variables of y, which
+    must be Hermitian per user as that function returns it
+    (:func:`free_vars` raises ``ValueError`` otherwise).  d is rebuilt
+    from the free variables, so it is exactly Hermitian.  An off-diagonal
+    free variable fills two vec positions, and a block entry is half their
+    summed coefficient in T, so the blocks solve for the weighted free
+    variables: f = blocks^-1 free_vars(y) / :func:`free_weights`.  The
+    empty imaginary block of P = 1 is skipped.
     """
     if gram is None:
         return rhs
-    return _solve_spd(gram, rhs.reshape(-1)).reshape(rhs.shape)
+    k, size = rhs.shape
+    taps = math.isqrt(size)
+    _, _, is_im = free_slot_index(taps)
+    f = free_vars(rhs)
+    for block, part in zip(gram, (~is_im, is_im)):
+        if block.size:
+            f[:, part] = _solve_spd(block, f[:, part].reshape(-1)).reshape(k, -1)
+    return free_vars_inverse(f / free_weights(taps))
 
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -293,8 +361,9 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     most n * eps times its largest, eps = ``_EPS`` the float64 machine
     epsilon and n the order -- is retried with a relative ridge
     1e-8 ||diag(gram)|| on the diagonal; a second failure raises
-    :class:`SingularSystemError`.  A real Gram solves the complex rhs as
-    two real columns.
+    :class:`SingularSystemError` with the condition number of ``gram``.
+    The SOS solve calls this once per Hermitian block, so each block
+    takes its own ridge.
     """
     try:
         return _cholesky_solve(gram, rhs)
@@ -316,10 +385,7 @@ def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     pivots = np.diagonal(factor).real ** 2
     if pivots.min() <= gram.shape[0] * _EPS * pivots.max():
         raise np.linalg.LinAlgError("Cholesky factor is singular to working precision")
-    if np.iscomplexobj(gram):
-        return _substitute(factor, rhs)
-    columns = np.ascontiguousarray(rhs, dtype=complex).view(float).reshape(-1, 2)
-    return np.ascontiguousarray(_substitute(factor, columns)).view(complex)[:, 0]
+    return _substitute(factor, rhs)
 
 
 def _substitute(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -111,10 +111,64 @@ def gram_only(params: model.SystemParams, rng: np.random.Generator) -> np.ndarra
     """The normal-equation matrix T for one fresh code draw (no data needed)."""
     chips = model.sample_codes(params, rng)
     windows = np.zeros((params.symbols, params.window), dtype=complex)
-    _, gram = sos.build_normal_equations(
+    _, blocks = sos.build_normal_equations(
         chips, windows, range(params.symbols), 0.0, include_gram=True
     )
-    return gram
+    return dense_gram(blocks)
+
+
+def _vec_positions(taps: int):
+    """Vec positions v = col P + row and v^T = row P + col of each free slot."""
+    row, col, _ = sos.free_slot_index(taps)
+    return col * taps + row, row * taps + col
+
+
+def hermitian_blocks(gram: np.ndarray, users: int, taps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (real, imaginary) blocks of a dense T, as sos.build_normal_equations returns them.
+
+    Entry ((i, s), (j, t)) is (T[(i, v_s), (j, v_t)] +- T[(i, v_s), (j, v_t^T)]) / 2
+    over the slots of sos.free_slot_index without (+) and with (-) ``is_im``.
+    """
+    _, _, is_im = sos.free_slot_index(taps)
+    pos, pos_t = _vec_positions(taps)
+    rows = gram.reshape(users, taps * taps, users, taps * taps)
+    blocks = []
+    for part, sign in ((~is_im, 1), (is_im, -1)):
+        v, vt = pos[part], pos_t[part]
+        block = 0.5 * (rows[:, v][..., v] + sign * rows[:, v][..., vt])
+        blocks.append(block.reshape(users * v.size, users * v.size))
+    return blocks[0], blocks[1]
+
+
+def dense_gram(blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """T (K P^2, K P^2) rebuilt from its (real, imaginary) Hermitian blocks.
+
+    T commutes with the per-user vec-transpose, so entry (v, w) of a user
+    pair is R[s, t] + e_v e_w I[s', t'] with s, t the real and s', t' the
+    imaginary slots of the matrix entries at vec positions v and w, e = +1
+    at the slot's own position, -1 at its transpose and 0 on the diagonal.
+    Exact for dyadic data (a power-of-two M_i N^2); otherwise within about
+    an ulp of the block entries it combines.
+    """
+    real, imag = blocks
+    taps = (len(real) + len(imag)) // (len(real) - len(imag))
+    users = (len(real) - len(imag)) // taps
+    _, _, is_im = sos.free_slot_index(taps)
+    pos, pos_t = _vec_positions(taps)
+    re_slot = np.empty(taps * taps, dtype=int)
+    im_slot = np.full(taps * taps, -1)  # -1 reads the zero slot padded on below
+    sign = np.zeros(taps * taps)
+    for part, slot in ((~is_im, re_slot), (is_im, im_slot)):
+        slot[pos[part]] = slot[pos_t[part]] = np.arange(np.count_nonzero(part))
+    sign[pos[is_im]], sign[pos_t[is_im]] = 1.0, -1.0  # one is_im slot per strict upper entry
+    n_re, n_im = len(real) // users, len(imag) // users
+    r4 = real.reshape(users, n_re, users, n_re)
+    i4 = np.zeros((users, n_im + 1, users, n_im + 1))
+    i4[:, :n_im, :, :n_im] = imag.reshape(users, n_im, users, n_im)
+    gram = r4[:, re_slot][..., re_slot] + np.multiply.outer(sign, sign)[None, :, None, :] * (
+        i4[:, im_slot][..., im_slot]
+    )
+    return gram.reshape(users * taps * taps, users * taps * taps)
 
 
 def record_chunk_sizes(monkeypatch, module) -> list[int]:

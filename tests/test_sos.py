@@ -7,14 +7,23 @@ from hypothesis import strategies as st
 
 from semiblind import model, sos
 from semiblind.errors import SingularSystemError
-from helpers import draw_block, gram_only, record_chunk_sizes, seeded_rng, sos_trials
+from helpers import (
+    dense_gram,
+    draw_block,
+    gram_only,
+    hermitian_blocks,
+    record_chunk_sizes,
+    seeded_rng,
+    sos_trials,
+)
 
 
-def brute_force_system(params, chips, windows, noise_var):
+def brute_force_system(params, chips, windows, noise_var, mean=True):
     """Materialize Q(m) explicitly; the oracle the fast path must match.
 
     ``chips`` holds the signs, scaled here to the +-1/sqrt(N) chips.
-    Returns (T, y) with y in the (K, P^2) per-user layout.
+    Returns (T, y) with y in the (K, P^2) per-user layout; with
+    ``mean=False``, their sums over the symbols, not yet divided by M.
     """
     k, p, n_w = params.users, params.taps, params.window
     chips = chips / np.sqrt(params.gain)
@@ -36,7 +45,10 @@ def brute_force_system(params, chips, windows, noise_var):
         gram += q.T @ q
         rhs += q.T @ np.outer(r, r.conj()).reshape(-1, order="F")
         rhs -= noise_var * (q.T @ eye_vec)
-    return gram / params.symbols, rhs.reshape(k, p * p) / params.symbols
+    rhs = rhs.reshape(k, p * p)
+    if not mean:
+        return gram, rhs
+    return gram / params.symbols, rhs / params.symbols
 
 
 class TestCrossGrams:
@@ -77,9 +89,11 @@ class TestBuildNormalEquations:
         p = model.SystemParams(users=1, gain=16, taps=1, symbols=8, noise_var=0.1)
         gains = model.sample_channel(p, seeded_rng(40))
         chips, _, windows = draw_block(p, gains, seeded_rng(41))
-        _, gram = sos.build_normal_equations(chips, windows, range(8), p.noise_var)
-        assert gram.shape == (1, 1)
-        assert gram[0, 0] == 1.0
+        _, (real, imag) = sos.build_normal_equations(chips, windows, range(8), p.noise_var)
+        # at P = 1 the real block is T and the imaginary block is empty
+        assert real.shape == (1, 1)
+        assert imag.shape == (0, 0)
+        assert real[0, 0] == 1.0
 
     def test_kron_block_identity(self):
         p = model.SystemParams(users=2, gain=8, taps=2, symbols=3, noise_var=0.2)
@@ -95,7 +109,8 @@ class TestBuildNormalEquations:
         p = model.SystemParams(users=users, gain=gain, taps=taps, symbols=5, noise_var=0.3)
         gains = model.sample_channel(p, seeded_rng(44, users, gain))
         chips, _, windows = draw_block(p, gains, seeded_rng(45, users, gain))
-        rhs, gram = sos.build_normal_equations(chips, windows, range(5), p.noise_var)
+        rhs, blocks = sos.build_normal_equations(chips, windows, range(5), p.noise_var)
+        gram = dense_gram(blocks)
         gram_ref, rhs_ref = brute_force_system(p, chips, windows, p.noise_var)
         assert np.max(np.abs(gram - gram_ref)) <= 1e-12 * np.max(np.abs(gram_ref))
         assert np.max(np.abs(rhs - rhs_ref)) <= 1e-12 * np.max(np.abs(rhs_ref))
@@ -115,19 +130,53 @@ class TestBuildNormalEquations:
         full_rhs, full_gram = sos.build_normal_equations(
             chips[:, 4:, :], windows[4:], range(6), p_t.noise_var
         )
-        assert np.array_equal(sub_gram, full_gram)
+        for sub, full in zip(sub_gram, full_gram, strict=True):
+            assert np.array_equal(sub, full)
         assert np.array_equal(sub_rhs, full_rhs)
 
     @pytest.mark.parametrize("users,gain,taps,symbols", [(3, 16, 3, 6), (2, 64, 3, 3)])
     def test_gram_exact_for_dyadic_gain(self, users, gain, taps, symbols):
-        # 1/sqrt(N) is a power of two, so the oracle's float64 sums are exact
-        # too and both round the same rational once
+        # 1/sqrt(N) is a power of two, so the oracle's float64 sums, and
+        # their halved sums and differences, are exact too, and both round
+        # the same rational once on the division by M
         p = model.SystemParams(users=users, gain=gain, taps=taps, symbols=symbols)
         gains = model.sample_channel(p, seeded_rng(74, gain))
         chips, _, windows = draw_block(p, gains, seeded_rng(75, gain))
-        _, gram = sos.build_normal_equations(chips, windows, range(symbols), p.noise_var)
+        _, blocks = sos.build_normal_equations(chips, windows, range(symbols), p.noise_var)
+        sums, _ = brute_force_system(p, chips, windows, p.noise_var, mean=False)
+        for block, ref in zip(blocks, hermitian_blocks(sums, users, taps), strict=True):
+            assert np.array_equal(block, ref / symbols)
+
+    @pytest.mark.parametrize(
+        "users,gain,taps,symbols", [(3, 16, 3, 4), (2, 64, 3, 8), (2, 16, 1, 4)]
+    )
+    def test_blocks_equal_reduced_oracle_for_dyadic_data(self, users, gain, taps, symbols):
+        # with M_i N^2 a power of two the oracle's T is exact, so the map
+        # from T to the blocks and dense_gram's map back are exact too
+        p = model.SystemParams(users=users, gain=gain, taps=taps, symbols=symbols)
+        gains = model.sample_channel(p, seeded_rng(83, gain))
+        chips, _, windows = draw_block(p, gains, seeded_rng(84, gain))
+        _, blocks = sos.build_normal_equations(chips, windows, range(symbols), p.noise_var)
         gram_ref, _ = brute_force_system(p, chips, windows, p.noise_var)
-        assert np.array_equal(gram, gram_ref)
+        for block, ref in zip(blocks, hermitian_blocks(gram_ref, users, taps), strict=True):
+            assert np.array_equal(block, ref)
+        assert np.array_equal(dense_gram(blocks), gram_ref)
+
+    @pytest.mark.parametrize("taps", [1, 2, 3, 4])
+    def test_block_orders(self, taps):
+        # the real block spans the diagonal and upper real parts, the
+        # imaginary block the upper imaginary parts, per user
+        p = model.SystemParams(users=3, gain=9, taps=taps, symbols=2)
+        _, (real, imag) = sos.build_normal_equations(
+            model.sample_codes(p, seeded_rng(85, taps)),
+            np.zeros((2, p.window), dtype=complex),
+            range(2),
+            0.0,
+        )
+        assert real.shape == (3 * taps * (taps + 1) // 2,) * 2
+        assert imag.shape == (3 * taps * (taps - 1) // 2,) * 2
+        for block in (real, imag):
+            assert np.array_equal(block, block.T)
 
     def test_chunked_gram_bit_identical(self, monkeypatch):
         p = model.SystemParams(users=4, gain=12, taps=3, symbols=20, noise_var=0.2)
@@ -139,7 +188,8 @@ class TestBuildNormalEquations:
         sizes = record_chunk_sizes(monkeypatch, sos)
         _, chunked = sos.build_normal_equations(chips, windows, range(20), p.noise_var)
         assert sizes == [3] * 6 + [2]
-        assert np.array_equal(chunked, whole)
+        for part, ref in zip(chunked, whole, strict=True):
+            assert np.array_equal(part, ref)
 
     @pytest.mark.parametrize("case", ["one_chip", "unit_chips"])
     def test_gram_rejects_non_sign_chips(self, case):
@@ -195,7 +245,8 @@ class TestBuildNormalEquations:
         chips = model.sample_codes(p, rng)
         shape = (symbols, p.window)
         windows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        rhs, gram = sos.build_normal_equations(chips, windows, info, p.noise_var)
+        rhs, blocks = sos.build_normal_equations(chips, windows, info, p.noise_var)
+        gram = dense_gram(blocks)
         p_sub = model.SystemParams(
             users=users, gain=gain, taps=taps, symbols=len(info), noise_var=0.3
         )
@@ -247,7 +298,90 @@ class TestEstimateSos:
         est = sos.estimate_sos(rhs, gram)
         assert est.shape == (8, 9)
         assert np.all(np.isfinite(est))
-        assert np.linalg.cond(gram) < 100
+        assert np.linalg.cond(dense_gram(gram)) < 100
+
+    @pytest.mark.parametrize(
+        "users,taps,info",
+        [
+            (1, 1, range(12)),
+            (4, 1, range(12)),
+            (1, 2, range(12)),
+            (3, 2, range(12)),
+            (1, 3, range(12)),
+            (3, 3, range(3, 12)),
+            (1, 4, range(12)),
+            (2, 4, range(12)),
+        ],
+    )
+    def test_block_solve_matches_dense_oracle_solve(self, users, taps, info):
+        p = model.SystemParams(users=users, gain=16, taps=taps, symbols=12, noise_var=0.3)
+        gains = model.sample_channel(p, seeded_rng(86, users, taps))
+        chips, _, windows = draw_block(p, gains, seeded_rng(87, users, taps))
+        rhs, blocks = sos.build_normal_equations(chips, windows, info, p.noise_var)
+        idx = list(info)
+        p_sub = model.SystemParams(
+            users=users, gain=16, taps=taps, symbols=len(idx), noise_var=0.3
+        )
+        gram_ref, rhs_ref = brute_force_system(p_sub, chips[:, idx], windows[idx], p.noise_var)
+        ref = np.linalg.solve(gram_ref, rhs_ref.reshape(-1)).reshape(rhs.shape)
+        est = sos.estimate_sos(rhs, blocks)
+        assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_solve_is_exactly_hermitian(self):
+        p = model.SystemParams(users=8, gain=32, taps=3, symbols=60, noise_var=0.5)
+        gains = model.sample_channel(p, seeded_rng(57))
+        chips, _, windows = draw_block(p, gains, seeded_rng(58))
+        rhs, blocks = sos.build_normal_equations(chips, windows, range(12, 60), p.noise_var)
+        est = sos.estimate_sos(rhs, blocks)
+        assert np.array_equal(sos.hermitianize(est), est)
+
+    def test_empty_imaginary_block_is_skipped(self, monkeypatch):
+        # P = 1: only the K x K real block is factored, never the 0 x 0 one
+        p = model.SystemParams(users=3, gain=16, taps=1, symbols=6, noise_var=0.2)
+        gains = model.sample_channel(p, seeded_rng(59))
+        chips, _, windows = draw_block(p, gains, seeded_rng(60))
+        rhs, blocks = sos.build_normal_equations(chips, windows, range(6), p.noise_var)
+        orders = []
+        cholesky = np.linalg.cholesky
+
+        def recording(a):
+            orders.append(a.shape[0])
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        est = sos.estimate_sos(rhs, blocks)
+        assert orders == [3]
+        assert np.all(np.isfinite(est))
+
+    def test_each_block_takes_its_own_ridge(self):
+        # K = 3, P = 2: a well-conditioned 9 x 9 real block beside a rank-2
+        # imaginary block; only the singular block is ridged, by its own diagonal
+        rng = seeded_rng(61)
+        a = rng.standard_normal((12, 9))
+        real = 1e4 * (a.T @ a + np.eye(9))
+        v, w = np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0])
+        imag = np.outer(v, v) + np.outer(w, w)
+        rhs = sos.free_vars_inverse(rng.standard_normal((3, 4)))
+        f = sos.free_vars(sos.estimate_sos(rhs, (real, imag))) * sos.free_weights(2)
+        y = sos.free_vars(rhs)
+        _, _, is_im = sos.free_slot_index(2)
+        x_re, y_re = f[:, ~is_im].reshape(-1), y[:, ~is_im].reshape(-1)
+        assert np.linalg.norm(real @ x_re - y_re) <= 1e-12 * np.linalg.norm(y_re)
+        ridge = sos._RIDGE * np.linalg.norm(np.diag(imag))
+        x_im = f[:, is_im].reshape(-1)
+        y_im = y[:, is_im].reshape(-1)
+        assert np.allclose((imag + ridge * np.eye(3)) @ x_im, y_im, rtol=0, atol=1e-6)
+        assert np.linalg.norm(x_im) > 1e6  # the null-space part is scaled by 1/ridge
+
+    def test_singular_block_reports_its_own_condition(self):
+        # K = 2, P = 2: the SPD real block has condition 6, the indefinite
+        # imaginary block 3; the error names the block that failed
+        real = np.diag(np.arange(1.0, 7.0))
+        imag = np.diag([1.0, -3.0])
+        rhs = sos.free_vars_inverse(seeded_rng(62).standard_normal((2, 4)))
+        with pytest.raises(SingularSystemError) as info:
+            sos.estimate_sos(rhs, (real, imag))
+        assert info.value.condition == pytest.approx(3.0)
 
     def test_unbiased_identity_single_user(self):
         # mean of d_hat over 500 draws within 3 standard errors of d
