@@ -4,9 +4,12 @@ Everything here is a pure function of (parameters, rng) returning plain
 arrays: the (K, P) channel gains, the (K, M, N) spreading chips, the (K, M)
 symbols and the (M, N-P+1) ISI-free received windows.  Each chip is
 +-1/sqrt(N); the chips array holds only its int8 sign, and every consumer
-applies the 1/sqrt(N) once, in float64, after its sums.  Chip indices follow
-the 1-based convention l = 1..N in all interface documentation; arrays are
-stored 0-based.
+applies the 1/sqrt(N) once, in float64, after its sums.  The signs are
+drawn, and converted to float64 by their consumers, a chunk of about
+``_CHUNK_ELEMS`` at a time, and the synthesis writes each symbol chunk's
+windows straight into its output, so no temporary outgrows one chunk.  Chip
+indices follow the 1-based convention l = 1..N in all interface
+documentation; arrays are stored 0-based.
 """
 
 from __future__ import annotations
@@ -121,16 +124,43 @@ def sample_channel(params: SystemParams, rng: np.random.Generator) -> np.ndarray
 def sample_codes(params: SystemParams, rng: np.random.Generator) -> np.ndarray:
     """Draw the (K, M, N) i.i.d. Rademacher chip signs as int8 +-1.
 
-    Chip (k, m, l) is sign / sqrt(N).  The int32 draw consumes the generator
-    exactly as the default int64 one would, and the signs equal its 2 b - 1.
-    It goes straight into the int8 signs in pieces, which continue one
-    stream: the generator keeps the unused half of its last 64-bit word.
+    Chip (k, m, l) is sign / sqrt(N).  The signs equal 2 b - 1 of the
+    default int64 draw ``rng.integers(0, 2, (K, M, N))``, and the generator
+    ends in the same state.  That draw takes bit 31 of each 32-bit half of
+    the generator's 64-bit words, low half first, keeping an unused half
+    for the next 32-bit draw.  Here the whole words come from
+    ``bit_generator.random_raw`` in pieces of ``_CHUNK_ELEMS`` signs, and
+    the top byte of each half, shifted right arithmetically by 7, is -b.  A
+    half the generator already holds, and the last word or odd half, are
+    taken by int32 draws, so the pieces continue one stream and the
+    generator keeps its last unused half as the int64 draw leaves it.
+
+    Raises
+    ------
+    ValueError
+        For a bit generator that does not split 64-bit words into 32-bit
+        halves, such as MT19937.
     """
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    if "has_uint32" not in state:
+        raise ValueError(
+            f"chip signs need a bit generator of 64-bit words, not {type(bitgen).__name__}"
+        )
     signs = np.empty((params.users, params.symbols, params.gain), dtype=np.int8)
-    for lo in range(0, signs.size, _CHUNK_ELEMS):
-        size = min(_CHUNK_ELEMS, signs.size - lo)
-        signs.reshape(-1)[lo : lo + size] = rng.integers(0, 2, size=size, dtype=np.int32)
-    signs *= 2
+    flat = signs.reshape(-1)
+    # whole words fill [lo, hi): after a held half, before the last word or odd half
+    lo = int(state["has_uint32"])
+    hi = max(lo, flat.size - 2 + (flat.size - lo) % 2)
+    flat[:lo] = -rng.integers(0, 2, size=lo, dtype=np.int32)
+    step = 2 * max(1, _CHUNK_ELEMS // 2)
+    for start in range(lo, hi, step):
+        size = min(step, hi - start)
+        words = bitgen.random_raw(size // 2).astype("<u8", copy=False)  # bytes low first
+        np.right_shift(words.view(np.int8)[3::4], 7, out=flat[start : start + size])
+        del words  # before the next piece is drawn
+    flat[hi:] = -rng.integers(0, 2, size=flat.size - hi, dtype=np.int32)
+    signs *= -2
     signs -= 1
     return signs
 
@@ -169,9 +199,10 @@ def synthesize_received(
     the retained N-P+1 chips of each symbol never see the previous symbol's
     tail, so convolving the whole chip stream gives the same windows.
     ``chips`` holds the int8 chip signs of :func:`sample_codes`; the
-    1/sqrt(N) scales the transmit weights instead.  The noise is drawn
-    last: the (M, N-P+1) real parts, then the imaginary parts, each
-    standard normal and scaled by sqrt(noise_var / 2).
+    1/sqrt(N) scales the transmit weights instead.  The windows are built a
+    symbol chunk at a time, straight into the output.  The noise is drawn
+    last, as one (2, M, N-P+1) standard normal array: the real parts, then
+    the imaginary parts, each scaled by sqrt(noise_var / 2).
     """
     k, n, p, m = params.users, params.gain, params.taps, params.symbols
     if gains.shape != (k, p):
@@ -182,24 +213,25 @@ def synthesize_received(
         raise ValueError("symbols shape inconsistent with params")
 
     # z(m)[l, p] = sum_k c_k(m)[l] x_k(m) g_k[p]: one real GEMM per symbol
-    # of the chip signs against the (Re, Im)-interleaved transmit weights,
-    # over symbol chunks converted to float64
-    weights = np.multiply(symbols.T[:, :, None], gains / np.sqrt(n), dtype=complex)
-    z = np.empty((m, n, 2 * p))
+    # of the chip signs, converted to float64 for it alone, against the
+    # (Re, Im)-interleaved transmit weights; window chip l of C_k g_k is
+    # sum_p c_k[l + P-1-p] g_k[p], a sum of P shifted slices of z
+    scaled = gains / np.sqrt(n)
+    out = np.empty((m, params.window), dtype=complex)
     step = max(1, _CHUNK_ELEMS // (k * n))
     for lo in range(0, m, step):
         block = slice(lo, lo + step)
-        signs = chips[:, block].astype(float)
-        np.matmul(signs.transpose(1, 2, 0), weights[block].view(float), out=z[block])
-    z = z.view(complex)
-    # window chip n of C_k g_k is sum_p c_k[n + P-1-p] g_k[p]: P shifted slices
-    clean = z[:, p - 1 : p - 1 + params.window, 0].copy()
-    for tap in range(1, p):
-        lo = p - 1 - tap
-        clean += z[:, lo : lo + params.window, tap]
+        weights = np.multiply(symbols.T[block, :, None], scaled, dtype=complex)
+        z = np.matmul(chips[:, block].astype(float).transpose(1, 2, 0), weights.view(float))
+        z = z.view(complex)
+        clean = out[block]
+        np.copyto(clean, z[:, p - 1 : p - 1 + params.window, 0])
+        for tap in range(1, p):
+            start = p - 1 - tap
+            clean += z[:, start : start + params.window, tap]
 
-    sigma = np.sqrt(params.noise_var / 2.0)
-    noise = sigma * (
-        rng.standard_normal(clean.shape) + 1j * rng.standard_normal(clean.shape)
-    )
-    return clean + noise
+    noise = rng.standard_normal((2, *out.shape))
+    noise *= np.sqrt(params.noise_var / 2.0)
+    out.real += noise[0]
+    out.imag += noise[1]
+    return out

@@ -6,8 +6,10 @@ The normal equations T d = y are assembled without ever materializing the
 vec(a_k a_k^H) with a_k = C_k^T r, which drops the per-symbol cost from
 O(N^4) to O(K^2 P^2 N) for the Gram T.  The right-hand side y costs
 O(K P N) per symbol: the correlators a_k are one real GEMM of the chips
-against P shifts of r, and the bias term C_k^T C_k is read off chip lag
-products, so no Sylvester window stack is built.
+against P shifts of r, a symbol chunk at a time, and the bias term
+C_k^T C_k is read off chip lag products, so no Sylvester window stack is
+built.  Its temporaries, but for the (Mi, K, P) correlator outputs and
+their conjugates, are one symbol chunk each.
 
 T is never formed either.  It commutes with the per-user vec-transpose,
 so it maps the real part of a vec'd Hermitian matrix (symmetric) and its
@@ -25,13 +27,14 @@ the Gram blocks.
 The blocks are built from the signs in float32.  Every partial sum is
 then an integer, and binary32 holds every integer of magnitude up to 2^24
 exactly, so each chunk of symbols is summed exactly as long as it keeps
-its sums, at most chunk * (N-P+1)^2, within 2^24; the chunks add up in
-float64, each block entry is an integer sum or difference of two of these
-sums, and one division by 2 M_i N^2 rounds it correctly.  Per
-symbol, :func:`_cross_grams` builds the P^2 cross-Grams of K x (N-P+1) chip
-windows from P GEMMs and P(P-1)/2 rank-2 updates, and the Gram sums the
-(P^4 + 3 P^2)/4 products of them (27 for P = 3) that the Kronecker
-symmetries leave distinct.
+its sums, at most chunk * (N-P+1)^2, within 2^24.  A chunk also keeps its
+P^2 cross-Grams within ``_GRAM_CHUNK_ELEMS`` entries (2 MB).  The chunks
+add up in float64, each block entry is an integer sum or difference of
+two of these sums, and one division by 2 M_i N^2 rounds it correctly.
+Per symbol, :func:`_cross_grams` builds the P^2 cross-Grams of
+K x (N-P+1) chip windows from P GEMMs and P(P-1)/2 rank-2 updates, and
+the Gram sums the (P^4 + 3 P^2)/4 products of them (27 for P = 3) that
+the Kronecker symmetries leave distinct.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from functools import cache
 
 import numpy as np
 
+from . import model
 from .errors import SingularSystemError
-from .model import _CHUNK_ELEMS, unvec
 
 __all__ = [
     "build_normal_equations",
@@ -62,7 +65,7 @@ _EPS = np.finfo(float).eps  # pivots below order * _EPS of the largest count as 
 _SOLVE_BLOCK = 64  # rows per diagonal block of the triangular solves
 _HERMITIAN_TOL = 1e-10
 _EXACT_INT_F32 = 2**24  # binary32 holds every integer of magnitude <= 2^24
-_GRAM_CHUNK_ELEMS = 2**20  # float32 cross-Gram entries per symbol chunk (4 MB)
+_GRAM_CHUNK_ELEMS = 2**19  # float32 cross-Gram entries per symbol chunk (2 MB)
 _INT8_TERMS = 127  # int8 holds every sum of up to 127 products of +-1 signs
 
 
@@ -132,7 +135,13 @@ def build_normal_equations(
         )
     if np.any(idx < 0) or np.any(idx >= m_total):
         raise ValueError("info_range indices out of bounds")
-    if not (np.issubdtype(chips.dtype, np.integer) and np.all(np.abs(chips) == 1)):
+    # +-1 exactly: within [-1, 1] and nonzero, with no chip-sized temporary
+    if not (
+        np.issubdtype(chips.dtype, np.integer)
+        and chips.min() >= -1
+        and chips.max() <= 1
+        and np.count_nonzero(chips) == chips.size
+    ):
         raise ValueError(
             "chips must be integer signs of exactly +-1 (each chip is sign/sqrt(N)), "
             "as model.sample_codes draws them"
@@ -264,26 +273,32 @@ def _correlate(chips: np.ndarray, r: np.ndarray, taps: int) -> np.ndarray:
 
     ``chips`` holds the (K, Mi, N) chip signs and ``r`` the matching
     (Mi, N-P+1) windows.  Tap p reads chip n + P-1-p against r(m)[n], so
-    this is one real GEMM of the signs, converted to float64 a symbol chunk
-    at a time, against P zero-padded shifts of (Re r, Im r), interleaved to
-    view as complex and scaled by 1/sqrt(N).  The SOS right-hand side
-    squares these outputs; the joint training fit weights them by the
-    conjugate training symbols.
+    this is one real GEMM per symbol of the signs against P zero-padded
+    shifts of (Re r, Im r), interleaved to view as complex and scaled by
+    1/sqrt(N).  A symbol chunk at a time, the signs are converted to
+    float64 for its GEMMs alone, and the shifts are written into one
+    chunk-sized buffer whose pads stay zero: every chunk rewrites the same
+    signal positions.  The SOS right-hand side squares these outputs; the
+    joint training fit weights them by the conjugate training symbols.
     """
     k, mi, n = chips.shape
     n_w = r.shape[1]
-    shifted = np.zeros((mi, n, taps, 2))
-    for p in range(taps):
-        lo = taps - 1 - p
-        shifted[:, lo : lo + n_w, p, 0] = r.real
-        shifted[:, lo : lo + n_w, p, 1] = r.imag
-    shifted = shifted.reshape(mi, n, 2 * taps)
+    step = max(1, model._CHUNK_ELEMS // (k * n))
+    shifted = np.zeros((min(step, mi), n, taps, 2))
     out = np.empty((mi, k, 2 * taps))
-    step = max(1, _CHUNK_ELEMS // (k * n))
     for lo in range(0, mi, step):
         block = slice(lo, lo + step)
-        signs = chips[:, block].astype(float)
-        np.matmul(signs.transpose(1, 0, 2), shifted[block], out=out[block])
+        window = r[block]
+        shift = shifted[: len(window)]
+        for p in range(taps):
+            start = taps - 1 - p
+            shift[:, start : start + n_w, p, 0] = window.real
+            shift[:, start : start + n_w, p, 1] = window.imag
+        np.matmul(
+            chips[:, block].astype(float).transpose(1, 0, 2),
+            shift.reshape(len(window), n, 2 * taps),
+            out=out[block],
+        )
     out /= np.sqrt(n)
     return out.view(complex)
 
@@ -300,16 +315,19 @@ def _sos_rhs(chips: np.ndarray, r: np.ndarray, taps: int, noise_var: float) -> n
 def _self_gram(chips: np.ndarray, taps: int) -> np.ndarray:
     """sum_m C_k^(m)T C_k^(m) for every user from chip lag products, (K, P, P).
 
-    Entry (p, q), p >= q, sums c(n + P-1-p) c(n + P-1-p + p-q) over the
+    Entry (p, q), p > q, sums c(n + P-1-p) c(n + P-1-p + p-q) over the
     N-P+1 window chips n: a window, starting at chip P-1-p, of the lag-(p-q)
     products summed over symbols, read off their cumulative sum.  The
     products of the +-1 signs are summed exactly in int8 over blocks of
-    ``_INT8_TERMS`` symbols, then in int64, and divided by N once.
+    ``_INT8_TERMS`` symbols, then in int64, and divided by N once.  At lag
+    0 every product is 1, so each diagonal entry is Mi (N-P+1) / N.
     """
     k, mi, n = chips.shape
     n_w = n - taps + 1
     out = np.empty((k, taps, taps))
-    for lag in range(taps):
+    diag = np.arange(taps)
+    out[:, diag, diag] = mi * n_w
+    for lag in range(1, taps):
         prods = np.zeros((k, n - lag), dtype=np.int64)
         for lo in range(0, mi, _INT8_TERMS):
             block = chips[:, lo : lo + _INT8_TERMS]
@@ -489,7 +507,7 @@ def free_vars(d: np.ndarray) -> np.ndarray:
     """
     d = np.asarray(d)
     taps = math.isqrt(d.shape[-1])
-    mat = unvec(d, taps)
+    mat = model.unvec(d, taps)
     if np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))) > _HERMITIAN_TOL:
         raise ValueError("input is not Hermitian within tolerance 1e-10")
     row, col, is_im = free_slot_index(taps)

@@ -116,6 +116,29 @@ class TestSampleCodes:
         assert np.array_equal(chips, ref)
         assert np.array_equal(model.sample_codes(p, rng), model.sample_codes(p, ref_rng))
 
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.SFC64, np.random.Philox])
+    @pytest.mark.parametrize("held", [0, 1, 3])
+    def test_held_half_and_bit_generators(self, bitgen, held):
+        # after an odd number of 32-bit draws the generator holds the unused
+        # half of a word, which the signs must take first
+        p = model.SystemParams(users=2, gain=9, taps=1, symbols=5)
+        rng, ref_rng = np.random.Generator(bitgen(11)), np.random.Generator(bitgen(11))
+        rng.integers(0, 2, held, dtype=np.int32)
+        ref_rng.integers(0, 2, held, dtype=np.int32)
+        chips = model.sample_codes(p, rng)
+        ref = 2 * ref_rng.integers(0, 2, (p.users, p.symbols, p.gain)) - 1
+        assert np.array_equal(chips, ref)
+        # a half left held shows in the next 32-bit draw
+        after = rng.integers(0, 2**31, 3, dtype=np.int32)
+        assert np.array_equal(after, ref_rng.integers(0, 2**31, 3, dtype=np.int32))
+        assert np.array_equal(rng.random(2), ref_rng.random(2))
+
+    def test_rejects_32_bit_generator(self):
+        # MT19937's raw words are 32-bit: no pair of signs per word to read
+        p = make_params()
+        with pytest.raises(ValueError, match="MT19937"):
+            model.sample_codes(p, np.random.Generator(np.random.MT19937(10)))
+
     def test_draw_peak_memory(self):
         # drawn in pieces: the 1.6 MB of int8 signs plus one int32 piece,
         # not a 6.6 MB int32 array of every chip
@@ -276,6 +299,23 @@ class TestSynthesize:
         gains2, chips2, symbols2 = args()
         r2 = model.synthesize_received(p, gains2, chips2, symbols2, seeded_rng(30))
         assert np.array_equal(r1, r2)
+
+    def test_synthesis_peak_memory(self):
+        # built a symbol chunk at a time into the output: at K = 64, M = 400,
+        # N = 64, P = 3 the windows, their noise and one chunk's float64 signs
+        # peak below 1.5 MB
+        p = model.SystemParams(users=64, gain=64, taps=3, symbols=400, noise_var=0.5)
+        gains = model.sample_channel(p, seeded_rng(40))
+        chips = model.sample_codes(p, seeded_rng(41))
+        symbols = model.sample_symbols(p, seeded_rng(42))
+        rng = seeded_rng(43)
+        tracemalloc.start()
+        try:
+            model.synthesize_received(p, gains, chips, symbols, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_dimension_mismatch_rejected(self):
         p = make_params()

@@ -1,5 +1,7 @@
 """Tests for the SOS normal equations, solvers and Hermitian free variables."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -191,19 +193,53 @@ class TestBuildNormalEquations:
         for part, ref in zip(chunked, whole, strict=True):
             assert np.array_equal(part, ref)
 
-    @pytest.mark.parametrize("case", ["one_chip", "unit_chips"])
+    def test_chunked_synthesis_and_correlator_bit_identical(self, monkeypatch):
+        # 3 symbols per chunk: 6 chunks and a 2-symbol tail for the 20 windows,
+        # 5 chunks and a 2-symbol tail for the correlator's 17 symbols
+        p = model.SystemParams(users=4, gain=12, taps=3, symbols=20, noise_var=0.2)
+        gains = model.sample_channel(p, seeded_rng(86))
+        chips = model.sample_codes(p, seeded_rng(87))
+        symbols = model.sample_symbols(p, seeded_rng(88))
+        results = []
+        for chunk_elems in (p.users * p.symbols * p.gain, 3 * p.users * p.gain):
+            monkeypatch.setattr(model, "_CHUNK_ELEMS", chunk_elems)
+            windows = model.synthesize_received(p, gains, chips, symbols, seeded_rng(89))
+            results.append((windows, sos._correlate(chips[:, 3:], windows[3:], p.taps)))
+        for chunked, whole in zip(results[1], results[0], strict=True):
+            assert np.array_equal(chunked, whole)
+
+    @pytest.mark.parametrize("case", ["one_chip", "unit_chips", "int8_min", "two"])
     def test_gram_rejects_non_sign_chips(self, case):
         p = model.SystemParams(users=2, gain=16, taps=2, symbols=5, noise_var=0.1)
         gains = model.sample_channel(p, seeded_rng(78))
         bad, _, windows = draw_block(p, gains, seeded_rng(79))
         if case == "one_chip":
             bad[1, 2, 3] = 0
+        elif case == "int8_min":
+            bad[1, 2, 3] = -128  # |-128| wraps to -128 in int8
+        elif case == "two":
+            bad[0, 4, 15] = 2
         else:
             bad = bad / np.sqrt(p.gain)  # the +-1/sqrt(N) chips, not their signs
         # the right-hand side sums the signs exactly in int8 too
         for include_gram in (True, False):
             with pytest.raises(ValueError, match="exactly"):
                 sos.build_normal_equations(bad, windows, range(5), p.noise_var, include_gram)
+
+    def test_rhs_peak_memory(self):
+        # the right-hand side of one trial at K = 64, M = 400, N = 64, P = 3
+        # checks the chips and correlates them a symbol chunk at a time, so it
+        # peaks below 2.6 MB: its two (Mi, K, P) complex arrays and chunk buffers
+        p = model.SystemParams(users=64, gain=64, taps=3, symbols=400, train_symbols=80)
+        gains = model.sample_channel(p, seeded_rng(90))
+        chips, _, windows = draw_block(p, gains, seeded_rng(91))
+        tracemalloc.start()
+        try:
+            sos.build_normal_equations(chips, windows, range(80, 400), 0.5, include_gram=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6e6
 
     def test_gram_rejects_windows_beyond_exact_float32(self):
         # N-P+1 = 4097: a product of two cross-Gram entries can reach 4097^2 > 2^24
