@@ -45,6 +45,13 @@ def _interference_power(params: SystemParams) -> float:
     return params.noise_var + params.load
 
 
+def _check_train_frac(alpha: float) -> float:
+    """The training fraction ``alpha`` = M_t/M, once it is checked to lie in (0, 1)."""
+    if not 0 < alpha < 1:
+        raise ConfigError(f"training fraction alpha={alpha} must lie in (0, 1)")
+    return alpha
+
+
 def _energy(g: np.ndarray, nonzero: bool = False) -> np.ndarray:
     """||g||^2 of each vector of a (..., P) stack."""
     energy = (g * g.conj()).real.sum(axis=-1)
@@ -91,8 +98,8 @@ def average_sos_variance(params: SystemParams) -> float:
     Equals lam^2 + 2*lam/P, the channel average of trace(Sigma)/P^2 for the
     covariance of :func:`predict_sos_covariance` at unit mean energy.
     """
-    beta, s2, p = params.load, params.noise_var, params.taps
-    return 2 * beta * s2 + s2 * s2 + beta * beta + 2 * (beta + s2) / p
+    lam = _interference_power(params)
+    return lam * lam + 2 * lam / params.taps
 
 
 def real_covariance(sigma_dd: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -106,10 +113,7 @@ def real_covariance(sigma_dd: np.ndarray, params: SystemParams) -> np.ndarray:
     noise_var/(2 M_t) * I and SOS block (A sigma_dd A^H).real / (M - M_t).
     Leading batch axes carry through.
     """
-    if params.train_symbols == 0:
-        raise ConfigError("degenerate configuration: no training symbols (M_t = 0)")
-    if params.train_symbols == params.symbols:
-        raise ConfigError("degenerate configuration: no information symbols (M_t = M)")
+    _check_train_frac(params.train_frac)
     taps = params.taps
     two_p, dim = 2 * taps, taps * taps
     free_map = hermitian_basis(taps).reshape(dim, dim) / free_weights(taps)[:, None]
@@ -135,27 +139,24 @@ def predict_subspace_angle(g: np.ndarray, params: SystemParams) -> float:
     return _scalar((params.taps - 1) * (lam * lam + lam * energy) / energy**2)
 
 
-def _check_train_frac(params: SystemParams) -> float:
-    alpha = params.train_frac
-    if not 0 < alpha < 1:
-        raise ConfigError(f"training fraction alpha={alpha} must lie in (0, 1)")
-    return alpha
-
-
 def _subspace_terms(g: np.ndarray, params: SystemParams, angle_var: float | None) -> tuple:
     """Terms (A, B, C) of the subspace MSE quadratic P*MSE = w^2 A + (1-w)^2 B + C.
 
-    A = ||g||^2 (1 + 1/P) theta^2 / (1 - alpha) is the projection error,
-    B = (P - 1) s2 / alpha the training error that the projection removes
-    and C = s2 / alpha the floor that both keep; theta^2 is ``angle_var``
-    or, by default, predicted from g.
+    With the training estimate g_bar = g + e and u the estimated eigenvector,
+    g_hat - g = u u^H e + (I - u u^H)[(1 - w) e - w g].  The training error
+    e does not depend on u, so the cross term has zero mean, and
+    P*MSE = w^2 ||g||^2 M E{sin^2 theta} + (1 - w)^2 (P - 1) s2/alpha + s2/alpha:
+    A = ||g||^2 theta^2 / (1 - alpha) is the projection error, theta^2 the
+    angle variance scaled by the M - M_t information symbols (``angle_var``
+    or, by default, predicted from g), B = (P - 1) s2 / alpha the training
+    error that the projection removes and C = s2 / alpha the floor both keep.
     """
-    alpha = _check_train_frac(params)
+    alpha = _check_train_frac(params.train_frac)
     p, s2 = params.taps, params.noise_var
     g = np.asarray(g, dtype=complex)
     if angle_var is None:
         angle_var = predict_subspace_angle(g, params)
-    return _energy(g) * (1 + 1 / p) * angle_var / (1 - alpha), (p - 1) * s2 / alpha, s2 / alpha
+    return _energy(g) * angle_var / (1 - alpha), (p - 1) * s2 / alpha, s2 / alpha
 
 
 def predict_subspace_mse(
@@ -244,7 +245,7 @@ def mm_error_covariance(
     above 1e12, a single vector raises :class:`SingularSystemError` and a
     stack fills that entry's Sigma and sigma_g2 with NaN.
     """
-    alpha = _check_train_frac(params)
+    alpha = _check_train_frac(params.train_frac)
     if weight is None:
         weight = estimators.weight_w(alpha, params.noise_var, average_sos_variance(params))
     hess, df_dz = _stationarity_jacobians(g, weight)
@@ -290,8 +291,7 @@ def mm_lower_bound(g: np.ndarray, params: SystemParams) -> np.ndarray:
 
 def efficiency(sigma_g2, sigma_n2: float, alpha: float) -> float | np.ndarray:
     """Training-symbol worth of each information symbol, per entry of sigma_g2."""
-    if not 0 < alpha < 1:
-        raise ConfigError(f"alpha={alpha} must lie in (0, 1)")
+    _check_train_frac(alpha)
     if np.any(np.asarray(sigma_g2) <= 0):
         raise ValueError("sigma_g2 must be positive")
     return (sigma_n2 / sigma_g2 - alpha) / (1 - alpha)

@@ -54,16 +54,13 @@ def _report_failures(failures) -> int:
     return 1
 
 
-def _cmd_predict(args) -> int:
-    config = _build_config(args)
-    records, failures = harness.predict(config)
-    _write(records, config)
-    return _report_failures(failures)
+# each grid command's harness function, looked up per call so a wrapper set on it runs
+_GRID_RUNNERS = {"predict": "predict", "sweep": "run_sweep"}
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_grid(args) -> int:
     config = _build_config(args)
-    records, failures = harness.run_sweep(config)
+    records, failures = getattr(harness, _GRID_RUNNERS[args.command])(config)
     _write(records, config)
     return _report_failures(failures)
 
@@ -90,8 +87,7 @@ def _cmd_simulate(args) -> int:
     if args.diagnostics and records:  # a failed cell would only fail again
         _print_diagnostics(config, cell)
     if config.out:
-        harness.emit(records, config.out, config.fmt)
-        print(f"wrote {len(records)} records to {config.out}")
+        _write(records, config)
     return _report_failures(failures)
 
 
@@ -111,9 +107,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, extra in (
-        ("predict", _cmd_predict, "analytic efficiency surfaces over the grid"),
+        ("predict", _cmd_grid, "analytic efficiency surfaces over the grid"),
         ("simulate", _cmd_simulate, "single cell with verbose diagnostics"),
-        ("sweep", _cmd_sweep, "full Monte Carlo grid sweep"),
+        ("sweep", _cmd_grid, "full Monte Carlo grid sweep"),
     ):
         p = sub.add_parser(name, help=extra)
         _add_common(p)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import SystemParams, unvec
+from .model import SystemParams, _check_shapes, _check_signs, unvec
 from .sos import _EXACT_INT_F32, _correlate, _cross_grams, _solve_spd, hermitianize
 
 __all__ = [
@@ -82,7 +82,8 @@ def training_estimate(
     conj(x_k) x_j (:func:`_training_gram`), with no copy of the Sylvester
     stack.  It is summed exactly in float32, so the training symbols must
     have real and imaginary parts in {0, +-u} for one u > 0 (QPSK and real
-    +-1 symbols both qualify); any others raise ``ValueError``.
+    +-1 symbols both qualify); any others raise ``ValueError``, as do arrays
+    off ``params`` and training chips that are not signs of exactly +-1.
     """
     mt, k, taps = params.train_symbols, params.users, params.taps
     if mt < 1:
@@ -92,7 +93,9 @@ def training_estimate(
             f"joint least-squares training needs M_t (N-P+1) >= K P; got "
             f"{mt * params.window} training samples for {k * taps} taps"
         )
+    _check_shapes(params, chips=chips, symbols=symbols, windows=windows)
     train_chips = chips[:, :mt, :]
+    _check_signs(train_chips)
     x = symbols[:, :mt]
     gram = _training_gram(train_chips, x, taps)
     despread = _correlate(train_chips, windows[:mt], taps)  # (M_t, K, P)

@@ -14,7 +14,7 @@ import io
 import json
 import logging
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -334,21 +334,16 @@ def _subspace_omega(config, params, g_true, g_bar) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _analytic_draws(config: ExperimentConfig, taps: int) -> np.ndarray:
-    """Channel draws for prediction, shared by all cells of the same order.
+def _analytic_draws(config: ExperimentConfig, params: model.SystemParams) -> np.ndarray:
+    """The (draws, P) prediction channels, drawn as :func:`model.sample_channel`
+    draws them and shared by all cells of the same order.
 
     Sharing the draws across cells is a common-random-numbers device: grid
     trends in beta, sigma_n2 and alpha are then monotone in the formulas
     rather than jittered by independent sampling.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence((config.seed, _ANALYTIC_SALT, taps))
-    )
-    scale = math.sqrt(1.0 / (2 * taps))
-    return scale * (
-        rng.standard_normal((config.draws, taps))
-        + 1j * rng.standard_normal((config.draws, taps))
-    )
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, _ANALYTIC_SALT, params.taps)))
+    return model.sample_channel(replace(params, users=config.draws), rng)
 
 
 def _analytic_cell(
@@ -363,7 +358,7 @@ def _analytic_cell(
     if estimator == "training":
         return s2 / alpha, 0.0, (0.0 if alpha < 1 else None)
 
-    draws = _analytic_draws(config, cell.taps)
+    draws = _analytic_draws(config, params)
     if estimator == "mm":
         _, sg2 = analytic.mm_error_covariance(draws, params)  # NaN where singular
     else:

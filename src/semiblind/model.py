@@ -3,13 +3,13 @@
 Everything here is a pure function of (parameters, rng) returning plain
 arrays: the (K, P) channel gains, the (K, M, N) spreading chips, the (K, M)
 symbols and the (M, N-P+1) ISI-free received windows.  Each chip is
-+-1/sqrt(N); the chips array holds only its int8 sign, and every consumer
-applies the 1/sqrt(N) once, in float64, after its sums.  The signs are
-drawn, and converted to float64 by their consumers, a chunk of about
-``_CHUNK_ELEMS`` at a time, and the synthesis writes each symbol chunk's
-windows straight into its output, so no temporary outgrows one chunk.  Chip
-indices follow the 1-based convention l = 1..N in all interface
-documentation; arrays are stored 0-based.
++-1/sqrt(N); the chips array holds only its int8 sign.  Every consumer
+checks the signs and applies the 1/sqrt(N) once, in float64, after its
+sums.  The signs are drawn, and converted to float64 by their consumers,
+a chunk of about ``_CHUNK_ELEMS`` at a time, and the synthesis writes each
+symbol chunk's windows straight into its output, so no temporary outgrows
+one chunk.  Chip indices follow the 1-based convention l = 1..N in all
+interface documentation; arrays are stored 0-based.
 """
 
 from __future__ import annotations
@@ -165,6 +165,28 @@ def sample_codes(params: SystemParams, rng: np.random.Generator) -> np.ndarray:
     return signs
 
 
+def _check_signs(chips: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``chips`` holds integer signs of exactly +-1,
+    as :func:`sample_codes` draws them, from their minimum, maximum and count
+    of nonzeros alone: no temporary of the chips' size."""
+    nonzero = np.issubdtype(chips.dtype, np.integer) and np.count_nonzero(chips) == chips.size
+    if not (nonzero and chips.min() >= -1 and chips.max() <= 1):
+        raise ValueError(
+            "chips must be integer signs of exactly +-1 (each chip is sign/sqrt(N)), "
+            "as model.sample_codes draws them"
+        )
+
+
+def _check_shapes(params: SystemParams, **arrays: np.ndarray) -> None:
+    """Raise ``ValueError`` unless each named array has its shape under ``params``."""
+    k, m = params.users, params.symbols
+    shapes = {"gains": (k, params.taps), "chips": (k, m, params.gain), "symbols": (k, m)}
+    shapes["windows"] = (m, params.window)
+    for name, array in arrays.items():
+        if array.shape != shapes[name]:
+            raise ValueError(f"{name} shape inconsistent with params")
+
+
 def sample_symbols(params: SystemParams, rng: np.random.Generator) -> np.ndarray:
     """Draw (K, M) uniform QPSK symbols; the first M_t of each user are training."""
     idx = rng.integers(0, 4, size=(params.users, params.symbols))
@@ -202,15 +224,12 @@ def synthesize_received(
     1/sqrt(N) scales the transmit weights instead.  The windows are built a
     symbol chunk at a time, straight into the output.  The noise is drawn
     last, as one (2, M, N-P+1) standard normal array: the real parts, then
-    the imaginary parts, each scaled by sqrt(noise_var / 2).
+    the imaginary parts, each scaled by sqrt(noise_var / 2).  Arrays off
+    ``params`` and chips that are not signs of exactly +-1 raise ``ValueError``.
     """
+    _check_shapes(params, gains=gains, chips=chips, symbols=symbols)
+    _check_signs(chips)
     k, n, p, m = params.users, params.gain, params.taps, params.symbols
-    if gains.shape != (k, p):
-        raise ValueError("channel shape inconsistent with params")
-    if chips.shape != (k, m, n):
-        raise ValueError("chips shape inconsistent with params")
-    if symbols.shape != (k, m):
-        raise ValueError("symbols shape inconsistent with params")
 
     # z(m)[l, p] = sum_k c_k(m)[l] x_k(m) g_k[p]: one real GEMM per symbol
     # of the chip signs, converted to float64 for it alone, against the

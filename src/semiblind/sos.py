@@ -72,11 +72,11 @@ _INT8_TERMS = 127  # int8 holds every sum of up to 127 products of +-1 signs
 def build_normal_equations(
     chips: np.ndarray,
     windows: np.ndarray,
-    info_range,
+    info_range: range,
     noise_var: float,
     include_gram: bool = True,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """Accumulate T and y over the given information-symbol indices.
+    """Accumulate T and y over the information symbols of ``info_range``.
 
     Returns ``(rhs, gram)``: y as the (K, P^2) complex per-user blocks, and
     T = (1/M_i) sum_m Q^T(m) Q(m) as the pair ``(real, imag)`` of its
@@ -97,8 +97,9 @@ def build_normal_equations(
         = sign / sqrt(N)) and the matching (M, N-P+1) ISI-free windows.
         The window length N-P+1 sets the channel order P.
     info_range :
-        Symbol indices (0-based) contributing to the statistics; must be
-        nonempty.
+        The information symbols (0-based), a nonempty step-1 ``range``
+        inside the block; the chips and windows are read through views of
+        it, with no copy.
     noise_var :
         Complex noise variance used for the bias correction
         sigma_n^2 Q^T(m) vec(I) = sigma_n^2 vec(C_k^T C_k) per user block.
@@ -113,46 +114,28 @@ def build_normal_equations(
     Raises
     ------
     ValueError
-        For an empty or out-of-bounds ``info_range``, windows whose count
-        differs from the chips' symbol count or whose length implies a channel
-        order outside 1 <= P < N, chips that are not integer signs of
-        exactly +-1, and (with ``include_gram``) windows longer than 4096
-        chips, whose products float32 would round.
+        For an ``info_range`` that is not a nonempty step-1 range in the
+        block, windows whose count differs from the chips' or whose length
+        implies a channel order outside 1 <= P < N, information chips that
+        are not integer signs of exactly +-1, and (with ``include_gram``)
+        windows longer than 4096 chips, whose products float32 would round.
     """
-    idx = np.asarray(list(info_range), dtype=int)
-    if idx.size == 0:
-        raise ValueError("info_range must be nonempty")
     _, m_total, n = chips.shape
+    inside = isinstance(info_range, range) and 0 <= info_range.start < info_range.stop <= m_total
+    if not (inside and info_range.step == 1):
+        raise ValueError(f"info_range {info_range!r} is not a nonempty step-1 range in the block")
     if windows.ndim != 2 or windows.shape[0] != m_total:
-        raise ValueError(
-            f"received windows {windows.shape} do not match the {m_total} symbols of the chips"
-        )
+        raise ValueError(f"windows {windows.shape} do not match the {m_total} symbols of the chips")
     taps = n - windows.shape[1] + 1
     if not 1 <= taps < n:
         raise ValueError(
             f"window length {windows.shape[1]} implies channel order {taps}, "
             f"outside 1 <= P < N = {n}"
         )
-    if np.any(idx < 0) or np.any(idx >= m_total):
-        raise ValueError("info_range indices out of bounds")
-    # +-1 exactly: within [-1, 1] and nonzero, with no chip-sized temporary
-    if not (
-        np.issubdtype(chips.dtype, np.integer)
-        and chips.min() >= -1
-        and chips.max() <= 1
-        and np.count_nonzero(chips) == chips.size
-    ):
-        raise ValueError(
-            "chips must be integer signs of exactly +-1 (each chip is sign/sqrt(N)), "
-            "as model.sample_codes draws them"
-        )
-
-    # a contiguous range selects views, so no copy of the chips is held
-    # while the Gram accumulates
-    if np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
-        idx = slice(idx[0], idx[0] + idx.size)
-    info_chips = chips[:, idx, :]  # (K, Mi, N)
-    rhs = _sos_rhs(info_chips, windows[idx], taps, noise_var)
+    info = slice(info_range.start, info_range.stop)
+    info_chips = chips[:, info]  # (K, Mi, N)
+    model._check_signs(info_chips)
+    rhs = _sos_rhs(info_chips, windows[info], taps, noise_var)
     return rhs, _gram(info_chips, taps) if include_gram else None
 
 

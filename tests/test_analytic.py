@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from semiblind import analytic, estimators, model, sos
+from semiblind import analytic, estimators, harness, model, sos
 from semiblind.errors import ConfigError, SingularSystemError
 from helpers import (
     draw_block,
@@ -262,6 +262,27 @@ class TestSubspaceMse:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ConfigError):
             analytic.predict_subspace_mse(random_taps(3, 97), params_for(train=0), 0.5)
+
+    def test_monte_carlo_at_fixed_omega(self):
+        # solve-mode sweeps at N = 64, M = 400, P = 3, alpha = 0.2, s2 = 0.5,
+        # 60 trials, prediction from 5000 draws: the ratio of the empirical
+        # to the predicted MSE lies in [0.90, 1.12], a bound fixed before the
+        # run whose upper side leaves room for the training fit's finite-size
+        # factor of about 1.04-1.05; a projection term too large by
+        # (1 + 1/P) read 0.853 and 0.816 at omega = 1
+        ratios = {}
+        for omega in (1.0, 0.5):
+            config = harness.ExperimentConfig(
+                gain=64, symbols=400, beta=(0.25, 0.5), sigma_n2=(0.5,), taps=(3,),
+                alpha=(0.2,), trials=60, seed=4, estimator="subspace", sos_mode="solve",
+                omega=omega, draws=5000,
+            )
+            records, failures = harness.run_sweep(config)
+            assert not failures
+            for rec in records:
+                ratios[rec.beta, omega] = rec.sigma_g2_emp / rec.sigma_g2_ana
+        assert len(ratios) == 4
+        assert all(0.90 <= r <= 1.12 for r in ratios.values()), ratios
 
 
 class TestOptimalOmega:

@@ -166,6 +166,32 @@ class TestTrainingEstimate:
         with pytest.raises(ConfigError, match="K P"):
             estimators.training_estimate(windows, chips, symbols, p)
 
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("unit_chips", "exactly"),
+            ("int16_two", "exactly"),
+            ("window_one_chip_short", "windows"),
+            ("too_few_windows", "windows"),
+        ],
+    )
+    def test_rejects_block_off_contract(self, case, match):
+        # noiseless at K = 4, N = 16, P = 2, M = 40, M_t = 20, each of these
+        # gave wrong gains, or failed inside numpy broadcasting, without a check
+        p = model.SystemParams(users=4, gain=16, taps=2, symbols=40, train_symbols=20)
+        gains = model.sample_channel(p, seeded_rng(136))
+        chips, symbols, windows = draw_block(p, gains, seeded_rng(137))
+        if case == "unit_chips":
+            chips = chips / np.sqrt(p.gain)
+        elif case == "int16_two":
+            chips = chips.astype(np.int16) * 2
+        elif case == "window_one_chip_short":
+            windows = windows[:, :-1]
+        else:
+            windows = windows[:10]
+        with pytest.raises(ValueError, match=match):
+            estimators.training_estimate(windows, chips, symbols, p)
+
     def test_requires_training_symbols(self):
         p = model.SystemParams(users=2, gain=16, taps=2, symbols=10, train_symbols=0)
         gains = model.sample_channel(p, seeded_rng(127))

@@ -244,7 +244,7 @@ class TestAnalyticCell:
     def test_singular_draws_skipped(self, monkeypatch, caplog):
         cfg = tiny_config(estimator="mm")
         cell = harness.grid_cells(cfg)[0]
-        draws = harness._analytic_draws(cfg, cell.taps)
+        draws = harness._analytic_draws(cfg, cell.params)
         params = cell.params
         w = estimators.weight_w(
             params.train_frac, params.noise_var, analytic.average_sos_variance(params)

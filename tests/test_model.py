@@ -326,6 +326,21 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             model.synthesize_received(bad, gains, chips, symbols, seeded_rng(34))
 
+    @pytest.mark.parametrize("case", ["unit_chips", "int16_two"])
+    def test_rejects_non_sign_chips(self, case):
+        # the +-1/sqrt(N) chips, or int16 signs times 2, would give windows
+        # scaled by 1/sqrt(N) or 2 without a word
+        p = make_params()
+        gains = model.sample_channel(p, seeded_rng(31))
+        chips = model.sample_codes(p, seeded_rng(32))
+        symbols = model.sample_symbols(p, seeded_rng(33))
+        if case == "unit_chips":
+            bad = chips / np.sqrt(p.gain)
+        else:
+            bad = chips.astype(np.int16) * 2
+        with pytest.raises(ValueError, match="exactly"):
+            model.synthesize_received(p, gains, bad, symbols, seeded_rng(34))
+
     def test_noise_retention(self):
         p = make_params()
         gains = model.sample_channel(p, seeded_rng(35))

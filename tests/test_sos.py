@@ -266,15 +266,13 @@ class TestBuildNormalEquations:
 
     @given(data=st.data())
     def test_property_matches_brute_force_on_subsets(self, data):
-        # random shapes and a random nonempty subset of symbols, in any order
+        # random shapes and a random nonempty step-1 range of symbols
         users = data.draw(st.integers(1, 4), label="K")
         taps = data.draw(st.integers(1, 4), label="P")
         gain = data.draw(st.integers(taps + 1, 12), label="N")
         symbols = data.draw(st.integers(1, 6), label="M")
-        info = data.draw(
-            st.lists(st.integers(0, symbols - 1), min_size=1, max_size=symbols, unique=True),
-            label="info_range",
-        )
+        start = data.draw(st.integers(0, symbols - 1), label="start")
+        info = range(start, data.draw(st.integers(start + 1, symbols), label="stop"))
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         p = model.SystemParams(users=users, gain=gain, taps=taps, symbols=symbols, noise_var=0.3)
         rng = seeded_rng(seed)
@@ -301,6 +299,20 @@ class TestBuildNormalEquations:
         chips, _, windows = draw_block(p, gains, seeded_rng(50))
         with pytest.raises(ValueError):
             sos.build_normal_equations(chips, windows, [], 0.0)
+
+    @pytest.mark.parametrize(
+        "info",
+        [[4, 5, 6], np.arange(4, 7), range(4, 10, 2), range(9, 3, -1), range(-1, 4), range(4, 11)],
+        ids=["list", "array", "step_2", "step_minus_1", "negative_start", "past_end"],
+    )
+    def test_rejects_info_other_than_step1_range_in_block(self, info):
+        # one path: the information symbols are read through views of a
+        # step-1 range inside the block, and nothing else is accepted
+        p = model.SystemParams(users=2, gain=16, taps=2, symbols=10)
+        gains = model.sample_channel(p, seeded_rng(49))
+        chips, _, windows = draw_block(p, gains, seeded_rng(50))
+        with pytest.raises(ValueError, match="info_range"):
+            sos.build_normal_equations(chips, windows, info, 0.0)
 
 
 class TestEstimateSos:
