@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import estimators
-from .errors import ConfigError, SingularSystemError
-from .model import SystemParams
+from .errors import SingularSystemError
+from .model import SystemParams, _check_train_frac, _check_unit_weight
 from .sos import free_weights, hermitian_basis, outer_free_jacobian
 
 __all__ = [
@@ -43,13 +43,6 @@ def _interference_power(params: SystemParams) -> float:
     floor of the SOS error covariance and lam the scale of ``omega``.
     """
     return params.noise_var + params.load
-
-
-def _check_train_frac(alpha: float) -> float:
-    """The training fraction ``alpha`` = M_t/M, once it is checked to lie in (0, 1)."""
-    if not 0 < alpha < 1:
-        raise ConfigError(f"training fraction alpha={alpha} must lie in (0, 1)")
-    return alpha
 
 
 def _energy(g: np.ndarray, nonzero: bool = False) -> np.ndarray:
@@ -167,13 +160,12 @@ def predict_subspace_mse(
 ) -> float | np.ndarray:
     """Scaled per-tap MSE of the subspace estimator at combining weight omega.
 
-    ``omega`` is a scalar or one weight per vector of ``g``.  ``angle_var``
-    overrides the eigenvector-angle variance (e.g. 0 for the hypothetical
-    perfect-subspace limit); by default it is predicted from g.
+    ``omega`` is a scalar or one weight per vector of ``g``, checked by
+    :func:`model._check_unit_weight`.  ``angle_var`` overrides the
+    eigenvector-angle variance (e.g. 0 for the hypothetical perfect-subspace
+    limit); by default it is predicted from g.
     """
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0) or np.any(omega > 1):
-        raise ValueError(f"omega={omega} must lie in [0, 1]")
+    omega = _check_unit_weight("omega", omega)
     proj, train, floor = _subspace_terms(g, params, angle_var)
     return _scalar((omega**2 * proj + (1 - omega) ** 2 * train + floor) / params.taps)
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import SystemParams, _check_shapes, _check_signs, unvec
+from .model import SystemParams, _check_shapes, _check_signs, _check_train_frac
+from .model import _check_unit_weight, unvec
 from .sos import _EXACT_INT_F32, _correlate, _cross_grams, _solve_spd, hermitianize
 
 __all__ = [
@@ -86,8 +87,6 @@ def training_estimate(
     off ``params`` and training chips that are not signs of exactly +-1.
     """
     mt, k, taps = params.train_symbols, params.users, params.taps
-    if mt < 1:
-        raise ConfigError("training_estimate requires at least one training symbol")
     if mt * params.window < k * taps:
         raise ConfigError(
             f"joint least-squares training needs M_t (N-P+1) >= K P; got "
@@ -150,9 +149,8 @@ def _training_gram(chips: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
 
 
 def weight_w(alpha: float, sigma_n2: float, sigma_d2: float) -> float:
-    """Relative weight on the SOS term in the moment-matching cost."""
-    if not 0 < alpha < 1:
-        raise ConfigError(f"alpha={alpha} must lie in (0, 1)")
+    """SOS-term weight of the moment-matching cost; ``model._check_train_frac`` checks alpha."""
+    _check_train_frac(alpha)
     return (1 - alpha) * sigma_n2 / ((1 - alpha) * sigma_n2 + alpha * sigma_d2)
 
 
@@ -184,14 +182,13 @@ def mm_semiblind(g_bar: np.ndarray, d_hat: np.ndarray, weight: float) -> Semibli
     the a_i on the top eigenvalue, is nonpositive.  In the hard
     case (a_i = 0 on the top eigenvalue and h(max_i b_i) >= 0, e.g. w = 1)
     mu = max_i b_i and the missing norm h goes along the top eigenvector.
-    w = 0 returns g_bar unchanged.
+    w = 0 returns g_bar unchanged; :func:`model._check_unit_weight` checks w.
 
     ``g_bar`` has shape (..., P) and ``d_hat`` (..., P^2).  The diagnostics
     summarise the batch: Newton steps taken, whether every entry met the
     tolerance, the summed cost and [cost at g_bar, final cost].
     """
-    if not 0 <= weight <= 1:
-        raise ValueError(f"weight={weight} must lie in [0, 1]")
+    _check_unit_weight("weight", weight)
     g_bar = np.asarray(g_bar, dtype=complex)
     taps = g_bar.shape[-1]
     d_vec = hermitianize(np.asarray(d_hat, dtype=complex))
@@ -270,15 +267,12 @@ def subspace_semiblind(
     of u, so the SOS phase ambiguity never reaches the estimate.  Batched
     over leading axes: ``g_bar`` (..., P), ``d_hat`` (..., P^2) and
     ``omega`` a scalar or one weight per batch entry, which the diagnostics
-    record as given.
+    record as given once :func:`model._check_unit_weight` has checked it.
     """
-    weights = np.asarray(omega, dtype=float)
-    if np.any(weights < 0) or np.any(weights > 1):
-        raise ValueError(f"omega={omega} must lie in [0, 1]")
+    weights = _check_unit_weight("omega", omega)[..., None]
     g_bar = np.asarray(g_bar, dtype=complex)
     u = principal_eigvec(d_hat)
     proj = np.einsum("...i,...i->...", u.conj(), g_bar)[..., None]
-    weights = weights[..., None]
     gains = weights * proj * u + (1 - weights) * g_bar
     diag = FitDiagnostics(method="subspace", weight=omega)
     return SemiblindEstimate(gains=gains, diagnostics=diag)

@@ -148,16 +148,15 @@ CONFIG_KEYS = {
 
 @dataclass(frozen=True)
 class Cell:
-    """One grid point and the system it simulates, with K and M_t rounded."""
+    """One grid point (beta and alpha as given) and its system, K and M_t rounded."""
 
     beta: float
-    sigma_n2: float
-    taps: int
     alpha: float
     params: model.SystemParams
 
     def key(self) -> str:
-        return f"beta={self.beta!r},sigma_n2={self.sigma_n2!r},P={self.taps},alpha={self.alpha!r}"
+        p = self.params
+        return f"beta={self.beta!r},sigma_n2={p.noise_var!r},P={p.taps},alpha={self.alpha!r}"
 
 
 @dataclass
@@ -259,7 +258,7 @@ def grid_cells(config: ExperimentConfig) -> list[Cell]:
             train_symbols=train,
             noise_var=sn2,
         )
-        cells.append(Cell(beta=beta, sigma_n2=sn2, taps=int(taps), alpha=alpha, params=params))
+        cells.append(Cell(beta=beta, alpha=alpha, params=params))
     return cells
 
 
@@ -314,7 +313,7 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
             diagnostics["mm"] = fit.diagnostics
 
         if "subspace" in which:
-            omega = _subspace_omega(config, params, gains, g_bar)
+            omega = _subspace_omega(config, params, gains if config.omega == "oracle" else g_bar)
             fit = estimators.subspace_semiblind(g_bar, d_hat, omega)
             errors["subspace"] = np.sum(np.abs(fit.gains - gains) ** 2, axis=1)
             diagnostics["subspace"] = fit.diagnostics
@@ -322,10 +321,9 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
     return TrialResult(errors=errors, diagnostics=diagnostics)
 
 
-def _subspace_omega(config, params, g_true, g_bar) -> float | np.ndarray:
+def _subspace_omega(config, params, ref) -> float | np.ndarray:
     if not isinstance(config.omega, str):
         return config.omega
-    ref = g_true if config.omega == "oracle" else g_bar
     return analytic.optimal_omega(ref, params)
 
 
@@ -348,22 +346,21 @@ def _analytic_draws(config: ExperimentConfig, params: model.SystemParams) -> np.
 
 def _analytic_cell(
     config: ExperimentConfig, cell: Cell, estimator: str
-) -> tuple[float, float, float | None]:
+) -> tuple[float, float | None, float | None]:
     """Channel-averaged (sigma_g2_ana, its standard error, eta_ana).
 
-    eta divides by 1 - alpha, so a training-only cell at alpha = 1 has none.
+    The exact training prediction has no standard error nor, at alpha = 1, eta.
     """
     params = cell.params
     alpha, s2 = params.train_frac, params.noise_var
     if estimator == "training":
-        return s2 / alpha, 0.0, (0.0 if alpha < 1 else None)
+        return s2 / alpha, None, (0.0 if alpha < 1 else None)
 
     draws = _analytic_draws(config, params)
     if estimator == "mm":
         _, sg2 = analytic.mm_error_covariance(draws, params)  # NaN where singular
     else:
-        omega = analytic.optimal_omega(draws, params) if isinstance(config.omega, str) else config.omega
-        sg2 = analytic.predict_subspace_mse(draws, params, omega)
+        sg2 = analytic.predict_subspace_mse(draws, params, _subspace_omega(config, params, draws))
     singular = np.isnan(sg2)
     if singular.any():
         log.warning("cell %s: %d singular-Hessian draws skipped", cell.key(), singular.sum())
@@ -392,9 +389,8 @@ def _cell_records(
     params = cell.params
     records = []
     for name in config.estimator_list:
-        ana, ana_se, eta_ana = _analytic_cell(config, cell, name)
+        ana, se, eta_ana = _analytic_cell(config, cell, name)
         trials, emp, eta_emp = 0, None, None
-        se = ana_se if name != "training" else None
         if per_trial is not None:
             scaled = params.symbols * np.asarray(per_trial[name]) / params.taps
             trials, emp = scaled.size, float(scaled.mean())
@@ -404,8 +400,8 @@ def _cell_records(
         records.append(
             SweepRecord(
                 beta=cell.beta,
-                sigma_n2=cell.sigma_n2,
-                P=cell.taps,
+                sigma_n2=params.noise_var,
+                P=params.taps,
                 alpha=cell.alpha,
                 estimator=name,
                 trials=trials,

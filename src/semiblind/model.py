@@ -9,7 +9,8 @@ sums.  The signs are drawn, and converted to float64 by their consumers,
 a chunk of about ``_CHUNK_ELEMS`` at a time, and the synthesis writes each
 symbol chunk's windows straight into its output, so no temporary outgrows
 one chunk.  Chip indices follow the 1-based convention l = 1..N in all
-interface documentation; arrays are stored 0-based.
+interface documentation; arrays are stored 0-based.  The module also owns
+the weight rules: alpha = M_t/M lies in (0, 1), and w and omega in [0, 1].
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConfigError
 
 __all__ = [
     "SystemParams",
@@ -90,6 +93,21 @@ class SystemParams:
     def window(self) -> int:
         """Length N-P+1 of each ISI-free received window."""
         return self.gain - self.taps + 1
+
+
+def _check_train_frac(alpha: float) -> float:
+    """The training fraction ``alpha`` = M_t/M, once it is checked to lie in (0, 1)."""
+    if not 0 < alpha < 1:
+        raise ConfigError(f"training fraction alpha={alpha} must lie in (0, 1)")
+    return alpha
+
+
+def _check_unit_weight(name: str, value: float | np.ndarray) -> np.ndarray:
+    """The weight ``name``, a scalar or one per batch entry, as floats in [0, 1]."""
+    weights = np.asarray(value, dtype=float)
+    if not np.all((weights >= 0) & (weights <= 1)):  # NaN fails too
+        raise ValueError(f"{name}={value} must lie in [0, 1]")
+    return weights
 
 
 def vec_outer(g: np.ndarray) -> np.ndarray:

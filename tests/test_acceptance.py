@@ -14,6 +14,7 @@ import pytest
 
 from semiblind import analytic, estimators, harness, model, sos
 from helpers import (
+    brute_force_system,
     dense_gram,
     draw_block,
     gram_only,
@@ -452,8 +453,6 @@ def test_criterion_11_numerical_hygiene():
     clauses.append(("free-variable round trip", np.allclose(rt, once, atol=1e-14), ""))
 
     # structured normal equations vs explicit Kronecker construction
-    from test_sos import brute_force_system
-
     worst = 0.0
     for users, gain, taps in [(1, 6, 2), (2, 8, 3), (3, 10, 3), (3, 9, 2)]:
         p_small = model.SystemParams(

@@ -27,6 +27,8 @@ class TestConfig:
         assert cells[0].params.users == 8 and cells[0].params.train_symbols == 4
         # product order: beta outer, then sigma, taps, alpha
         assert [c.beta for c in cells] == [0.25, 0.25, 0.5, 0.5]
+        # the key text seeds every trial stream of its cell
+        assert cells[1].key() == "beta=0.25,sigma_n2=0.5,P=2,alpha=0.25"
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -198,7 +200,7 @@ class TestRunSweep:
         manual = [
             harness.run_trial(cfg, cell, t).errors["training"].mean() for t in range(4)
         ]
-        scaled = cell.params.symbols * np.asarray(manual) / cell.taps
+        scaled = cell.params.symbols * np.asarray(manual) / cell.params.taps
         assert rec.sigma_g2_emp == pytest.approx(scaled.mean(), rel=1e-12)
         assert rec.sigma_g2_se == pytest.approx(
             scaled.std(ddof=1) / np.sqrt(4), rel=1e-12

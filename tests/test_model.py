@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semiblind import model
+from semiblind import analytic, estimators, model
+from semiblind.errors import ConfigError
 from helpers import full_stream_windows, seeded_rng
 
 
@@ -38,6 +39,44 @@ class TestSystemParams:
     def test_rejects_invalid(self, kw):
         with pytest.raises(ValueError):
             make_params(**kw)
+
+
+class TestWeightRules:
+    """Every estimator and prediction applies the one rule of each weight."""
+
+    G = np.array([0.6, 0.3 - 0.2j, 0.1j])
+
+    @pytest.mark.parametrize("train", [0, 50], ids=["alpha_0", "alpha_1"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda p, g: estimators.weight_w(p.train_frac, 0.5, 1.0), id="weight_w"),
+            pytest.param(lambda p, g: analytic.efficiency(1.0, 0.5, p.train_frac), id="efficiency"),
+            pytest.param(lambda p, g: analytic.real_covariance(np.eye(9), p), id="real_covariance"),
+            pytest.param(lambda p, g: analytic.mm_error_covariance(g, p), id="mm_error_covariance"),
+            pytest.param(
+                lambda p, g: analytic.predict_subspace_mse(g, p, 0.5), id="predict_subspace_mse"
+            ),
+        ],
+    )
+    def test_training_fraction_in_open_unit_interval(self, call, train):
+        p = make_params(train_symbols=train)
+        with pytest.raises(ConfigError, match=r"training fraction alpha=.* must lie in \(0, 1\)"):
+            call(p, self.G)
+
+    @pytest.mark.parametrize("weight", [-0.1, 1.1, np.nan])
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda g, w: estimators.mm_semiblind(g, model.vec_outer(g), w), "weight"),
+            (lambda g, w: estimators.subspace_semiblind(g, model.vec_outer(g), w), "omega"),
+            (lambda g, w: analytic.predict_subspace_mse(g, make_params(), w), "omega"),
+        ],
+        ids=["mm_semiblind", "subspace_semiblind", "predict_subspace_mse"],
+    )
+    def test_weight_in_closed_unit_interval(self, call, name, weight):
+        with pytest.raises(ValueError, match=rf"^{name}=.* must lie in \[0, 1\]$"):
+            call(self.G, weight)
 
 
 class TestSampleChannel:

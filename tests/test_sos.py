@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from semiblind import model, sos
 from semiblind.errors import SingularSystemError
 from helpers import (
+    brute_force_system,
     dense_gram,
     draw_block,
     gram_only,
@@ -18,39 +19,6 @@ from helpers import (
     seeded_rng,
     sos_trials,
 )
-
-
-def brute_force_system(params, chips, windows, noise_var, mean=True):
-    """Materialize Q(m) explicitly; the oracle the fast path must match.
-
-    ``chips`` holds the signs, scaled here to the +-1/sqrt(N) chips.
-    Returns (T, y) with y in the (K, P^2) per-user layout; with
-    ``mean=False``, their sums over the symbols, not yet divided by M.
-    """
-    k, p, n_w = params.users, params.taps, params.window
-    chips = chips / np.sqrt(params.gain)
-    dim = k * p * p
-    gram = np.zeros((dim, dim))
-    rhs = np.zeros(dim, dtype=complex)
-    eye_vec = np.eye(n_w).reshape(-1, order="F")
-    for m in range(params.symbols):
-        q = np.hstack(
-            [
-                np.kron(
-                    model.sylvester(chips[u, m], p),
-                    model.sylvester(chips[u, m], p),
-                )
-                for u in range(k)
-            ]
-        )
-        r = windows[m]
-        gram += q.T @ q
-        rhs += q.T @ np.outer(r, r.conj()).reshape(-1, order="F")
-        rhs -= noise_var * (q.T @ eye_vec)
-    rhs = rhs.reshape(k, p * p)
-    if not mean:
-        return gram, rhs
-    return gram / params.symbols, rhs / params.symbols
 
 
 class TestCrossGrams:
