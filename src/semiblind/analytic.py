@@ -22,6 +22,7 @@ from .sos import free_weights, hermitian_basis, outer_free_jacobian
 __all__ = [
     "predict_sos_covariance",
     "average_sos_variance",
+    "plugin_weight",
     "real_covariance",
     "predict_subspace_angle",
     "predict_subspace_mse",
@@ -93,6 +94,11 @@ def average_sos_variance(params: SystemParams) -> float:
     """
     lam = _interference_power(params)
     return lam * lam + 2 * lam / params.taps
+
+
+def plugin_weight(params: SystemParams) -> float:
+    """The plug-in moment-matching weight w, at the channel-averaged SOS variance."""
+    return estimators.weight_w(params.train_frac, params.noise_var, average_sos_variance(params))
 
 
 def real_covariance(sigma_dd: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -237,9 +243,8 @@ def mm_error_covariance(
     above 1e12, a single vector raises :class:`SingularSystemError` and a
     stack fills that entry's Sigma and sigma_g2 with NaN.
     """
-    alpha = _check_train_frac(params.train_frac)
     if weight is None:
-        weight = estimators.weight_w(alpha, params.noise_var, average_sos_variance(params))
+        weight = plugin_weight(params)
     hess, df_dz = _stationarity_jacobians(g, weight)
     cond = np.linalg.cond(hess)
     singular = ~np.isfinite(cond) | (cond > _COND_LIMIT)

@@ -296,19 +296,13 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
         errors["training"] = np.sum(np.abs(g_bar - gains) ** 2, axis=1)
 
     if "mm" in which or "subspace" in which:
-        if params.train_symbols >= params.symbols:
-            raise ConfigError("semi-blind estimators need at least one information symbol")
-        info = range(params.train_symbols, params.symbols)
         rhs, gram = sos.build_normal_equations(
-            chips, windows, info, params.noise_var, include_gram=config.sos_mode == "solve"
+            windows, chips, params, include_gram=config.sos_mode == "solve"
         )
         d_hat = sos.hermitianize(sos.estimate_sos(rhs, gram))
 
         if "mm" in which:
-            w = estimators.weight_w(
-                params.train_frac, params.noise_var, analytic.average_sos_variance(params)
-            )
-            fit = estimators.mm_semiblind(g_bar, d_hat, w)
+            fit = estimators.mm_semiblind(g_bar, d_hat, analytic.plugin_weight(params))
             errors["mm"] = np.sum(np.abs(fit.gains - gains) ** 2, axis=1)
             diagnostics["mm"] = fit.diagnostics
 
@@ -349,7 +343,8 @@ def _analytic_cell(
 ) -> tuple[float, float | None, float | None]:
     """Channel-averaged (sigma_g2_ana, its standard error, eta_ana).
 
-    The exact training prediction has no standard error nor, at alpha = 1, eta.
+    The exact training prediction and a single usable draw have no standard
+    error; at alpha = 1 there is no eta.
     """
     params = cell.params
     alpha, s2 = params.train_frac, params.noise_var
@@ -368,7 +363,7 @@ def _analytic_cell(
     if not sg2.size:
         raise SingularSystemError(f"all analytic draws failed for cell {cell.key()}")
     eta = analytic.efficiency(sg2, s2, alpha)
-    se = float(sg2.std(ddof=1) / math.sqrt(sg2.size)) if sg2.size > 1 else 0.0
+    se = float(sg2.std(ddof=1) / math.sqrt(sg2.size)) if sg2.size > 1 else None
     return float(sg2.mean()), se, float(eta.mean())
 
 

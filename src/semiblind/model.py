@@ -26,7 +26,6 @@ __all__ = [
     "sample_channel",
     "sample_codes",
     "sample_symbols",
-    "sylvester",
     "synthesize_received",
     "vec_outer",
     "unvec",
@@ -209,21 +208,6 @@ def sample_symbols(params: SystemParams, rng: np.random.Generator) -> np.ndarray
     """Draw (K, M) uniform QPSK symbols; the first M_t of each user are training."""
     idx = rng.integers(0, 4, size=(params.users, params.symbols))
     return _QPSK[idx]
-
-
-def sylvester(code_words: np.ndarray, taps: int) -> np.ndarray:
-    """Truncated Sylvester (banded convolution) matrices of code words.
-
-    Row i (1-based) is (s(P+i-1), s(P+i-2), ..., s(i)); multiplying by a
-    channel vector yields the convolution s * g restricted to the ISI-free
-    lags P..N.  A (..., N) stack of code words gives a read-only
-    (..., N-P+1, P) view of it, with no copy.
-    """
-    s = np.asarray(code_words)
-    n = s.shape[-1]
-    if taps >= n:
-        raise ValueError(f"taps={taps} must be < code length {n}")
-    return np.lib.stride_tricks.sliding_window_view(s, taps, axis=-1)[..., ::-1]
 
 
 def synthesize_received(

@@ -70,13 +70,12 @@ _INT8_TERMS = 127  # int8 holds every sum of up to 127 products of +-1 signs
 
 
 def build_normal_equations(
-    chips: np.ndarray,
     windows: np.ndarray,
-    info_range: range,
-    noise_var: float,
+    chips: np.ndarray,
+    params: model.SystemParams,
     include_gram: bool = True,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """Accumulate T and y over the information symbols of ``info_range``.
+    """Accumulate T and y over the M - M_t information symbols of the block.
 
     Returns ``(rhs, gram)``: y as the (K, P^2) complex per-user blocks, and
     T = (1/M_i) sum_m Q^T(m) Q(m) as the pair ``(real, imag)`` of its
@@ -92,17 +91,13 @@ def build_normal_equations(
 
     Parameters
     ----------
-    chips, windows :
-        The (K, M, N) int8 chip signs of :func:`model.sample_codes` (chip
-        = sign / sqrt(N)) and the matching (M, N-P+1) ISI-free windows.
-        The window length N-P+1 sets the channel order P.
-    info_range :
-        The information symbols (0-based), a nonempty step-1 ``range``
-        inside the block; the chips and windows are read through views of
-        it, with no copy.
-    noise_var :
-        Complex noise variance used for the bias correction
-        sigma_n^2 Q^T(m) vec(I) = sigma_n^2 vec(C_k^T C_k) per user block.
+    windows, chips :
+        The (M, N-P+1) ISI-free windows and (K, M, N) int8 chip signs, as
+        :func:`estimators.training_estimate` takes them; the information
+        symbols M_t .. M-1 are read through views, with no copy.
+    params :
+        K, M, N and P fix the shapes, M_t the training prefix, and
+        noise_var the bias correction sigma_n^2 vec(C_k^T C_k) per user.
     include_gram :
         Skip the (comparatively expensive) Gram accumulation when False and
         return None in its place, for identity-T estimation.  The Gram is
@@ -114,29 +109,19 @@ def build_normal_equations(
     Raises
     ------
     ValueError
-        For an ``info_range`` that is not a nonempty step-1 range in the
-        block, windows whose count differs from the chips' or whose length
-        implies a channel order outside 1 <= P < N, information chips that
-        are not integer signs of exactly +-1, and (with ``include_gram``)
-        windows longer than 4096 chips, whose products float32 would round.
+        For a block with no information symbol (M_t = M), arrays off
+        ``params``, information chips that are not integer signs of exactly
+        +-1, and (with ``include_gram``) windows longer than 4096 chips,
+        whose products float32 would round.
     """
-    _, m_total, n = chips.shape
-    inside = isinstance(info_range, range) and 0 <= info_range.start < info_range.stop <= m_total
-    if not (inside and info_range.step == 1):
-        raise ValueError(f"info_range {info_range!r} is not a nonempty step-1 range in the block")
-    if windows.ndim != 2 or windows.shape[0] != m_total:
-        raise ValueError(f"windows {windows.shape} do not match the {m_total} symbols of the chips")
-    taps = n - windows.shape[1] + 1
-    if not 1 <= taps < n:
-        raise ValueError(
-            f"window length {windows.shape[1]} implies channel order {taps}, "
-            f"outside 1 <= P < N = {n}"
-        )
-    info = slice(info_range.start, info_range.stop)
+    if params.train_symbols == params.symbols:
+        raise ValueError("semi-blind estimators need at least one information symbol")
+    model._check_shapes(params, chips=chips, windows=windows)
+    info = slice(params.train_symbols, params.symbols)
     info_chips = chips[:, info]  # (K, Mi, N)
     model._check_signs(info_chips)
-    rhs = _sos_rhs(info_chips, windows[info], taps, noise_var)
-    return rhs, _gram(info_chips, taps) if include_gram else None
+    rhs = _sos_rhs(info_chips, windows[info], params.taps, params.noise_var)
+    return rhs, _gram(info_chips, params.taps) if include_gram else None
 
 
 def _gram(chips: np.ndarray, taps: int) -> tuple[np.ndarray, np.ndarray]:

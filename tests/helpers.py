@@ -10,6 +10,8 @@ which assume unit average user energy.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from semiblind import estimators, model, sos
@@ -46,6 +48,21 @@ def draw_block(params, gains, rng):
     return chips, symbols, windows
 
 
+def sylvester(code_words: np.ndarray, taps: int) -> np.ndarray:
+    """Truncated Sylvester (banded convolution) matrices of code words.
+
+    Row i (1-based) is (s(P+i-1), s(P+i-2), ..., s(i)); multiplying by a
+    channel vector yields the convolution s * g restricted to the ISI-free
+    lags P..N.  A (..., N) stack of code words gives a read-only
+    (..., N-P+1, P) view of it, with no copy.
+    """
+    s = np.asarray(code_words)
+    n = s.shape[-1]
+    if taps >= n:
+        raise ValueError(f"taps={taps} must be < code length {n}")
+    return np.lib.stride_tricks.sliding_window_view(s, taps, axis=-1)[..., ::-1]
+
+
 def full_stream_windows(params, gains, chips, symbols) -> np.ndarray:
     """Noiseless windows cut from the convolved whole chip stream, (M, N-P+1).
 
@@ -72,16 +89,15 @@ def sos_trials(
     """Hermitianized SOS estimates (n_trials, K, P^2), channel held fixed.
 
     ``mode`` is ``identity`` (d = y) or ``solve`` (T d = y with the Gram).
+    The moments are read from symbol ``info_start`` on, whatever M_t
+    ``params`` holds; the draws do not depend on M_t.
     """
+    info_params = replace(params, train_symbols=info_start)
     out = np.empty((n_trials, params.users, params.taps**2), dtype=complex)
     for t in range(n_trials):
         chips, _, windows = draw_block(params, gains, seeded_rng(*key, t))
         rhs, gram = sos.build_normal_equations(
-            chips,
-            windows,
-            range(info_start, params.symbols),
-            params.noise_var,
-            include_gram=mode == "solve",
+            windows, chips, info_params, include_gram=mode == "solve"
         )
         out[t] = sos.hermitianize(sos.estimate_sos(rhs, gram))
     return out
@@ -118,8 +134,8 @@ def brute_force_system(params, chips, windows, noise_var, mean=True):
         q = np.hstack(
             [
                 np.kron(
-                    model.sylvester(chips[u, m], p),
-                    model.sylvester(chips[u, m], p),
+                    sylvester(chips[u, m], p),
+                    sylvester(chips[u, m], p),
                 )
                 for u in range(k)
             ]
@@ -141,12 +157,10 @@ def scaled_covariance(samples: np.ndarray, scale: int) -> np.ndarray:
 
 
 def gram_only(params: model.SystemParams, rng: np.random.Generator) -> np.ndarray:
-    """The normal-equation matrix T for one fresh code draw (no data needed)."""
+    """The normal-equation matrix T over all M symbols of one fresh code draw."""
     chips = model.sample_codes(params, rng)
     windows = np.zeros((params.symbols, params.window), dtype=complex)
-    _, blocks = sos.build_normal_equations(
-        chips, windows, range(params.symbols), 0.0, include_gram=True
-    )
+    _, blocks = sos.build_normal_equations(windows, chips, replace(params, train_symbols=0))
     return dense_gram(blocks)
 
 

@@ -194,9 +194,7 @@ def test_criterion_05_subspace_baselines():
     for t in range(trials):
         chips, symbols, windows = draw_block(params, gains, seeded_rng(SALT, 51, t))
         g_bar = estimators.training_estimate(windows, chips, symbols, params)
-        rhs, _ = sos.build_normal_equations(
-            chips, windows, range(80, 400), s2, include_gram=False
-        )
+        rhs, _ = sos.build_normal_equations(windows, chips, params, include_gram=False)
         d_hat = sos.hermitianize(sos.estimate_sos(rhs))
         for k in range(params.users):
             fit = estimators.subspace_semiblind(g_bar[k], d_hat[k], 0.0)
@@ -460,7 +458,7 @@ def test_criterion_11_numerical_hygiene():
         )
         gains = model.sample_channel(p_small, seeded_rng(SALT, 113, users, gain))
         chips, _, windows = draw_block(p_small, gains, seeded_rng(SALT, 114, users, gain))
-        rhs, blocks = sos.build_normal_equations(chips, windows, range(4), 0.3)
+        rhs, blocks = sos.build_normal_equations(windows, chips, p_small)
         gram = dense_gram(blocks)
         gram_ref, rhs_ref = brute_force_system(p_small, chips, windows, 0.3)
         worst = max(

@@ -185,9 +185,7 @@ class TestRealCovariance:
         for t in range(trials):
             chips, symbols, windows = draw_block(p, gains, seeded_rng(91, t))
             g_bar = estimators.training_estimate(windows, chips, symbols, p)
-            rhs, _ = sos.build_normal_equations(
-                chips, windows, range(80, 400), p.noise_var, include_gram=False
-            )
+            rhs, _ = sos.build_normal_equations(windows, chips, p, include_gram=False)
             d0 = sos.hermitianize(sos.estimate_sos(rhs))[0]
             dg = g_bar[0] - gains[0]
             dd = sos.free_vars(d0) - sos.free_vars(model.vec_outer(gains[0]))
@@ -394,7 +392,7 @@ class TestMmErrorCovariance:
         for t in range(trials):
             chips, symbols, windows = draw_block(p, gains, seeded_rng(104, t))
             g_bar = estimators.training_estimate(windows, chips, symbols, p)
-            rhs, gram = sos.build_normal_equations(chips, windows, range(80, 400), p.noise_var)
+            rhs, gram = sos.build_normal_equations(windows, chips, p)
             d_hat = sos.hermitianize(sos.estimate_sos(rhs, gram))
             fit = estimators.mm_semiblind(g_bar, d_hat, w)
             err[t] = np.sum(np.abs(fit.gains - gains) ** 2, axis=-1)

@@ -12,6 +12,7 @@ from helpers import (
     record_chunk_sizes,
     representative_channels,
     seeded_rng,
+    sylvester,
     training_trials,
 )
 
@@ -65,7 +66,7 @@ class TestTrainingEstimate:
         chips, symbols, windows = draw_block(p, gains, seeded_rng(130))
         stacked = np.vstack([
             np.hstack([
-                symbols[k, m] * model.sylvester(chips[k, m] / np.sqrt(p.gain), p.taps)
+                symbols[k, m] * sylvester(chips[k, m] / np.sqrt(p.gain), p.taps)
                 for k in range(p.users)
             ])
             for m in range(p.train_symbols)
@@ -122,7 +123,7 @@ class TestTrainingEstimate:
             return
         stacked = np.vstack([
             np.hstack([
-                x[k, m] * model.sylvester(chips[k, m] / np.sqrt(gain), taps)
+                x[k, m] * sylvester(chips[k, m] / np.sqrt(gain), taps)
                 for k in range(users)
             ])
             for m in range(mt)
@@ -424,9 +425,7 @@ class TestSubspaceBeatsTraining:
         for t in range(trials):
             chips, symbols, windows = draw_block(p, gains, seeded_rng(153, t))
             g_bar = estimators.training_estimate(windows, chips, symbols, p)
-            rhs, _ = sos.build_normal_equations(
-                chips, windows, range(80, 400), p.noise_var, include_gram=False
-            )
+            rhs, _ = sos.build_normal_equations(windows, chips, p, include_gram=False)
             d_hat = sos.hermitianize(sos.estimate_sos(rhs))
             fit = estimators.subspace_semiblind(g_bar, d_hat, omega)
             err_tr = np.sum(np.abs(g_bar - gains) ** 2)

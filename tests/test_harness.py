@@ -248,9 +248,7 @@ class TestAnalyticCell:
         cell = harness.grid_cells(cfg)[0]
         draws = harness._analytic_draws(cfg, cell.params)
         params = cell.params
-        w = estimators.weight_w(
-            params.train_frac, params.noise_var, analytic.average_sos_variance(params)
-        )
+        w = analytic.plugin_weight(params)
         cond = np.linalg.cond(analytic._stationarity_jacobians(draws, w)[0])
         keep = cond <= np.median(cond)
         rows = [analytic.mm_error_covariance(g, params)[1] for g in draws[keep]]
@@ -270,7 +268,31 @@ class TestAnalyticCell:
             harness._analytic_cell(cfg, harness.grid_cells(cfg)[0], "mm")
 
 
+    def test_plugin_weight_has_one_owner(self, monkeypatch):
+        # the trial's fit and the analytic prediction both take w from it
+        cfg = tiny_config(estimator="mm")
+        cell = harness.grid_cells(cfg)[0]
+        before = harness._analytic_cell(cfg, cell, "mm")[0]
+        monkeypatch.setattr(analytic, "plugin_weight", lambda params: 0.25)
+        assert harness.run_trial(cfg, cell, 0).diagnostics["mm"].weight == 0.25
+        draws = harness._analytic_draws(cfg, cell.params)
+        want = np.mean(analytic.mm_error_covariance(draws, cell.params, 0.25)[1])
+        got = harness._analytic_cell(cfg, cell, "mm")[0]
+        assert got == pytest.approx(want, rel=1e-13)
+        assert got != pytest.approx(before, rel=1e-3)
+
+
 class TestPredict:
+    def test_single_draw_has_no_standard_error(self):
+        # one channel draw gives no spread to estimate, as one trial does not
+        cfg = harness.ExperimentConfig(
+            gain=16, symbols=40, beta=(0.25,), sigma_n2=(0.5,), taps=(2,),
+            alpha=(0.25,), estimator="all", draws=1,
+        )
+        records, failures = harness.predict(cfg)
+        assert not failures
+        assert [r.sigma_g2_se for r in records] == [None, None, None]
+
     def test_subspace_omega_zero_is_baseline(self):
         cfg = tiny_config(estimator="subspace", omega=0.0, sigma_n2=(0.5, 1.0))
         records, failures = harness.predict(cfg)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from semiblind import analytic, estimators, model
 from semiblind.errors import ConfigError
-from helpers import full_stream_windows, seeded_rng
+from helpers import full_stream_windows, seeded_rng, sylvester
 
 
 def make_params(**kw):
@@ -210,28 +210,28 @@ class TestSampleSymbols:
 class TestSylvester:
     def test_p1_is_column(self):
         s = model.sample_codes(make_params(gain=16, taps=1), seeded_rng(9))[0, 0] / 4.0
-        mat = model.sylvester(s, 1)
+        mat = sylvester(s, 1)
         assert mat.shape == (16, 1)
         assert np.array_equal(mat[:, 0], s)
         assert (mat.T @ mat)[0, 0] == 1.0
 
     def test_documented_layout(self):
         a, b, c, d = 0.5, -0.5, 0.5, 0.5
-        mat = model.sylvester(np.array([a, b, c, d]), 2)
+        mat = sylvester(np.array([a, b, c, d]), 2)
         assert np.array_equal(mat, [[b, a], [c, b], [d, c]])
 
     def test_rejects_large_order(self):
         with pytest.raises(ValueError):
-            model.sylvester(np.ones(4), 4)
+            sylvester(np.ones(4), 4)
         with pytest.raises(ValueError):
-            model.sylvester(np.ones((2, 3, 4)), 4)
+            sylvester(np.ones((2, 3, 4)), 4)
 
     def test_stack_matches_single_words(self):
         chips = model.sample_codes(make_params(), seeded_rng(39))  # (K, M, N)
-        stack = model.sylvester(chips, 3)
+        stack = sylvester(chips, 3)
         assert stack.shape == (*chips.shape[:2], chips.shape[2] - 2, 3)
         for k, m in [(0, 0), (1, 7), (3, 49)]:
-            assert np.array_equal(stack[k, m], model.sylvester(chips[k, m], 3))
+            assert np.array_equal(stack[k, m], sylvester(chips[k, m], 3))
             assert np.array_equal(stack[k, m, :, 0], chips[k, m, 2:])  # column 0: chips P..N
 
     def test_convolution_oracle(self):
@@ -241,13 +241,13 @@ class TestSylvester:
             s = (2.0 * rng.integers(0, 2, n) - 1) / np.sqrt(n)
             g = rng.standard_normal(p) + 1j * rng.standard_normal(p)
             conv = np.convolve(s, g)[p - 1 : n]
-            assert np.allclose(model.sylvester(s, p) @ g, conv, atol=1e-14)
+            assert np.allclose(sylvester(s, p) @ g, conv, atol=1e-14)
 
     def test_near_orthogonal_columns(self):
         # seeded draw; entries of C^T C - I within 3/sqrt(N)
         n, p = 64, 3
         s = (2.0 * seeded_rng(11).integers(0, 2, n) - 1) / np.sqrt(n)
-        mat = model.sylvester(s, p)
+        mat = sylvester(s, p)
         assert np.max(np.abs(mat.T @ mat - np.eye(p))) < 3 / np.sqrt(n)
 
 
@@ -272,7 +272,7 @@ class TestSynthesize:
             direct = np.zeros(p.window, dtype=complex)
             for k in range(p.users):
                 direct += (
-                    model.sylvester(chips[k, m] / np.sqrt(p.gain), p.taps)
+                    sylvester(chips[k, m] / np.sqrt(p.gain), p.taps)
                     @ gains[k]
                     * symbols[k, m]
                 )
@@ -297,7 +297,7 @@ class TestSynthesize:
         direct = np.array(
             [
                 sum(
-                    model.sylvester(chips[k, m] / np.sqrt(gain), taps) @ gains[k] * x[k, m]
+                    sylvester(chips[k, m] / np.sqrt(gain), taps) @ gains[k] * x[k, m]
                     for k in range(users)
                 )
                 for m in range(symbols)

@@ -1,6 +1,7 @@
 """Tests for the SOS normal equations, solvers and Hermitian free variables."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from helpers import (
     record_chunk_sizes,
     seeded_rng,
     sos_trials,
+    sylvester,
 )
 
 
@@ -59,7 +61,7 @@ class TestBuildNormalEquations:
         p = model.SystemParams(users=1, gain=16, taps=1, symbols=8, noise_var=0.1)
         gains = model.sample_channel(p, seeded_rng(40))
         chips, _, windows = draw_block(p, gains, seeded_rng(41))
-        _, (real, imag) = sos.build_normal_equations(chips, windows, range(8), p.noise_var)
+        _, (real, imag) = sos.build_normal_equations(windows, chips, p)
         # at P = 1 the real block is T and the imaginary block is empty
         assert real.shape == (1, 1)
         assert imag.shape == (0, 0)
@@ -69,8 +71,8 @@ class TestBuildNormalEquations:
         p = model.SystemParams(users=2, gain=8, taps=2, symbols=3, noise_var=0.2)
         gains = model.sample_channel(p, seeded_rng(42))
         chips, _, windows = draw_block(p, gains, seeded_rng(43))
-        c0 = model.sylvester(chips[0, 0] / np.sqrt(p.gain), 2)
-        c1 = model.sylvester(chips[1, 0] / np.sqrt(p.gain), 2)
+        c0 = sylvester(chips[0, 0] / np.sqrt(p.gain), 2)
+        c1 = sylvester(chips[1, 0] / np.sqrt(p.gain), 2)
         q0, q1 = np.kron(c0, c0), np.kron(c1, c1)
         assert np.allclose(q0.T @ q1, np.kron(c0.T @ c1, c0.T @ c1), atol=1e-14)
 
@@ -79,7 +81,7 @@ class TestBuildNormalEquations:
         p = model.SystemParams(users=users, gain=gain, taps=taps, symbols=5, noise_var=0.3)
         gains = model.sample_channel(p, seeded_rng(44, users, gain))
         chips, _, windows = draw_block(p, gains, seeded_rng(45, users, gain))
-        rhs, blocks = sos.build_normal_equations(chips, windows, range(5), p.noise_var)
+        rhs, blocks = sos.build_normal_equations(windows, chips, p)
         gram = dense_gram(blocks)
         gram_ref, rhs_ref = brute_force_system(p, chips, windows, p.noise_var)
         assert np.max(np.abs(gram - gram_ref)) <= 1e-12 * np.max(np.abs(gram_ref))
@@ -92,14 +94,13 @@ class TestBuildNormalEquations:
         assert np.max(np.abs(gram - np.eye(16))) < 0.15
 
     def test_info_range_subset(self):
+        # the moments of M_t = 4 of 10 symbols are those of the last 6 alone
         p = model.SystemParams(users=2, gain=16, taps=2, symbols=10, noise_var=0.1)
         gains = model.sample_channel(p, seeded_rng(47))
         chips, _, windows = draw_block(p, gains, seeded_rng(48))
-        sub_rhs, sub_gram = sos.build_normal_equations(chips, windows, range(4, 10), p.noise_var)
-        p_t = model.SystemParams(users=2, gain=16, taps=2, symbols=6, noise_var=0.1)
-        full_rhs, full_gram = sos.build_normal_equations(
-            chips[:, 4:, :], windows[4:], range(6), p_t.noise_var
-        )
+        sub_rhs, sub_gram = sos.build_normal_equations(windows, chips, replace(p, train_symbols=4))
+        p_t = replace(p, symbols=6)
+        full_rhs, full_gram = sos.build_normal_equations(windows[4:], chips[:, 4:, :], p_t)
         for sub, full in zip(sub_gram, full_gram, strict=True):
             assert np.array_equal(sub, full)
         assert np.array_equal(sub_rhs, full_rhs)
@@ -112,7 +113,7 @@ class TestBuildNormalEquations:
         p = model.SystemParams(users=users, gain=gain, taps=taps, symbols=symbols)
         gains = model.sample_channel(p, seeded_rng(74, gain))
         chips, _, windows = draw_block(p, gains, seeded_rng(75, gain))
-        _, blocks = sos.build_normal_equations(chips, windows, range(symbols), p.noise_var)
+        _, blocks = sos.build_normal_equations(windows, chips, p)
         sums, _ = brute_force_system(p, chips, windows, p.noise_var, mean=False)
         for block, ref in zip(blocks, hermitian_blocks(sums, users, taps), strict=True):
             assert np.array_equal(block, ref / symbols)
@@ -126,7 +127,7 @@ class TestBuildNormalEquations:
         p = model.SystemParams(users=users, gain=gain, taps=taps, symbols=symbols)
         gains = model.sample_channel(p, seeded_rng(83, gain))
         chips, _, windows = draw_block(p, gains, seeded_rng(84, gain))
-        _, blocks = sos.build_normal_equations(chips, windows, range(symbols), p.noise_var)
+        _, blocks = sos.build_normal_equations(windows, chips, p)
         gram_ref, _ = brute_force_system(p, chips, windows, p.noise_var)
         for block, ref in zip(blocks, hermitian_blocks(gram_ref, users, taps), strict=True):
             assert np.array_equal(block, ref)
@@ -138,10 +139,7 @@ class TestBuildNormalEquations:
         # imaginary block the upper imaginary parts, per user
         p = model.SystemParams(users=3, gain=9, taps=taps, symbols=2)
         _, (real, imag) = sos.build_normal_equations(
-            model.sample_codes(p, seeded_rng(85, taps)),
-            np.zeros((2, p.window), dtype=complex),
-            range(2),
-            0.0,
+            np.zeros((2, p.window), dtype=complex), model.sample_codes(p, seeded_rng(85, taps)), p
         )
         assert real.shape == (3 * taps * (taps + 1) // 2,) * 2
         assert imag.shape == (3 * taps * (taps - 1) // 2,) * 2
@@ -152,11 +150,11 @@ class TestBuildNormalEquations:
         p = model.SystemParams(users=4, gain=12, taps=3, symbols=20, noise_var=0.2)
         gains = model.sample_channel(p, seeded_rng(76))
         chips, _, windows = draw_block(p, gains, seeded_rng(77))
-        _, whole = sos.build_normal_equations(chips, windows, range(20), p.noise_var)
+        _, whole = sos.build_normal_equations(windows, chips, p)
         # room for 3 symbols of the 9 (4 x 4) cross-Grams: 7 chunks
         monkeypatch.setattr(sos, "_GRAM_CHUNK_ELEMS", 3 * 9 * 16)
         sizes = record_chunk_sizes(monkeypatch, sos)
-        _, chunked = sos.build_normal_equations(chips, windows, range(20), p.noise_var)
+        _, chunked = sos.build_normal_equations(windows, chips, p)
         assert sizes == [3] * 6 + [2]
         for part, ref in zip(chunked, whole, strict=True):
             assert np.array_equal(part, ref)
@@ -192,7 +190,7 @@ class TestBuildNormalEquations:
         # the right-hand side sums the signs exactly in int8 too
         for include_gram in (True, False):
             with pytest.raises(ValueError, match="exactly"):
-                sos.build_normal_equations(bad, windows, range(5), p.noise_var, include_gram)
+                sos.build_normal_equations(windows, bad, p, include_gram)
 
     def test_rhs_peak_memory(self):
         # the right-hand side of one trial at K = 64, M = 400, N = 64, P = 3
@@ -203,7 +201,7 @@ class TestBuildNormalEquations:
         chips, _, windows = draw_block(p, gains, seeded_rng(91))
         tracemalloc.start()
         try:
-            sos.build_normal_equations(chips, windows, range(80, 400), 0.5, include_gram=False)
+            sos.build_normal_equations(windows, chips, replace(p, noise_var=0.5), include_gram=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -215,7 +213,7 @@ class TestBuildNormalEquations:
         chips = model.sample_codes(p, seeded_rng(82))
         windows = np.zeros((1, p.window), dtype=complex)
         with pytest.raises(ValueError, match="4096"):
-            sos.build_normal_equations(chips, windows, range(1), 0.0)
+            sos.build_normal_equations(windows, chips, p)
 
     @pytest.mark.parametrize("case", ["symbol_count", "window_too_long"])
     def test_rejects_mismatched_windows(self, case):
@@ -228,59 +226,41 @@ class TestBuildNormalEquations:
             # N + 1 chips per window would mean a channel order of 0
             windows = np.ones((p.symbols, p.gain + 1), dtype=complex)
         with pytest.raises(ValueError, match="window"):
-            sos.build_normal_equations(
-                chips, windows, range(5), p.noise_var
-            )
+            sos.build_normal_equations(windows, chips, p)
 
     @given(data=st.data())
     def test_property_matches_brute_force_on_subsets(self, data):
-        # random shapes and a random nonempty step-1 range of symbols
+        # random shapes, a random M_t and the block cut at a random stop
         users = data.draw(st.integers(1, 4), label="K")
         taps = data.draw(st.integers(1, 4), label="P")
         gain = data.draw(st.integers(taps + 1, 12), label="N")
         symbols = data.draw(st.integers(1, 6), label="M")
-        start = data.draw(st.integers(0, symbols - 1), label="start")
-        info = range(start, data.draw(st.integers(start + 1, symbols), label="stop"))
+        start = data.draw(st.integers(0, symbols - 1), label="M_t")
+        stop = data.draw(st.integers(start + 1, symbols), label="stop")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         p = model.SystemParams(users=users, gain=gain, taps=taps, symbols=symbols, noise_var=0.3)
         rng = seeded_rng(seed)
         chips = model.sample_codes(p, rng)
         shape = (symbols, p.window)
         windows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        rhs, blocks = sos.build_normal_equations(chips, windows, info, p.noise_var)
-        gram = dense_gram(blocks)
-        p_sub = model.SystemParams(
-            users=users, gain=gain, taps=taps, symbols=len(info), noise_var=0.3
+        rhs, blocks = sos.build_normal_equations(
+            windows[:stop], chips[:, :stop], replace(p, symbols=stop, train_symbols=start)
         )
+        gram = dense_gram(blocks)
+        p_sub = replace(p, symbols=stop - start)
         gram_ref, rhs_ref = brute_force_system(
-            p_sub,
-            chips[:, info, :],
-            windows[info],
-            p.noise_var,
+            p_sub, chips[:, start:stop], windows[start:stop], p.noise_var
         )
         assert np.max(np.abs(gram - gram_ref)) <= 1e-12 * np.max(np.abs(gram_ref))
         assert np.max(np.abs(rhs - rhs_ref)) <= 1e-12 * np.max(np.abs(rhs_ref))
 
     def test_empty_range_rejected(self):
-        p = model.SystemParams(users=2, gain=16, taps=2, symbols=10)
+        # M_t = M leaves no information symbol
+        p = model.SystemParams(users=2, gain=16, taps=2, symbols=10, train_symbols=10)
         gains = model.sample_channel(p, seeded_rng(49))
         chips, _, windows = draw_block(p, gains, seeded_rng(50))
-        with pytest.raises(ValueError):
-            sos.build_normal_equations(chips, windows, [], 0.0)
-
-    @pytest.mark.parametrize(
-        "info",
-        [[4, 5, 6], np.arange(4, 7), range(4, 10, 2), range(9, 3, -1), range(-1, 4), range(4, 11)],
-        ids=["list", "array", "step_2", "step_minus_1", "negative_start", "past_end"],
-    )
-    def test_rejects_info_other_than_step1_range_in_block(self, info):
-        # one path: the information symbols are read through views of a
-        # step-1 range inside the block, and nothing else is accepted
-        p = model.SystemParams(users=2, gain=16, taps=2, symbols=10)
-        gains = model.sample_channel(p, seeded_rng(49))
-        chips, _, windows = draw_block(p, gains, seeded_rng(50))
-        with pytest.raises(ValueError, match="info_range"):
-            sos.build_normal_equations(chips, windows, info, 0.0)
+        with pytest.raises(ValueError, match="at least one information symbol"):
+            sos.build_normal_equations(windows, chips, p)
 
 
 class TestEstimateSos:
@@ -289,7 +269,7 @@ class TestEstimateSos:
         p = model.SystemParams(users=1, gain=64, taps=2, symbols=5000, noise_var=0.0)
         gains = model.sample_channel(p, seeded_rng(51))
         chips, _, windows = draw_block(p, gains, seeded_rng(52))
-        rhs, gram = sos.build_normal_equations(chips, windows, range(5000), 0.0, include_gram=False)
+        rhs, gram = sos.build_normal_equations(windows, chips, p, include_gram=False)
         assert gram is None
         est = sos.estimate_sos(rhs, gram)
         d = model.vec_outer(gains[0])
@@ -300,7 +280,7 @@ class TestEstimateSos:
         p = model.SystemParams(users=1, gain=16, taps=1, symbols=6, noise_var=0.2)
         gains = model.sample_channel(p, seeded_rng(53))
         chips, _, windows = draw_block(p, gains, seeded_rng(54))
-        rhs, gram = sos.build_normal_equations(chips, windows, range(6), p.noise_var)
+        rhs, gram = sos.build_normal_equations(windows, chips, p)
         ident = sos.estimate_sos(rhs)
         solve = sos.estimate_sos(rhs, gram)
         assert np.array_equal(ident, solve)
@@ -310,7 +290,7 @@ class TestEstimateSos:
         p = model.SystemParams(users=8, gain=64, taps=3, symbols=200, noise_var=0.5)
         gains = model.sample_channel(p, seeded_rng(55))
         chips, _, windows = draw_block(p, gains, seeded_rng(56))
-        rhs, gram = sos.build_normal_equations(chips, windows, range(200), p.noise_var)
+        rhs, gram = sos.build_normal_equations(windows, chips, p)
         est = sos.estimate_sos(rhs, gram)
         assert est.shape == (8, 9)
         assert np.all(np.isfinite(est))
@@ -333,12 +313,9 @@ class TestEstimateSos:
         p = model.SystemParams(users=users, gain=16, taps=taps, symbols=12, noise_var=0.3)
         gains = model.sample_channel(p, seeded_rng(86, users, taps))
         chips, _, windows = draw_block(p, gains, seeded_rng(87, users, taps))
-        rhs, blocks = sos.build_normal_equations(chips, windows, info, p.noise_var)
-        idx = list(info)
-        p_sub = model.SystemParams(
-            users=users, gain=16, taps=taps, symbols=len(idx), noise_var=0.3
-        )
-        gram_ref, rhs_ref = brute_force_system(p_sub, chips[:, idx], windows[idx], p.noise_var)
+        rhs, blocks = sos.build_normal_equations(windows, chips, replace(p, train_symbols=info.start))
+        p_sub = replace(p, symbols=len(info))
+        gram_ref, rhs_ref = brute_force_system(p_sub, chips[:, info], windows[info], p.noise_var)
         ref = np.linalg.solve(gram_ref, rhs_ref.reshape(-1)).reshape(rhs.shape)
         est = sos.estimate_sos(rhs, blocks)
         assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -347,7 +324,7 @@ class TestEstimateSos:
         p = model.SystemParams(users=8, gain=32, taps=3, symbols=60, noise_var=0.5)
         gains = model.sample_channel(p, seeded_rng(57))
         chips, _, windows = draw_block(p, gains, seeded_rng(58))
-        rhs, blocks = sos.build_normal_equations(chips, windows, range(12, 60), p.noise_var)
+        rhs, blocks = sos.build_normal_equations(windows, chips, replace(p, train_symbols=12))
         est = sos.estimate_sos(rhs, blocks)
         assert np.array_equal(sos.hermitianize(est), est)
 
@@ -356,7 +333,7 @@ class TestEstimateSos:
         p = model.SystemParams(users=3, gain=16, taps=1, symbols=6, noise_var=0.2)
         gains = model.sample_channel(p, seeded_rng(59))
         chips, _, windows = draw_block(p, gains, seeded_rng(60))
-        rhs, blocks = sos.build_normal_equations(chips, windows, range(6), p.noise_var)
+        rhs, blocks = sos.build_normal_equations(windows, chips, p)
         orders = []
         cholesky = np.linalg.cholesky
 
