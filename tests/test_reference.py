@@ -50,6 +50,27 @@ REFERENCE_RUNS = {
         "predict", "--estimator", "training", "--alpha", "0.2,1",
         "--beta", "0.25,1.0", "--sigma-n2", "0.5", "--seed", "1",
     ],
+    # the prediction grids of acceptance criteria 6, 7 and 8 (figures 3 and 4)
+    "criterion-06-mm": [
+        "predict", "--N", "64", "--M", "400", "--P", "3", "--alpha", "0.2",
+        "--beta", "0.25,0.5,0.75,1.0", "--sigma-n2", "0.1,0.25,0.5,1.0,2.0,4.0",
+        "--estimator", "mm", "--draws", "200", "--seed", "2764",
+    ],
+    "criterion-07-mm": [
+        "predict", "--N", "64", "--M", "400", "--P", "2,8", "--alpha", "0.1,0.6",
+        "--beta", "0.5", "--sigma-n2", "0.5", "--estimator", "mm",
+        "--draws", "200", "--seed", "2764",
+    ],
+    "criterion-08-fig3": [
+        "predict", "--N", "64", "--M", "400", "--P", "3", "--alpha", "0.1",
+        "--beta", "0.25,0.5,0.75,1.0", "--sigma-n2", "0.1,0.25,0.5,1.0,2.0,4.0",
+        "--estimator", "subspace", "--draws", "200", "--seed", "2764",
+    ],
+    "criterion-08-fig4": [
+        "predict", "--N", "64", "--M", "400", "--P", "2,3,4,5,6,7,8",
+        "--alpha", "0.1,0.2,0.3,0.4,0.5,0.6", "--beta", "0.5", "--sigma-n2", "0.5",
+        "--estimator", "subspace", "--draws", "200", "--seed", "2764",
+    ],
 }
 
 
