@@ -33,8 +33,6 @@ __all__ = [
     "efficiency",
 ]
 
-_COND_LIMIT = 1e12
-
 
 def _interference_power(params: SystemParams) -> float:
     """Per-tap interference-plus-noise power lam = s2 + beta after despreading.
@@ -235,30 +233,34 @@ def mm_error_covariance(
 ) -> tuple[np.ndarray, float]:
     """Scaled error covariance of the moment-matching estimator at channel g.
 
-    Returns (Sigma, sigma_g2) where Sigma is the 2P x 2P real covariance of
-    the stacked (Re, Im) channel error and sigma_g2 = trace(Sigma)/P its
-    per-tap summary.  ``weight`` defaults to the plug-in weighting factor.
-
-    Where the stationarity Jacobian's condition number is non-finite or
-    above 1e12, a single vector raises :class:`SingularSystemError` and a
-    stack fills that entry's Sigma and sigma_g2 with NaN.
+    Returns (Sigma, sigma_g2): the 2P x 2P real covariance of the stacked
+    (Re, Im) channel error and its per-tap summary trace(Sigma)/P, at
+    ``weight`` or by default :func:`plugin_weight`.  Sigma is the sandwich of
+    :func:`_stationarity_jacobians` around :func:`_scaled_obs_covariance` in
+    closed form: in the frame of g the cost decouples into the radial
+    direction x, the phase direction y (training error only) and 2(P - 1)
+    perpendicular ones, each variance an SOS term plus a training term over
+    its squared curvature.  At w = 1 the phase is unobservable, and that raises.
     """
-    if weight is None:
-        weight = plugin_weight(params)
-    hess, df_dz = _stationarity_jacobians(g, weight)
-    cond = np.linalg.cond(hess)
-    singular = ~np.isfinite(cond) | (cond > _COND_LIMIT)
-    if cond.ndim == 0 and singular:
-        raise SingularSystemError(
-            "stationarity Jacobian is singular at this channel", condition=float(cond)
-        )
-    # singular entries solve against the identity, then read NaN
-    hess[singular] = np.eye(hess.shape[-1])
-    sens = -np.linalg.solve(hess, df_dz)
-    sigma = sens @ _scaled_obs_covariance(g, params) @ sens.swapaxes(-1, -2)
-    sigma = 0.5 * (sigma + sigma.swapaxes(-1, -2))
-    sigma[singular] = np.nan
-    return sigma, _scalar(np.trace(sigma, axis1=-2, axis2=-1) / params.taps)
+    alpha = _check_train_frac(params.train_frac)
+    w = plugin_weight(params) if weight is None else float(_check_unit_weight("w", weight))
+    if w == 1:
+        raise SingularSystemError("at w = 1 the phase of g is unobservable")
+    g = np.asarray(g, dtype=complex)
+    r2 = _energy(g, nonzero=True)[..., None, None]
+    lam, v_ph = _interference_power(params), params.noise_var / (2 * alpha)
+    sos_part, train_part = 4 * w * w * r2 * lam / (1 - alpha), (1 - w) ** 2 * v_ph
+    v_rad = (sos_part * (lam + 2 * r2) + train_part) / (4 * w * r2 + 1 - w) ** 2
+    v_perp = (sos_part * (lam + r2) + 2 * train_part) / (2 * w * r2 + 1 - w) ** 2
+    u = g / np.sqrt(r2[..., 0])
+    x, y = np.concatenate([u.real, u.imag], axis=-1), np.concatenate([-u.imag, u.real], axis=-1)
+    sigma = (
+        v_perp / 2 * np.eye(2 * params.taps)
+        + (v_rad - v_perp / 2) * x[..., :, None] * x[..., None, :]
+        + (v_ph - v_perp / 2) * y[..., :, None] * y[..., None, :]
+    )
+    sg2 = (v_rad + v_ph + (params.taps - 1) * v_perp)[..., 0, 0] / params.taps
+    return sigma, _scalar(sg2)
 
 
 def mm_lower_bound(g: np.ndarray, params: SystemParams) -> np.ndarray:

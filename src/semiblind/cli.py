@@ -84,7 +84,7 @@ def _cmd_simulate(args) -> int:
             f"  {rec.estimator:>9}: sigma_g2 = {rec.sigma_g2_emp:.4f}{se}"
             f" (analytic {rec.sigma_g2_ana:.4f}){eta}"
         )
-    if args.diagnostics and records:  # a failed cell would only fail again
+    if args.diagnostics and not failures:  # a failed cell would only fail again
         _print_diagnostics(config, cell)
     if config.out:
         _write(records, config)

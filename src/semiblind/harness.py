@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, estimators, model, sos
-from .errors import ConfigError, SingularSystemError
+from .errors import ConfigError
 
 __all__ = [
     "ExperimentConfig",
@@ -267,15 +267,9 @@ def grid_cells(config: ExperimentConfig) -> list[Cell]:
 # ---------------------------------------------------------------------------
 
 
-def _cell_hash(cell: Cell) -> int:
-    digest = hashlib.blake2b(cell.key().encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
 def _trial_rng(seed: int, cell: Cell, trial_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence((seed, _cell_hash(cell), trial_index))
-    )
+    cell_hash = int.from_bytes(hashlib.blake2b(cell.key().encode(), digest_size=8).digest(), "big")
+    return np.random.default_rng(np.random.SeedSequence((seed, cell_hash, trial_index)))
 
 
 def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialResult:
@@ -341,10 +335,10 @@ def _analytic_draws(config: ExperimentConfig, params: model.SystemParams) -> np.
 def _analytic_cell(
     config: ExperimentConfig, cell: Cell, estimator: str
 ) -> tuple[float, float | None, float | None]:
-    """Channel-averaged (sigma_g2_ana, its standard error, eta_ana).
+    """(sigma_g2_ana, its standard error, eta_ana), averaged over every channel draw.
 
-    The exact training prediction and a single usable draw have no standard
-    error; at alpha = 1 there is no eta.
+    The exact training prediction and a single draw have no standard error;
+    at alpha = 1 there is no eta.
     """
     params = cell.params
     alpha, s2 = params.train_frac, params.noise_var
@@ -353,15 +347,9 @@ def _analytic_cell(
 
     draws = _analytic_draws(config, params)
     if estimator == "mm":
-        _, sg2 = analytic.mm_error_covariance(draws, params)  # NaN where singular
+        _, sg2 = analytic.mm_error_covariance(draws, params)
     else:
         sg2 = analytic.predict_subspace_mse(draws, params, _subspace_omega(config, params, draws))
-    singular = np.isnan(sg2)
-    if singular.any():
-        log.warning("cell %s: %d singular-Hessian draws skipped", cell.key(), singular.sum())
-        sg2 = sg2[~singular]
-    if not sg2.size:
-        raise SingularSystemError(f"all analytic draws failed for cell {cell.key()}")
     eta = analytic.efficiency(sg2, s2, alpha)
     se = float(sg2.std(ddof=1) / math.sqrt(sg2.size)) if sg2.size > 1 else None
     return float(sg2.mean()), se, float(eta.mean())
@@ -392,44 +380,47 @@ def _cell_records(
             se = float(scaled.std(ddof=1) / math.sqrt(scaled.size)) if scaled.size > 1 else None
             if eta_ana is not None:
                 eta_emp = analytic.efficiency(emp, params.noise_var, params.train_frac)
-        records.append(
-            SweepRecord(
-                beta=cell.beta,
-                sigma_n2=params.noise_var,
-                P=params.taps,
-                alpha=cell.alpha,
-                estimator=name,
-                trials=trials,
-                sigma_g2_emp=emp,
-                sigma_g2_se=se,
-                sigma_g2_ana=ana,
-                eta_emp=eta_emp,
-                eta_ana=eta_ana,
-            )
-        )
+        records.append(SweepRecord(
+            beta=cell.beta, sigma_n2=params.noise_var, P=params.taps, alpha=cell.alpha,
+            estimator=name, trials=trials, sigma_g2_emp=emp, sigma_g2_se=se,
+            sigma_g2_ana=ana, eta_emp=eta_emp, eta_ana=eta_ana,
+        ))
     return records
 
 
 def _run_cell(config: ExperimentConfig, cell: Cell) -> list[SweepRecord]:
-    per_trial = {name: [] for name in config.estimator_list}
-    for t in range(config.trials):
-        result = run_trial(config, cell, t)
-        for name in config.estimator_list:
-            per_trial[name].append(result.errors[name].mean())
+    squared = [run_trial(config, cell, t).errors for t in range(config.trials)]
+    per_trial = {name: [e[name].mean() for e in squared] for name in config.estimator_list}
     return _cell_records(config, cell, per_trial)
 
 
+def _evaluate(evaluate, config: ExperimentConfig, cell: Cell) -> tuple[list, list[str]]:
+    """The rows of ``evaluate(config, cell)`` and its errors, each led by its estimator;
+    a cell of several estimators that raises is evaluated per estimator, so one that
+    cannot run there (mm and subspace at alpha = 1) costs only its own row."""
+    try:
+        return evaluate(config, cell), []
+    except Exception as exc:
+        if len(config.estimator_list) == 1:
+            return [], [f"{config.estimator}: {exc}"]
+    parts = [_evaluate(evaluate, replace(config, estimator=n), cell) for n in config.estimator_list]
+    return sum((rows for rows, _ in parts), []), sum((errors for _, errors in parts), [])
+
+
 def _gather(jobs) -> tuple[list[SweepRecord], list[CellFailure]]:
-    """Evaluate each (cell, records thunk) pair in order; a cell that raises
-    is logged and recorded as a :class:`CellFailure`, and the rest go on."""
+    """Collect each (cell, :func:`_evaluate` thunk) pair in order; a cell with errors,
+    or whose worker raised, is logged and kept as a :class:`CellFailure`."""
     records: list[SweepRecord] = []
     failures: list[CellFailure] = []
     for cell, evaluate in jobs:
         try:
-            records.extend(evaluate())
+            rows, errors = evaluate()
         except Exception as exc:
-            log.error("cell %s failed: %s", cell.key(), exc)
-            failures.append(CellFailure(cell=cell, error=str(exc)))
+            rows, errors = [], [str(exc)]
+        records.extend(rows)
+        if errors:
+            failures.append(CellFailure(cell=cell, error="; ".join(errors)))
+            log.error("cell %s failed: %s", cell.key(), failures[-1].error)
     return records, failures
 
 
@@ -443,16 +434,16 @@ def run_sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_run_cell, config, cell) for cell in cells]
+            futures = [pool.submit(_evaluate, _run_cell, config, cell) for cell in cells]
             return _gather((cell, fut.result) for cell, fut in zip(cells, futures))
-    return _gather((cell, partial(_run_cell, config, cell)) for cell in cells)
+    return _gather((cell, partial(_evaluate, _run_cell, config, cell)) for cell in cells)
 
 
 def predict(
     config: ExperimentConfig,
 ) -> tuple[list[SweepRecord], list[CellFailure]]:
     """Analytic-only surfaces over the grid; no simulation."""
-    return _gather((cell, partial(_cell_records, config, cell)) for cell in grid_cells(config))
+    return _gather((cell, partial(_evaluate, _cell_records, config, cell)) for cell in grid_cells(config))
 
 
 # ---------------------------------------------------------------------------

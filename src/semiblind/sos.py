@@ -8,8 +8,8 @@ O(N^4) to O(K^2 P^2 N) for the Gram T.  The right-hand side y costs
 O(K P N) per symbol: the correlators a_k are one real GEMM of the chips
 against P shifts of r, a symbol chunk at a time, and the bias term
 C_k^T C_k is read off chip lag products, so no Sylvester window stack is
-built.  Its temporaries, but for the (Mi, K, P) correlator outputs and
-their conjugates, are one symbol chunk each.
+built.  Its temporaries, but for the (Mi, K, P) correlator outputs, are
+one symbol chunk each.
 
 T is never formed either.  It commutes with the per-user vec-transpose,
 so it maps the real part of a vec'd Hermitian matrix (symmetric) and its
@@ -272,11 +272,18 @@ def _correlate(chips: np.ndarray, r: np.ndarray, taps: int) -> np.ndarray:
 
 
 def _sos_rhs(chips: np.ndarray, r: np.ndarray, taps: int, noise_var: float) -> np.ndarray:
-    """y_k = mean_m vec(a_k a_k^H) - noise_var * mean_m vec(C_k^T C_k), (K, P^2)."""
+    """y_k = mean_m vec(a_k a_k^H) - noise_var * mean_m vec(C_k^T C_k), (K, P^2).
+
+    With v_k(m) = (Re a_0, Im a_0, Re a_1, ...) and Q_k = sum_m v_k v_k^T made
+    exactly symmetric, sum_m a_r conj(a_c) = Q[2r, 2c] + Q[2r+1, 2c+1]
+    + i (Q[2r+1, 2c] - Q[2r, 2c+1]) is exactly Hermitian: one real product.
+    """
     k, mi, _ = chips.shape
-    a = _correlate(chips, r, taps)
-    moments = np.einsum("mkr,mkc->kcr", a, a.conj()) / mi
-    rhs = moments - noise_var * (_self_gram(chips, taps) / mi)
+    v = _correlate(chips, r, taps).view(float)  # (Mi, K, 2P)
+    q = np.matmul(v.transpose(1, 2, 0), v.transpose(1, 0, 2))
+    q = ((q + q.swapaxes(-1, -2)) / (2 * mi)).reshape(k, taps, 2, taps, 2).transpose(0, 3, 4, 1, 2)
+    moments = q[:, :, 0, :, 0] + q[:, :, 1, :, 1] + 1j * (q[:, :, 0, :, 1] - q[:, :, 1, :, 0])
+    rhs = moments - noise_var * (_self_gram(chips, taps) / mi)  # [k, c, r]: vec order
     return rhs.reshape(k, taps * taps)
 
 

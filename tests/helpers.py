@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from semiblind import estimators, model, sos
+from semiblind import analytic, estimators, model, sos
 
 
 def seeded_rng(*key: int) -> np.random.Generator:
@@ -230,3 +230,18 @@ def record_chunk_sizes(monkeypatch, module) -> list[int]:
 
     monkeypatch.setattr(module, "_cross_grams", recording)
     return sizes
+
+
+def mm_sandwich(g: np.ndarray, params: model.SystemParams, weight: float) -> np.ndarray:
+    """Scaled MM error covariance by the asymptotic sandwich, the oracle of
+    :func:`analytic.mm_error_covariance`'s closed form.
+
+    The stationarity map F(g, z) = 0 of the MM cost moves by
+    dg = -H^-1 (dF/dz) dz when the observation z moves, so the error
+    covariance is H^-1 (dF/dz) S (dF/dz)^T H^-1 with S the scaled
+    observation covariance.  H is singular at weight 1.
+    """
+    hess, df_dz = analytic._stationarity_jacobians(g, weight)
+    sens = -np.linalg.solve(hess, df_dz)
+    sigma = sens @ analytic._scaled_obs_covariance(g, params) @ sens.swapaxes(-1, -2)
+    return 0.5 * (sigma + sigma.swapaxes(-1, -2))

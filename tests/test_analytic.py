@@ -10,6 +10,7 @@ from semiblind import analytic, estimators, harness, model, sos
 from semiblind.errors import ConfigError, SingularSystemError
 from helpers import (
     draw_block,
+    mm_sandwich,
     representative_channels,
     seeded_rng,
     sos_trials,
@@ -213,23 +214,21 @@ class TestSubspaceAngle:
         assert val == pytest.approx(2 * (1.0 + 1.0), rel=1e-12)
 
     def test_monte_carlo_cross_check(self):
-        # K=32, N=64, M=400 with the exact normal-equation solve; the
-        # empirical-to-predicted ratio varies a few percent with the channel
-        # set, so average it over three sets; within 20%
+        # K=32, N=64, M=400 with the exact normal-equation solve: each user's
+        # scaled sin^2 over its own prediction, averaged over the users and
+        # over 20 trials of each of three channel sets.  The users of a trial
+        # share its codes and noise, so the trial is the unit of the standard
+        # error, about 0.017 here; the mean ratio is within 0.10 of 1
         p = params_for()
-        ratios = []
+        per_trial = []
         for set_key in (160, 161, 162):
             gains = representative_channels(p, set_key, user0_range=(0.8, 1.2))
-            g0 = gains[0]
-            energy = np.linalg.norm(g0) ** 2
-            draws = sos_trials(p, gains, 200, set_key + 10, mode="solve")
-            sin2 = [
-                1 - abs(estimators.principal_eigvec(d[0]).conj() @ g0) ** 2 / energy
-                for d in draws
-            ]
-            emp = p.symbols * np.mean(sin2)
-            ratios.append(emp / analytic.predict_subspace_angle(g0, p))
-        assert np.mean(ratios) == pytest.approx(1.0, abs=0.20)
+            u = estimators.principal_eigvec(sos_trials(p, gains, 20, set_key + 10, mode="solve"))
+            energy = np.sum(np.abs(gains) ** 2, axis=-1)
+            sin2 = 1 - np.abs(np.sum(u.conj() * gains, axis=-1)) ** 2 / energy
+            ratio = p.symbols * sin2 / analytic.predict_subspace_angle(gains, p)
+            per_trial.append(ratio.mean(axis=-1))
+        assert np.mean(per_trial) == pytest.approx(1.0, abs=0.10)
 
 
 class TestSubspaceMse:
@@ -422,7 +421,8 @@ class TestMmLowerBound:
 
 
 class TestMmClosedForm:
-    """Eigenvalues of the MM covariance and of the bound in the frame of g.
+    """The MM covariance against the sandwich, and its and the bound's
+    eigenvalues in the frame of g.
 
     Rotating the frame so that g lies along its unit direction makes Omega
     diagonal, and the linearized MM cost decouples into a radial direction,
@@ -456,6 +456,8 @@ class TestMmClosedForm:
             return np.sort(np.column_stack([rad, v_ph, perps]), axis=1)
 
         sig, sg2 = analytic.mm_error_covariance(g, p)
+        ref = mm_sandwich(g, p, w)
+        assert np.max(np.abs(sig - ref)) <= 1e-12 * np.max(np.abs(ref))
         bound = analytic.mm_lower_bound(g, p)
         for got, want in [
             (np.linalg.eigvalsh(sig), spectrum(v_rad, v_perp)),
@@ -535,25 +537,12 @@ class TestBatchedCalls:
 
     def test_singular_hessian(self):
         # w = 1 drops the training term, so the cost is flat along the phase
-        # rotation of g and the stationarity Jacobian is singular
+        # rotation of g: one vector and a stack both raise
         p = params_for(users=16)
         g = self.draws()
-        with pytest.raises(SingularSystemError):
-            analytic.mm_error_covariance(g[0], p, weight=1.0)
-        sig, sg2 = analytic.mm_error_covariance(g, p, weight=1.0)
-        assert sig.shape == (7, 6, 6) and np.all(np.isnan(sig))
-        assert sg2.shape == (7,) and np.all(np.isnan(sg2))
-
-    def test_singular_rows_only_are_nan(self, monkeypatch):
-        p = params_for(users=16)
-        g = self.draws()
-        w = estimators.weight_w(p.train_frac, p.noise_var, analytic.average_sos_variance(p))
-        cond = np.linalg.cond(analytic._stationarity_jacobians(g, w)[0])
-        monkeypatch.setattr(analytic, "_COND_LIMIT", np.median(cond))
-        _, sg2 = analytic.mm_error_covariance(g, p)
-        singular = cond > np.median(cond)
-        assert 0 < singular.sum() < g.shape[0]
-        assert np.array_equal(np.isnan(sg2), singular)
+        for channel in (g[0], g):
+            with pytest.raises(SingularSystemError, match="phase of g is unobservable"):
+                analytic.mm_error_covariance(channel, p, weight=1.0)
 
 
 class TestEfficiency:

@@ -264,6 +264,30 @@ def test_failed_cells_nonzero_exit(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+def test_alpha_one_cell_keeps_its_training_row(tmp_path, capsys):
+    # mm and subspace fail at alpha = 1, which has no information symbols,
+    # but the training estimator still gets that cell's row
+    grid = ["--N", "32", "--M", "100", "--P", "2", "--alpha", "0.25,1", "--beta", "0.25",
+            "--sigma-n2", "0.5", "--estimator", "all"]
+    runs = {
+        "predict": ["predict", *grid, "--draws", "20"],
+        "sweep": ["sweep", *grid, "--trials", "2"],
+        "sweep-workers": ["sweep", *grid, "--trials", "2", "--workers", "2"],
+    }
+    rows = {}
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "1 grid cell(s) failed" in err
+        assert "alpha=1.0: mm: " in err and "; subspace: " in err
+        rows[name] = harness.load_records(out)
+        assert [(r.alpha, r.estimator) for r in rows[name]] == [
+            (0.25, "training"), (0.25, "mm"), (0.25, "subspace"), (1.0, "training")
+        ]
+    assert rows["sweep"] == rows["sweep-workers"]
+
+
 def _distribution_installed(name: str) -> bool:
     try:
         importlib.metadata.distribution(name)

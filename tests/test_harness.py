@@ -241,32 +241,15 @@ class TestRunSweep:
 
 
 class TestAnalyticCell:
-    """Draws whose stationarity Jacobian is singular are skipped, not fatal."""
-
-    def test_singular_draws_skipped(self, monkeypatch, caplog):
-        cfg = tiny_config(estimator="mm")
-        cell = harness.grid_cells(cfg)[0]
-        draws = harness._analytic_draws(cfg, cell.params)
-        params = cell.params
-        w = analytic.plugin_weight(params)
-        cond = np.linalg.cond(analytic._stationarity_jacobians(draws, w)[0])
-        keep = cond <= np.median(cond)
-        rows = [analytic.mm_error_covariance(g, params)[1] for g in draws[keep]]
-        monkeypatch.setattr(analytic, "_COND_LIMIT", np.median(cond))
-        with caplog.at_level("WARNING", logger=harness.__name__):
-            mean, _, _ = harness._analytic_cell(cfg, cell, "mm")
-        skipped = int((~keep).sum())
-        assert 0 < skipped < cfg.draws
-        assert caplog.messages == [f"cell {cell.key()}: {skipped} singular-Hessian draws skipped"]
-        assert mean == pytest.approx(np.mean(rows), rel=1e-13)
+    """Every channel draw of a cell enters its prediction; a weight at which
+    no prediction exists fails the cell."""
 
     def test_all_draws_singular_raises(self, monkeypatch):
-        # w = 1 makes every draw's Jacobian singular (the phase of g is free)
+        # w = 1 leaves the phase of every draw unobservable
         monkeypatch.setattr(estimators, "weight_w", lambda *args: 1.0)
         cfg = tiny_config(estimator="mm")
-        with pytest.raises(SingularSystemError, match="all analytic draws failed"):
+        with pytest.raises(SingularSystemError, match="phase of g is unobservable"):
             harness._analytic_cell(cfg, harness.grid_cells(cfg)[0], "mm")
-
 
     def test_plugin_weight_has_one_owner(self, monkeypatch):
         # the trial's fit and the analytic prediction both take w from it

@@ -194,8 +194,9 @@ class TestBuildNormalEquations:
 
     def test_rhs_peak_memory(self):
         # the right-hand side of one trial at K = 64, M = 400, N = 64, P = 3
-        # checks the chips and correlates them a symbol chunk at a time, so it
-        # peaks below 2.6 MB: its two (Mi, K, P) complex arrays and chunk buffers
+        # checks the chips and correlates them a symbol chunk at a time, and
+        # takes the moments from one real product over the outputs, so it
+        # peaks below 1.8 MB: its one (Mi, K, P) complex array and chunk buffers
         p = model.SystemParams(users=64, gain=64, taps=3, symbols=400, train_symbols=80)
         gains = model.sample_channel(p, seeded_rng(90))
         chips, _, windows = draw_block(p, gains, seeded_rng(91))
@@ -205,7 +206,15 @@ class TestBuildNormalEquations:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.6e6
+        assert peak < 1.8e6
+
+    def test_rhs_is_exactly_hermitian(self):
+        # so hermitianize leaves the identity-mode estimate d = y as it is
+        p = model.SystemParams(users=8, gain=32, taps=3, symbols=60, train_symbols=12, noise_var=0.5)
+        gains = model.sample_channel(p, seeded_rng(92))
+        chips, _, windows = draw_block(p, gains, seeded_rng(93))
+        rhs, _ = sos.build_normal_equations(windows, chips, p, include_gram=False)
+        assert np.array_equal(sos.hermitianize(rhs), rhs)
 
     def test_gram_rejects_windows_beyond_exact_float32(self):
         # N-P+1 = 4097: a product of two cross-Gram entries can reach 4097^2 > 2^24
