@@ -114,8 +114,11 @@ def _training_gram(chips: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
     weight conj(x_k) x_j / u^2 has real part alpha_k alpha_j + beta_k beta_j
     and imaginary part alpha_k beta_j - beta_k alpha_j, each in
     {0, +-1, +-2}, so in float32 every sum is an exact integer while a
-    chunk keeps its sums within 2^24; the chunks add up in float64, and the
-    Gram is scaled by u^2 / N once at the end.
+    chunk keeps its sums within 2^24; the chunks add up in float64.  Once
+    the chunk buffers are freed, the real and imaginary sums of each block
+    a <= b, and the conjugate transposes of those above, are written
+    straight into one (K, P, K, P) complex array, which is scaled by
+    u^2 / N in place and returned as a (K P, K P) view.
 
     Raises
     ------
@@ -141,11 +144,15 @@ def _training_gram(chips: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
         for (a, b), b_ab in cross.items():
             sums[a, b] += np.einsum("rmkj,mkj->rkj", weights, b_ab)
         del weights  # before the next chunk's are computed
-    del cross, b_ab  # free the chunk buffers before the blocks are assembled
-    blocks = sums[:, :, 0] + 1j * sums[:, :, 1]
+    del cross, b_ab  # free the chunk buffers before the blocks are written
+    gram = np.empty((k, taps, k, taps), dtype=complex)  # block (a, b) is gram[:, a, :, b]
+    for a, b in itertools.combinations_with_replacement(range(taps), 2):
+        gram[:, a, :, b].real = sums[a, b, 0]
+        gram[:, a, :, b].imag = sums[a, b, 1]
     for a, b in itertools.combinations(range(taps), 2):
-        blocks[b, a] = blocks[a, b].conj().T
-    return blocks.transpose(2, 0, 3, 1).reshape(k * taps, k * taps) * (scale * scale / n)
+        gram[:, b, :, a] = gram[:, a, :, b].conj().T
+    gram *= scale * scale / n
+    return gram.reshape(k * taps, k * taps)
 
 
 def weight_w(alpha: float, sigma_n2: float, sigma_d2: float) -> float:

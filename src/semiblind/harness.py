@@ -293,6 +293,7 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
         rhs, gram = sos.build_normal_equations(
             windows, chips, params, include_gram=config.sos_mode == "solve"
         )
+        del chips, symbols, windows  # free the block before the solve
         d_hat = sos.hermitianize(sos.estimate_sos(rhs, gram))
 
         if "mm" in which:
@@ -389,6 +390,8 @@ def _cell_records(
 
 
 def _run_cell(config: ExperimentConfig, cell: Cell) -> list[SweepRecord]:
+    if config.estimator != "training":  # mm and subspace need alpha < 1; check before any trial
+        model._check_train_frac(cell.params.train_frac)
     squared = [run_trial(config, cell, t).errors for t in range(config.trials)]
     per_trial = {name: [e[name].mean() for e in squared] for name in config.estimator_list}
     return _cell_records(config, cell, per_trial)

@@ -146,11 +146,12 @@ def sample_codes(params: SystemParams, rng: np.random.Generator) -> np.ndarray:
     ends in the same state.  That draw takes bit 31 of each 32-bit half of
     the generator's 64-bit words, low half first, keeping an unused half
     for the next 32-bit draw.  Here the whole words come from
-    ``bit_generator.random_raw`` in pieces of ``_CHUNK_ELEMS`` signs, and
-    the top byte of each half, shifted right arithmetically by 7, is -b.  A
-    half the generator already holds, and the last word or odd half, are
-    taken by int32 draws, so the pieces continue one stream and the
-    generator keeps its last unused half as the int64 draw leaves it.
+    ``bit_generator.random_raw`` in pieces of ``_CHUNK_ELEMS`` signs.  Read
+    as an int32, a half is negative exactly when its b is 1, so one
+    comparison writes b straight into the signs.  A half the generator
+    already holds, and the last word or odd half, are taken by int32
+    draws, so the pieces continue one stream and the generator keeps its
+    last unused half as the int64 draw leaves it.
 
     Raises
     ------
@@ -169,15 +170,15 @@ def sample_codes(params: SystemParams, rng: np.random.Generator) -> np.ndarray:
     # whole words fill [lo, hi): after a held half, before the last word or odd half
     lo = int(state["has_uint32"])
     hi = max(lo, flat.size - 2 + (flat.size - lo) % 2)
-    flat[:lo] = -rng.integers(0, 2, size=lo, dtype=np.int32)
+    flat[:lo] = rng.integers(0, 2, size=lo, dtype=np.int32)
     step = 2 * max(1, _CHUNK_ELEMS // 2)
     for start in range(lo, hi, step):
         size = min(step, hi - start)
-        words = bitgen.random_raw(size // 2).astype("<u8", copy=False)  # bytes low first
-        np.right_shift(words.view(np.int8)[3::4], 7, out=flat[start : start + size])
+        words = bitgen.random_raw(size // 2).astype("<u8", copy=False)  # low half first
+        np.less(words.view("<i4"), 0, out=flat[start : start + size].view(np.bool_))
         del words  # before the next piece is drawn
-    flat[hi:] = -rng.integers(0, 2, size=flat.size - hi, dtype=np.int32)
-    signs *= -2
+    flat[hi:] = rng.integers(0, 2, size=flat.size - hi, dtype=np.int32)
+    signs *= 2
     signs -= 1
     return signs
 

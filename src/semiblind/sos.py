@@ -31,10 +31,12 @@ its sums, at most chunk * (N-P+1)^2, within 2^24.  A chunk also keeps its
 P^2 cross-Grams within ``_GRAM_CHUNK_ELEMS`` entries (2 MB).  The chunks
 add up in float64, each block entry is an integer sum or difference of
 two of these sums, and one division by 2 M_i N^2 rounds it correctly.
-Per symbol, :func:`_cross_grams` builds the P^2 cross-Grams of
-K x (N-P+1) chip windows from P GEMMs and P(P-1)/2 rank-2 updates, and
-the Gram sums the (P^4 + 3 P^2)/4 products of them (27 for P = 3) that
-the Kronecker symmetries leave distinct.
+Per symbol, :func:`_cross_grams` builds the P(P+1)/2 upper cross-Grams
+of K x (N-P+1) chip windows from P GEMMs and P(P-1)/2 rank-2 updates,
+and the Gram sums the (P^4 + 3 P^2)/4 products of them (27 for P = 3)
+that the Kronecker symmetries leave distinct.  A product that reads a
+lower cross-Gram reads it from one reused scratch, which holds the
+transpose of one upper cross-Gram at a time.
 """
 
 from __future__ import annotations
@@ -137,19 +139,36 @@ def _gram(chips: np.ndarray, taps: int) -> tuple[np.ndarray, np.ndarray]:
     is why T commutes with the per-user vec-transpose.  Each block entry is
     an integer sum or difference of two orbit sums, divided once by
     2 Mi N^2.
+
+    An orbit's least (a, b, c, d) has a <= b, so B[a, b] is one of the
+    upper cross-Grams of :func:`_cross_grams`, and B[c, d] is either one
+    too or the transpose of one.  The orbits are summed in groups by that
+    lower B[c, d]: per chunk, each is copied once into one reused
+    (chunk, K, K) float32 scratch, and no other transposed copy is made.
     """
     k, mi, n = chips.shape
     n_w = n - taps + 1
     if n_w * n_w > _EXACT_INT_F32:
         raise ValueError(f"the exact float32 Gram needs N-P+1 <= 4096, not {n_w}")
     quads = _kron_orbits(taps)
+    # the orbits by the lower cross-Gram B[c, d] = B[d, c]^T, c > d, they read
+    by_lower: dict[tuple[int, int] | None, list[int]] = {}
+    for q, (_, _, c, d) in enumerate(quads):
+        by_lower.setdefault((c, d) if c > d else None, []).append(q)
     acc = np.zeros((len(quads), k, k))
+    lower = None  # one scratch for the lower cross-Gram, reused by every group and chunk
     for _, cross in _cross_grams(chips, taps, _EXACT_INT_F32 // n_w**2):
-        for a, b in itertools.combinations(range(taps), 2):
-            cross[b, a] = np.ascontiguousarray(cross[a, b].transpose(0, 2, 1))
-        for q, (a, b, c, d) in enumerate(quads):
-            acc[q] += np.einsum("mij,mij->ij", cross[a, b], cross[c, d])
-    del cross  # free the chunk buffers before the blocks are allocated
+        if lower is None:
+            lower = np.empty_like(cross[0, 0])  # the first chunk is the largest
+        size = len(cross[0, 0])
+        for pair, group in by_lower.items():
+            if pair is not None:
+                np.copyto(lower[:size], cross[pair[::-1]].transpose(0, 2, 1))
+            for q in group:
+                a, b, c, d = quads[q]
+                second = cross[c, d] if c <= d else lower[:size]
+                acc[q] += np.einsum("mij,mij->ij", cross[a, b], second)
+    del cross, lower  # free the chunk buffers before the blocks are allocated
     sums = (acc, acc.transpose(0, 2, 1))
     blocks = []
     for sign, terms in zip((1, -1), _hermitian_block_terms(taps)):
@@ -166,11 +185,11 @@ def _cross_grams(chips: np.ndarray, taps: int, max_chunk: int):
     """Yield ``(block, cross)`` per symbol chunk of the (K, M, N) chip signs.
 
     A chunk holds at most ``max_chunk`` symbols, and fewer where P^2
-    cross-Grams (with the lower ones a consumer may copy) would pass
-    ``_GRAM_CHUNK_ELEMS``.  ``cross`` maps (a, b), a <= b, to the chunk's
-    (size, K, K) float32 sign cross-Grams B[a, b] = W_a W_b^T of the
-    Sylvester windows W_a (chips P-1-a .. N-1-a), overwritten by the next
-    chunk.  Row B[0, b] is one batched GEMM each; down each diagonal,
+    cross-Grams would pass ``_GRAM_CHUNK_ELEMS``; the P(P+1)/2 upper ones
+    and a consumer's transposed scratch stay within that.  ``cross`` maps
+    (a, b), a <= b, to the chunk's (size, K, K) float32 sign cross-Grams
+    B[a, b] = W_a W_b^T of the Sylvester windows W_a (chips P-1-a .. N-1-a),
+    overwritten by the next chunk.  Row B[0, b] is one batched GEMM each; down each diagonal,
     window a gains chip P-1-a and drops chip N-a, so B[a, b] = B[a-1, b-1]
     + s(P-1-a) s(P-1-b)^T - s(N-a) s(N-b)^T, one batched rank-2 product.
     Every entry is an integer of magnitude at most N-P+1, exact in float32.
@@ -385,7 +404,9 @@ def _substitute(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Blocked forward then back substitution through a lower triangular factor.
 
     Each ``_SOLVE_BLOCK``-row diagonal block is solved directly after the
-    GEMM update from the rows already solved.
+    GEMM update from the rows already solved.  The back substitution reads
+    L^H through the conjugate transpose of one block column of L at a
+    time, so no conjugate of the whole factor is made.
     """
     x = np.array(rhs, dtype=np.result_type(factor, rhs))
     starts = range(0, factor.shape[0], _SOLVE_BLOCK)
@@ -393,11 +414,10 @@ def _substitute(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         hi = lo + _SOLVE_BLOCK
         x[lo:hi] -= factor[lo:hi, :lo] @ x[:lo]
         x[lo:hi] = np.linalg.solve(factor[lo:hi, lo:hi], x[lo:hi])
-    upper = factor.conj().T
-    for lo in reversed(starts):
+    for lo in reversed(starts):  # L^H, a block column of L at a time
         hi = lo + _SOLVE_BLOCK
-        x[lo:hi] -= upper[lo:hi, hi:] @ x[hi:]
-        x[lo:hi] = np.linalg.solve(upper[lo:hi, lo:hi], x[lo:hi])
+        x[lo:hi] -= factor[hi:, lo:hi].conj().T @ x[hi:]
+        x[lo:hi] = np.linalg.solve(factor[lo:hi, lo:hi].conj().T, x[lo:hi])
     return x
 
 

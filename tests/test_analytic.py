@@ -175,24 +175,29 @@ class TestRealCovariance:
         assert np.allclose(block, (p.noise_var / 160) * np.eye(6))
 
     def test_empirical_observation_covariance(self):
-        # end-to-end: empirical diag of the stacked real observation error
-        # matches sigma_zz within 15% (K=16, N=64, P=2, M=400, M_t=80)
+        # end-to-end: the empirical variance of each entry of the stacked real
+        # observation error, over each user's own prediction sigma_zz,
+        # averaged over all 16 users (K=16, N=64, P=2, M=400, M_t=80).  The
+        # users of a trial share its codes and noise, so the trial is the unit
+        # of the standard error: 0.048-0.053 per entry here, against
+        # 0.042-0.047 for user 0 alone over 1000 trials, so the bound of 15%
+        # is no looser in standard errors.  Each ratio is within 0.15 of 1
         p = params_for(users=16, taps=2, noise=4.0)
         gains = representative_channels(p, 90, user0_range=(0.8, 1.2))
-        pred = self.build(gains[0], p)
+        pred = np.diagonal(self.build(gains, p), axis1=-2, axis2=-1)  # (K, 2P + P^2)
+        truth = sos.free_vars(model.vec_outer(gains))
 
-        trials = 1000
-        z_err = np.empty((trials, 2 * 2 + 4))
+        trials = 50
+        z_err = np.empty((trials, p.users, 2 * 2 + 4))
         for t in range(trials):
             chips, symbols, windows = draw_block(p, gains, seeded_rng(91, t))
             g_bar = estimators.training_estimate(windows, chips, symbols, p)
             rhs, _ = sos.build_normal_equations(windows, chips, p, include_gram=False)
-            d0 = sos.hermitianize(sos.estimate_sos(rhs))[0]
-            dg = g_bar[0] - gains[0]
-            dd = sos.free_vars(d0) - sos.free_vars(model.vec_outer(gains[0]))
-            z_err[t] = np.concatenate([dg.real, dg.imag, dd])
-        emp = np.cov(z_err.T)
-        ratio = np.diag(emp) / np.diag(pred)
+            dd = sos.free_vars(sos.hermitianize(sos.estimate_sos(rhs))) - truth
+            dg = g_bar - gains
+            z_err[t] = np.concatenate([dg.real, dg.imag, dd], axis=-1)
+        per_trial = np.mean((z_err - z_err.mean(axis=0)) ** 2 / pred, axis=1)
+        ratio = per_trial.sum(axis=0) / (trials - 1)
         assert np.all(np.abs(ratio - 1) < 0.15), ratio
 
 

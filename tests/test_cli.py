@@ -288,6 +288,26 @@ def test_alpha_one_cell_keeps_its_training_row(tmp_path, capsys):
     assert rows["sweep"] == rows["sweep-workers"]
 
 
+def test_alpha_one_failures_share_predicts_wording(tmp_path, capsys, monkeypatch):
+    # sweep rejects mm and subspace at alpha = 1 with the training-fraction
+    # check predict uses, before it draws a trial for them
+    calls = []
+    run_trial = harness.run_trial
+    monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args) or run_trial(*args))
+    grid = ["--N", "32", "--M", "100", "--P", "2", "--alpha", "1", "--beta", "0.25",
+            "--sigma-n2", "0.5", "--estimator", "all"]
+    errors = {}
+    for command, extra in (("predict", ["--draws", "20"]), ("sweep", ["--trials", "2"])):
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, *grid, *extra, "--out", str(out)]) == 1
+        errors[command] = capsys.readouterr().err
+        assert [(r.alpha, r.estimator) for r in harness.load_records(out)] == [(1.0, "training")]
+    check = "training fraction alpha=1.0 must lie in (0, 1)"
+    assert f"mm: {check}; subspace: {check}" in errors["sweep"]
+    assert errors["sweep"] == errors["predict"]
+    assert len(calls) == 2  # the training row's trials alone
+
+
 def _distribution_installed(name: str) -> bool:
     try:
         importlib.metadata.distribution(name)

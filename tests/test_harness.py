@@ -2,11 +2,12 @@
 
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from semiblind import analytic, estimators, harness, model
+from semiblind import analytic, estimators, harness, model, sos
 from semiblind.errors import ConfigError, SingularSystemError
 
 
@@ -169,6 +170,28 @@ class TestRunTrial:
         finally:
             tracemalloc.stop()
         assert peak < p.users * p.symbols * p.gain * 8
+
+    def test_solve_trial_frees_the_block_before_the_solve(self, monkeypatch):
+        # the chips and windows (2.45 MB at K = 64) hold no memory while the
+        # solve-mode trial factors the SOS blocks
+        refs, dead = [], []
+        for name in ("sample_codes", "synthesize_received"):
+
+            def kept(*args, _fn=getattr(model, name), **kwargs):
+                out = _fn(*args, **kwargs)
+                refs.append(weakref.ref(out))
+                return out
+
+            monkeypatch.setattr(model, name, kept)
+
+        def solve(*args, _fn=sos.estimate_sos, **kwargs):
+            dead.append([ref() is None for ref in refs])
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(sos, "estimate_sos", solve)
+        cfg = tiny_config(sos_mode="solve")
+        harness.run_trial(cfg, harness.grid_cells(cfg)[0], 0)
+        assert dead == [[True, True]]
 
     @pytest.mark.parametrize("sos_mode", ["identity", "solve"])
     def test_trial_peak_memory(self, sos_mode):

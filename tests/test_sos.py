@@ -208,6 +208,21 @@ class TestBuildNormalEquations:
             tracemalloc.stop()
         assert peak < 1.8e6
 
+    def test_gram_peak_memory(self):
+        # with the Gram, the same trial block holds one chunk of cross-Grams,
+        # one transposed lower cross-Gram and the 27 orbit sums, and assembles
+        # the two Hermitian blocks after the chunks are freed: below 3.0 MB
+        p = model.SystemParams(users=64, gain=64, taps=3, symbols=400, train_symbols=80)
+        gains = model.sample_channel(p, seeded_rng(90))
+        chips, _, windows = draw_block(p, gains, seeded_rng(91))
+        tracemalloc.start()
+        try:
+            sos.build_normal_equations(windows, chips, replace(p, noise_var=0.5), include_gram=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0e6
+
     def test_rhs_is_exactly_hermitian(self):
         # so hermitianize leaves the identity-mode estimate d = y as it is
         p = model.SystemParams(users=8, gain=32, taps=3, symbols=60, train_symbols=12, noise_var=0.5)
