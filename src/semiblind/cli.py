@@ -54,13 +54,10 @@ def _report_failures(failures) -> int:
     return 1
 
 
-# each grid command's harness function, looked up per call so a wrapper set on it runs
-_GRID_RUNNERS = {"predict": "predict", "sweep": "run_sweep"}
-
-
 def _cmd_grid(args) -> int:
     config = _build_config(args)
-    records, failures = getattr(harness, _GRID_RUNNERS[args.command])(config)
+    run = harness.run_sweep if args.command == "sweep" else harness.predict
+    records, failures = run(config)
     _write(records, config)
     return _report_failures(failures)
 

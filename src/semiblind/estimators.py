@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sos
 from .errors import ConfigError
 from .model import SystemParams, _check_shapes, _check_signs, _check_train_frac
 from .model import _check_unit_weight, unvec
-from .sos import _EXACT_INT_F32, _correlate, _cross_grams, _solve_spd, hermitianize
+from .sos import _EXACT_INT_F32, _correlate, _cross_grams, _solve_spd
 
 __all__ = [
     "SemiblindEstimate",
@@ -198,7 +199,7 @@ def mm_semiblind(g_bar: np.ndarray, d_hat: np.ndarray, weight: float) -> Semibli
     _check_unit_weight("weight", weight)
     g_bar = np.asarray(g_bar, dtype=complex)
     taps = g_bar.shape[-1]
-    d_vec = hermitianize(np.asarray(d_hat, dtype=complex))
+    d_vec = sos.hermitianize(np.asarray(d_hat, dtype=complex))
     d_mat = unvec(d_vec, taps)
     start = float(np.sum(_mm_cost(g_bar, d_mat, g_bar, weight)))
     if weight == 0:
@@ -257,7 +258,7 @@ def principal_eigvec(d_hat: np.ndarray) -> np.ndarray:
     """
     d_hat = np.asarray(d_hat, dtype=complex)
     taps = math.isqrt(d_hat.shape[-1])
-    _, vecs = np.linalg.eigh(unvec(hermitianize(d_hat), taps))
+    _, vecs = np.linalg.eigh(unvec(sos.hermitianize(d_hat), taps))
     u = vecs[..., -1]
     # a unit vector always has such an entry
     first = np.argmax(np.abs(u) > 1e-12, axis=-1)[..., None]

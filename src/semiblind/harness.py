@@ -214,7 +214,10 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
     blank lines and ``#`` comments are ignored.  No path reads no file.
     """
     values: dict = {}
-    lines = Path(path).read_text().splitlines() if path is not None else []
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines() if path is not None else []
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -294,7 +297,7 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
             windows, chips, params, include_gram=config.sos_mode == "solve"
         )
         del chips, symbols, windows  # free the block before the solve
-        d_hat = sos.hermitianize(sos.estimate_sos(rhs, gram))
+        d_hat = sos.estimate_sos(rhs, gram)  # Hermitian in both SOS modes
 
         if "mm" in which:
             fit = estimators.mm_semiblind(g_bar, d_hat, analytic.plugin_weight(params))
@@ -361,40 +364,35 @@ def _analytic_cell(
 # ---------------------------------------------------------------------------
 
 
-def _cell_records(
-    config: ExperimentConfig, cell: Cell, per_trial: dict[str, list] | None = None
-) -> list[SweepRecord]:
-    """One record per estimator of the cell.
-
-    The analytic columns are filled, bar eta at alpha = 1; the empirical ones
-    come from ``per_trial`` (each estimator's per-trial mean squared errors)
-    when it is given, and are otherwise left empty in an analytic-only record.
-    """
+def _cell_records(config: ExperimentConfig, cell: Cell) -> list[SweepRecord]:
+    """The cell's prediction, one record per estimator: trials = 0, empirical columns
+    empty, analytic ones filled bar eta at alpha = 1, where mm and subspace raise."""
     params = cell.params
     records = []
     for name in config.estimator_list:
         ana, se, eta_ana = _analytic_cell(config, cell, name)
-        trials, emp, eta_emp = 0, None, None
-        if per_trial is not None:
-            scaled = params.symbols * np.asarray(per_trial[name]) / params.taps
-            trials, emp = scaled.size, float(scaled.mean())
-            se = float(scaled.std(ddof=1) / math.sqrt(scaled.size)) if scaled.size > 1 else None
-            if eta_ana is not None:
-                eta_emp = analytic.efficiency(emp, params.noise_var, params.train_frac)
         records.append(SweepRecord(
             beta=cell.beta, sigma_n2=params.noise_var, P=params.taps, alpha=cell.alpha,
-            estimator=name, trials=trials, sigma_g2_emp=emp, sigma_g2_se=se,
-            sigma_g2_ana=ana, eta_emp=eta_emp, eta_ana=eta_ana,
+            estimator=name, trials=0, sigma_g2_emp=None, sigma_g2_se=se,
+            sigma_g2_ana=ana, eta_emp=None, eta_ana=eta_ana,
         ))
     return records
 
 
 def _run_cell(config: ExperimentConfig, cell: Cell) -> list[SweepRecord]:
-    if config.estimator != "training":  # mm and subspace need alpha < 1; check before any trial
-        model._check_train_frac(cell.params.train_frac)
+    """The cell's :func:`_cell_records`, then its trials, which fill each record's
+    trials, sigma_g2_emp, sigma_g2_se and eta_emp; a failed prediction runs no trial."""
+    records = _cell_records(config, cell)
+    params = cell.params
     squared = [run_trial(config, cell, t).errors for t in range(config.trials)]
-    per_trial = {name: [e[name].mean() for e in squared] for name in config.estimator_list}
-    return _cell_records(config, cell, per_trial)
+    for rec in records:
+        scaled = params.symbols * np.array([e[rec.estimator].mean() for e in squared]) / params.taps
+        n = rec.trials = scaled.size
+        rec.sigma_g2_emp = float(scaled.mean())
+        rec.sigma_g2_se = float(scaled.std(ddof=1) / math.sqrt(n)) if n > 1 else None
+        if rec.eta_ana is not None:
+            rec.eta_emp = analytic.efficiency(rec.sigma_g2_emp, params.noise_var, params.train_frac)
+    return records
 
 
 def _evaluate(evaluate, config: ExperimentConfig, cell: Cell) -> tuple[list, list[str]]:
@@ -427,26 +425,29 @@ def _gather(jobs) -> tuple[list[SweepRecord], list[CellFailure]]:
     return records, failures
 
 
-def run_sweep(
-    config: ExperimentConfig,
-) -> tuple[list[SweepRecord], list[CellFailure]]:
-    """Simulate every grid cell; failed cells are recorded, not fatal."""
+def _run_grid(evaluate, config: ExperimentConfig) -> tuple[list[SweepRecord], list[CellFailure]]:
+    """:func:`_evaluate` of ``evaluate`` on each grid cell, then :func:`_gather`; a pool
+    gets at most one worker per cell, and one worker runs serially with no pool."""
     cells = grid_cells(config)
-    if config.workers > 1:
+    workers = min(config.workers, len(cells))
+    if workers > 1:
         # imported here: multiprocessing costs every serial run its startup time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_evaluate, _run_cell, config, cell) for cell in cells]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_evaluate, evaluate, config, cell) for cell in cells]
             return _gather((cell, fut.result) for cell, fut in zip(cells, futures))
-    return _gather((cell, partial(_evaluate, _run_cell, config, cell)) for cell in cells)
+    return _gather((cell, partial(_evaluate, evaluate, config, cell)) for cell in cells)
 
 
-def predict(
-    config: ExperimentConfig,
-) -> tuple[list[SweepRecord], list[CellFailure]]:
+def run_sweep(config: ExperimentConfig) -> tuple[list[SweepRecord], list[CellFailure]]:
+    """Simulate every grid cell beside its prediction; failed cells are recorded, not fatal."""
+    return _run_grid(_run_cell, config)
+
+
+def predict(config: ExperimentConfig) -> tuple[list[SweepRecord], list[CellFailure]]:
     """Analytic-only surfaces over the grid; no simulation."""
-    return _gather((cell, partial(_evaluate, _cell_records, config, cell)) for cell in grid_cells(config))
+    return _run_grid(_cell_records, config)
 
 
 # ---------------------------------------------------------------------------

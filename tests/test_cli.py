@@ -156,6 +156,15 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, line):
     assert "Traceback" not in err
 
 
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"beta = 0.25\n\xff\xfe = 1\n")
+    assert cli.main(["predict", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--sigma-n2", "inf")])
 def test_non_finite_grid_flag_is_config_error(capsys, flag, value):
     assert cli.main(["predict", flag, value]) == 2
@@ -231,6 +240,12 @@ def test_omega_source_or_weight_from_file_and_flag(tmp_path, text, value):
     assert cli._build_config(_common_parser().parse_args(["--omega", text])).omega == value
 
 
+def _src_env() -> dict:
+    """The environment for a fresh interpreter that imports this checkout's package."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def test_runs_without_scipy(tmp_path):
     # numpy is the only numerical dependency: a sweep through every estimator
     # and the Gram solve must work with scipy unimportable
@@ -240,17 +255,29 @@ def test_runs_without_scipy(tmp_path):
         "from semiblind import cli\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run(
         [sys.executable, "-c", script, "sweep", "--N", "32", "--M", "40", "--P", "2",
          "--beta", "0.25", "--sigma-n2", "0.5", "--alpha", "0.25", "--trials", "1",
          "--draws", "5", "--sos-mode", "solve", "--estimator", "all",
          "--out", str(tmp_path / "out.csv")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert len(harness.load_records(tmp_path / "out.csv")) == 3
+
+
+def test_import_loads_no_process_pool():
+    # the grid driver imports its pool on first use, so a serial run never pays for it
+    script = (
+        "import sys\n"
+        "import semiblind.cli\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_failed_cells_nonzero_exit(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo sweep engine, configs and record emission."""
 
+import concurrent.futures
 import re
 import tracemalloc
 import weakref
@@ -261,6 +262,58 @@ class TestRunSweep:
         serial, _ = harness.run_sweep(cfg)
         parallel, _ = harness.run_sweep(tiny_config(estimator="training", beta=(0.25, 0.5), workers=2))
         assert [r.sigma_g2_emp for r in serial] == [r.sigma_g2_emp for r in parallel]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every process pool the grid driver makes; each
+    submitted cell runs inline, so no process is started."""
+    made = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return made
+
+
+class TestGridDriver:
+    """sweep and predict share one driver, with at most one worker per cell."""
+
+    def test_pool_gets_at_most_one_worker_per_cell(self, pools):
+        records, _ = harness.run_sweep(tiny_config(estimator="training", beta=(0.25, 0.5), workers=8))
+        assert pools == [2] and len(records) == 2
+
+    def test_one_cell_runs_without_a_pool(self, pools):
+        records, _ = harness.run_sweep(tiny_config(estimator="training", workers=4))
+        assert pools == [] and records[0].trials == 2
+
+    def test_predict_uses_the_pool(self, pools):
+        serial, _ = harness.predict(tiny_config(beta=(0.25, 0.5)))
+        assert pools == []
+        pooled, _ = harness.predict(tiny_config(beta=(0.25, 0.5), workers=2))
+        assert pools == [2] and pooled == serial
+
+    def test_sweep_row_is_its_prediction_row_plus_trials(self):
+        cfg = tiny_config(beta=(0.25, 0.5))
+        predicted, _ = harness.predict(cfg)
+        swept, _ = harness.run_sweep(cfg)
+        assert [r.trials for r in swept] == [2] * 6
+        for pred, rec in zip(predicted, swept, strict=True):
+            assert (rec.sigma_g2_ana, rec.eta_ana) == (pred.sigma_g2_ana, pred.eta_ana)
+            assert None not in (rec.sigma_g2_emp, rec.sigma_g2_se, rec.eta_emp)
 
 
 class TestAnalyticCell:
