@@ -174,15 +174,13 @@ def predict_subspace_mse(
     return _scalar((omega**2 * proj + (1 - omega) ** 2 * train + floor) / params.taps)
 
 
-def optimal_omega(
-    g: np.ndarray, params: SystemParams, angle_var: float | None = None
-) -> float | np.ndarray:
+def optimal_omega(g: np.ndarray, params: SystemParams) -> float | np.ndarray:
     """Minimizer B/(A + B) of the subspace MSE quadratic, 0 where A + B = 0.
 
     With A, B >= 0 it lies in [0, 1]: P = 1 (B = 0) gives 0, the projection
-    step being vacuous, and a perfect subspace (A = 0) gives 1.
+    step being vacuous.
     """
-    proj, train, _ = _subspace_terms(g, params, angle_var)
+    proj, train, _ = _subspace_terms(g, params, None)
     total = proj + train
     return _scalar(np.divide(train, total, out=np.zeros_like(total), where=total > 0))
 

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sos
-from .errors import ConfigError
 from .model import SystemParams, _check_shapes, _check_signs, _check_train_frac
-from .model import _check_unit_weight, unvec
+from .model import _check_training_rank, _check_unit_weight, unvec
 from .sos import _EXACT_INT_F32, _correlate, _cross_grams, _solve_spd
 
 __all__ = [
@@ -42,10 +41,8 @@ _NEWTON_MAX_ITER = 100
 class FitDiagnostics:
     """Bookkeeping from one estimator call (one user, or a batch of users)."""
 
-    method: str
     weight: float  # moment-matching w or subspace omega (per entry if batched)
     iterations: int = 0
-    cost: float = 0.0
     converged: bool = True
     cost_trace: list[float] = field(default_factory=list, repr=False)
 
@@ -78,7 +75,7 @@ def training_estimate(
     the users ("despread, then decorrelate"), which removes the
     multiple-access residual a per-user despreader keeps and leaves
     additive noise of variance noise_var / M_t per tap in the large-system
-    limit.  Needs at least K*P training samples: M_t (N-P+1) >= K P.
+    limit.  Needs at least K*P training samples (:func:`model._check_training_rank`).
 
     The Gram weights the per-symbol chip-sign cross-Grams C_k^T C_j by
     conj(x_k) x_j (:func:`_training_gram`), with no copy of the Sylvester
@@ -87,12 +84,8 @@ def training_estimate(
     +-1 symbols both qualify); any others raise ``ValueError``, as do arrays
     off ``params`` and training chips that are not signs of exactly +-1.
     """
+    _check_training_rank(params)
     mt, k, taps = params.train_symbols, params.users, params.taps
-    if mt * params.window < k * taps:
-        raise ConfigError(
-            f"joint least-squares training needs M_t (N-P+1) >= K P; got "
-            f"{mt * params.window} training samples for {k * taps} taps"
-        )
     _check_shapes(params, chips=chips, symbols=symbols, windows=windows)
     train_chips = chips[:, :mt, :]
     _check_signs(train_chips)
@@ -194,7 +187,7 @@ def mm_semiblind(g_bar: np.ndarray, d_hat: np.ndarray, weight: float) -> Semibli
 
     ``g_bar`` has shape (..., P) and ``d_hat`` (..., P^2).  The diagnostics
     summarise the batch: Newton steps taken, whether every entry met the
-    tolerance, the summed cost and [cost at g_bar, final cost].
+    tolerance, and the batch's total cost at g_bar and at the end (``cost_trace``).
     """
     _check_unit_weight("weight", weight)
     g_bar = np.asarray(g_bar, dtype=complex)
@@ -203,7 +196,7 @@ def mm_semiblind(g_bar: np.ndarray, d_hat: np.ndarray, weight: float) -> Semibli
     d_mat = unvec(d_vec, taps)
     start = float(np.sum(_mm_cost(g_bar, d_mat, g_bar, weight)))
     if weight == 0:
-        diag = FitDiagnostics(method="mm", weight=weight, cost=start, cost_trace=[start, start])
+        diag = FitDiagnostics(weight=weight, cost_trace=[start, start])
         return SemiblindEstimate(gains=g_bar.copy(), diagnostics=diag)
 
     lam, vecs = np.linalg.eigh(d_mat)  # ascending, so the top eigenvalue is last
@@ -237,14 +230,7 @@ def mm_semiblind(g_bar: np.ndarray, d_hat: np.ndarray, weight: float) -> Semibli
     y[..., -1] += np.where(hard, np.sqrt(np.maximum(h, 0.0)), 0.0)
     gains = np.einsum("...ij,...j->...i", vecs, y)
     cost = float(np.sum(_mm_cost(gains, d_mat, g_bar, weight)))
-    diag = FitDiagnostics(
-        method="mm",
-        weight=weight,
-        iterations=it,
-        cost=cost,
-        converged=converged,
-        cost_trace=[start, cost],
-    )
+    diag = FitDiagnostics(weight, iterations=it, converged=converged, cost_trace=[start, cost])
     return SemiblindEstimate(gains=gains, diagnostics=diag)
 
 
@@ -282,5 +268,5 @@ def subspace_semiblind(
     u = principal_eigvec(d_hat)
     proj = np.einsum("...i,...i->...", u.conj(), g_bar)[..., None]
     gains = weights * proj * u + (1 - weights) * g_bar
-    diag = FitDiagnostics(method="subspace", weight=omega)
+    diag = FitDiagnostics(weight=omega)
     return SemiblindEstimate(gains=gains, diagnostics=diag)

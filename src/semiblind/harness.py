@@ -93,11 +93,9 @@ class ExperimentConfig:
         for p in self.taps:
             if int(p) >= self.gain:
                 raise ConfigError(f"channel order P={p} must be below spreading gain N={self.gain}")
-        for a in self.alpha:  # M_t as grid_cells rounds it
+        for a in self.alpha:
             if a > 1:
                 raise ConfigError(f"training fraction alpha={a} must be <= 1")
-            if round(a * self.symbols) == 0:
-                raise ConfigError(f"alpha={a} leaves no training symbols at M={self.symbols}")
         if self.estimator not in (*_ESTIMATORS, "all"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.sos_mode not in _SOS_MODES:
@@ -241,7 +239,8 @@ def grid_cells(config: ExperimentConfig) -> list[Cell]:
     """Cartesian product of the grid in (beta, sigma_n2, P, alpha) order.
 
     K = round(beta N) and M_t = round(alpha M); any rounding that moves the
-    realized load or training fraction is logged.
+    realized load or training fraction is logged.  A cell that fails
+    :func:`model._check_training_rank` raises ``ConfigError`` naming it.
     """
     cells = []
     for beta, sn2, taps, alpha in product(
@@ -262,6 +261,10 @@ def grid_cells(config: ExperimentConfig) -> list[Cell]:
             noise_var=sn2,
         )
         cells.append(Cell(beta=beta, alpha=alpha, params=params))
+        try:
+            model._check_training_rank(params)
+        except ConfigError as exc:
+            raise ConfigError(f"cell {cells[-1].key()}: {exc}") from exc
     return cells
 
 
@@ -286,11 +289,8 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
 
     which = config.estimator_list
     g_bar = estimators.training_estimate(windows, chips, symbols, params)
-    errors: dict[str, np.ndarray] = {}
+    estimates = {"training": g_bar}
     diagnostics: dict[str, estimators.FitDiagnostics] = {}
-
-    if "training" in which:
-        errors["training"] = np.sum(np.abs(g_bar - gains) ** 2, axis=1)
 
     if "mm" in which or "subspace" in which:
         rhs, gram = sos.build_normal_equations(
@@ -301,15 +301,14 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
 
         if "mm" in which:
             fit = estimators.mm_semiblind(g_bar, d_hat, analytic.plugin_weight(params))
-            errors["mm"] = np.sum(np.abs(fit.gains - gains) ** 2, axis=1)
-            diagnostics["mm"] = fit.diagnostics
+            estimates["mm"], diagnostics["mm"] = fit.gains, fit.diagnostics
 
         if "subspace" in which:
             omega = _subspace_omega(config, params, gains if config.omega == "oracle" else g_bar)
             fit = estimators.subspace_semiblind(g_bar, d_hat, omega)
-            errors["subspace"] = np.sum(np.abs(fit.gains - gains) ** 2, axis=1)
-            diagnostics["subspace"] = fit.diagnostics
+            estimates["subspace"], diagnostics["subspace"] = fit.gains, fit.diagnostics
 
+    errors = {name: np.sum(np.abs(estimates[name] - gains) ** 2, axis=1) for name in which}
     return TrialResult(errors=errors, diagnostics=diagnostics)
 
 

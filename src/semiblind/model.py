@@ -10,7 +10,8 @@ a chunk of about ``_CHUNK_ELEMS`` at a time, and the synthesis writes each
 symbol chunk's windows straight into its output, so no temporary outgrows
 one chunk.  Chip indices follow the 1-based convention l = 1..N in all
 interface documentation; arrays are stored 0-based.  The module also owns
-the weight rules: alpha = M_t/M lies in (0, 1), and w and omega in [0, 1].
+the weight rules: alpha = M_t/M lies in (0, 1), and w and omega in [0, 1];
+and the training fit's rank rule M_t (N-P+1) >= K P.
 """
 
 from __future__ import annotations
@@ -99,6 +100,16 @@ def _check_train_frac(alpha: float) -> float:
     if not 0 < alpha < 1:
         raise ConfigError(f"training fraction alpha={alpha} must lie in (0, 1)")
     return alpha
+
+
+def _check_training_rank(params: SystemParams) -> None:
+    """Raise ``ConfigError`` unless the joint training fit has M_t (N-P+1) >= K P samples."""
+    samples, taps = params.train_symbols * params.window, params.users * params.taps
+    if samples < taps:
+        raise ConfigError(
+            f"joint least-squares training needs M_t (N-P+1) >= K P; got "
+            f"{samples} training samples for {taps} taps"
+        )
 
 
 def _check_unit_weight(name: str, value: float | np.ndarray) -> np.ndarray:

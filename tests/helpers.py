@@ -86,7 +86,7 @@ def sos_trials(
     mode: str = "identity",
     info_start: int = 0,
 ) -> np.ndarray:
-    """Hermitianized SOS estimates (n_trials, K, P^2), channel held fixed.
+    """SOS estimates (n_trials, K, P^2), channel held fixed; Hermitian in both modes.
 
     ``mode`` is ``identity`` (d = y) or ``solve`` (T d = y with the Gram).
     The moments are read from symbol ``info_start`` on, whatever M_t
@@ -99,7 +99,7 @@ def sos_trials(
         rhs, gram = sos.build_normal_equations(
             windows, chips, info_params, include_gram=mode == "solve"
         )
-        out[t] = sos.hermitianize(sos.estimate_sos(rhs, gram))
+        out[t] = sos.estimate_sos(rhs, gram)
     return out
 
 

@@ -193,7 +193,7 @@ class TestRealCovariance:
             chips, symbols, windows = draw_block(p, gains, seeded_rng(91, t))
             g_bar = estimators.training_estimate(windows, chips, symbols, p)
             rhs, _ = sos.build_normal_equations(windows, chips, p, include_gram=False)
-            dd = sos.free_vars(sos.hermitianize(sos.estimate_sos(rhs))) - truth
+            dd = sos.free_vars(sos.estimate_sos(rhs)) - truth
             dg = g_bar - gains
             z_err[t] = np.concatenate([dg.real, dg.imag, dd], axis=-1)
         per_trial = np.mean((z_err - z_err.mean(axis=0)) ** 2 / pred, axis=1)
@@ -288,10 +288,6 @@ class TestSubspaceMse:
 
 
 class TestOptimalOmega:
-    def test_perfect_sos_limit(self):
-        # zero angle variance makes full projection optimal
-        assert analytic.optimal_omega(random_taps(3, 98), params_for(), angle_var=0.0) == 1.0
-
     def test_single_tap(self):
         assert analytic.optimal_omega(np.array([1.0 + 0j]), params_for(taps=1)) == 0.0
 
@@ -384,20 +380,21 @@ class TestMmErrorCovariance:
         assert np.max(np.abs(df_dz - num)) <= 1e-6 * np.max(np.abs(df_dz))
 
     def test_end_to_end_monte_carlo(self):
-        # K=16, N=64, P=3, beta=0.25, sigma=1, alpha=0.2, M=400, 500 trials:
-        # empirical scaled MSE within 25% of the prediction (user-averaged)
+        # K=16, N=64, P=3, beta=0.25, sigma=1, alpha=0.2, M=400, 100 trials:
+        # empirical scaled MSE within 25% of the prediction (user-averaged),
+        # about 15 standard errors of the trial average
         p = params_for(users=16, noise=1.0)
         gains = representative_channels(p, 103)
-        w = estimators.weight_w(p.train_frac, p.noise_var, analytic.average_sos_variance(p))
+        w = analytic.plugin_weight(p)
         pred = analytic.mm_error_covariance(gains, p)[1]
 
-        trials = 500
+        trials = 100
         err = np.zeros((trials, 16))
         for t in range(trials):
             chips, symbols, windows = draw_block(p, gains, seeded_rng(104, t))
             g_bar = estimators.training_estimate(windows, chips, symbols, p)
             rhs, gram = sos.build_normal_equations(windows, chips, p)
-            d_hat = sos.hermitianize(sos.estimate_sos(rhs, gram))
+            d_hat = sos.estimate_sos(rhs, gram)
             fit = estimators.mm_semiblind(g_bar, d_hat, w)
             err[t] = np.sum(np.abs(fit.gains - gains) ** 2, axis=-1)
         emp = p.symbols * err.mean(axis=0) / p.taps

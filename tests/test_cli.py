@@ -280,6 +280,20 @@ def test_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_rank_deficient_training_cell_is_config_error(capsys):
+    # M_t (N-P+1) = 6 training samples for K P = 24 taps: every command
+    # rejects the cell once, by its key, before it evaluates anything
+    grid = ["--N", "8", "--M", "10", "--P", "3", "--alpha", "0.1", "--beta", "1"]
+    for command in ("predict", "simulate", "sweep"):
+        assert cli.main([command, *grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: cell beta=1.0,sigma_n2=0.5,P=3,alpha=0.1: joint least-squares"
+            " training needs M_t (N-P+1) >= K P; got 6 training samples for 24 taps"
+        ]
+
+
 def test_failed_cells_nonzero_exit(tmp_path, capsys):
     # alpha = 1 starves the semi-blind estimators of information symbols
     code = cli.main(

@@ -45,7 +45,7 @@ class TestConfig:
             tiny_config(omega="magic")
         with pytest.raises(ConfigError):
             tiny_config(fmt="xml")
-        # grids with no valid cell: M = 0, P >= N, round(alpha M) = 0
+        # grids with no valid cell: M = 0, P >= N, M_t (N-P+1) < K P
         with pytest.raises(ConfigError, match="M=0"):
             tiny_config(symbols=0)
         with pytest.raises(ConfigError, match="P=32"):
@@ -53,7 +53,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="N=0"):
             tiny_config(gain=0)
         with pytest.raises(ConfigError, match="alpha=0.01"):
-            tiny_config(alpha=(0.25, 0.01))
+            harness.grid_cells(tiny_config(alpha=(0.25, 0.01)))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -129,6 +129,32 @@ class TestRunTrial:
         assert set(result.errors) == {"training", "mm", "subspace"}
         assert all(v.shape == (cell.params.users,) for v in result.errors.values())
         assert all(np.all(v >= 0) for v in result.errors.values())
+
+    @pytest.mark.parametrize("estimator", ["training", "mm", "subspace", "all"])
+    def test_errors_score_the_requested_fits(self, estimator):
+        # each requested estimator, and no other, is scored by the squared
+        # error of its fit on the trial's own draws
+        cfg = tiny_config(estimator=estimator)
+        cell = harness.grid_cells(cfg)[0]
+        p = cell.params
+        rng = harness._trial_rng(cfg.seed, cell, 1)
+        gains = model.sample_channel(p, rng)
+        chips = model.sample_codes(p, rng)
+        symbols = model.sample_symbols(p, rng)
+        windows = model.synthesize_received(p, gains, chips, symbols, rng)
+        g_bar = estimators.training_estimate(windows, chips, symbols, p)
+        d_hat = sos.estimate_sos(sos.build_normal_equations(windows, chips, p)[0])
+        fits = {
+            "training": g_bar,
+            "mm": estimators.mm_semiblind(g_bar, d_hat, analytic.plugin_weight(p)).gains,
+            "subspace": estimators.subspace_semiblind(
+                g_bar, d_hat, analytic.optimal_omega(gains, p)
+            ).gains,
+        }
+        errors = harness.run_trial(cfg, cell, 1).errors
+        assert list(errors) == list(cfg.estimator_list)
+        for name, err in errors.items():
+            assert np.array_equal(err, np.sum(np.abs(fits[name] - gains) ** 2, axis=1))
 
     def test_noiseless_training_accuracy(self):
         cfg = harness.ExperimentConfig(
