@@ -170,9 +170,9 @@ class SweepRecord:
     """One (cell, estimator) row of a sweep or prediction; its fields are the
     output columns.
 
-    For analytic-only records (trials == 0) the empirical fields are None
-    and ``sigma_g2_se`` carries the standard error of the channel-draw
-    average behind ``sigma_g2_ana``.
+    Both eta columns are eta of the row's mean sigma_g2.  For analytic-only
+    records (trials == 0) the empirical fields are None and ``sigma_g2_se``
+    carries the standard error of the channel-draw average behind ``sigma_g2_ana``.
     """
 
     beta: float
@@ -335,27 +335,32 @@ def _analytic_draws(config: ExperimentConfig, params: model.SystemParams) -> np.
     return model.sample_channel(replace(params, users=config.draws), rng)
 
 
+def _summary(values, params, column: str) -> tuple[float, float | None, float | None]:
+    """(mean, standard error, eta of the mean) of the sigma_g2 sample behind ``column``;
+    one value has no standard error, alpha = 1 no eta, and a non-finite mean or SE raises."""
+    mean = float(np.mean(values))
+    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else None
+    for name, value in ((column, mean), ("sigma_g2_se", se)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} is {value}, not finite")
+    alpha = params.train_frac
+    return mean, se, (analytic.efficiency(mean, params.noise_var, alpha) if alpha < 1 else None)
+
+
 def _analytic_cell(
     config: ExperimentConfig, cell: Cell, estimator: str
 ) -> tuple[float, float | None, float | None]:
-    """(sigma_g2_ana, its standard error, eta_ana), averaged over every channel draw.
-
-    The exact training prediction and a single draw have no standard error;
-    at alpha = 1 there is no eta.
-    """
+    """:func:`_summary` of the prediction over every channel draw, or of the exact
+    training prediction as a one-value sample."""
     params = cell.params
-    alpha, s2 = params.train_frac, params.noise_var
     if estimator == "training":
-        return s2 / alpha, None, (0.0 if alpha < 1 else None)
-
-    draws = _analytic_draws(config, params)
-    if estimator == "mm":
-        _, sg2 = analytic.mm_error_covariance(draws, params)
+        sg2 = [params.noise_var / params.train_frac]
+    elif estimator == "mm":
+        _, sg2 = analytic.mm_error_covariance(_analytic_draws(config, params), params)
     else:
+        draws = _analytic_draws(config, params)
         sg2 = analytic.predict_subspace_mse(draws, params, _subspace_omega(config, params, draws))
-    eta = analytic.efficiency(sg2, s2, alpha)
-    se = float(sg2.std(ddof=1) / math.sqrt(sg2.size)) if sg2.size > 1 else None
-    return float(sg2.mean()), se, float(eta.mean())
+    return _summary(sg2, params, "sigma_g2_ana")
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +369,8 @@ def _analytic_cell(
 
 
 def _cell_records(config: ExperimentConfig, cell: Cell) -> list[SweepRecord]:
-    """The cell's prediction, one record per estimator: trials = 0, empirical columns
-    empty, analytic ones filled bar eta at alpha = 1, where mm and subspace raise."""
+    """The cell's prediction, one record per estimator: trials = 0, empirical columns empty,
+    sigma_g2_ana and its eta_ana filled, bar eta at alpha = 1 (mm and subspace raise)."""
     params = cell.params
     records = []
     for name in config.estimator_list:
@@ -386,11 +391,8 @@ def _run_cell(config: ExperimentConfig, cell: Cell) -> list[SweepRecord]:
     squared = [run_trial(config, cell, t).errors for t in range(config.trials)]
     for rec in records:
         scaled = params.symbols * np.array([e[rec.estimator].mean() for e in squared]) / params.taps
-        n = rec.trials = scaled.size
-        rec.sigma_g2_emp = float(scaled.mean())
-        rec.sigma_g2_se = float(scaled.std(ddof=1) / math.sqrt(n)) if n > 1 else None
-        if rec.eta_ana is not None:
-            rec.eta_emp = analytic.efficiency(rec.sigma_g2_emp, params.noise_var, params.train_frac)
+        rec.trials = scaled.size
+        rec.sigma_g2_emp, rec.sigma_g2_se, rec.eta_emp = _summary(scaled, params, "sigma_g2_emp")
     return records
 
 

@@ -114,6 +114,20 @@ def test_training_only_sweep_at_alpha_one(tmp_path):
     assert rows[0].eta_emp is None and rows[0].eta_ana is None
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_rows_fail_their_estimator(tmp_path, capsys):
+    # at sigma_n2 = 1e300 lambda^2 overflows: mm's standard error is inf and
+    # subspace's prediction nan, so both rows fail and the training row stays
+    out = tmp_path / "out.csv"
+    code = cli.main(["predict", "--sigma-n2", "1e300", "--estimator", "all", "--out", str(out)])
+    assert code == 1
+    assert [r.estimator for r in harness.load_records(out)] == ["training"]
+    err = capsys.readouterr().err
+    assert "mm: sigma_g2_se is inf" in err and "subspace: sigma_g2_ana is nan" in err
+    fields = ",".join(out.read_text().splitlines()[2:]).lower().split(",")
+    assert not {"nan", "inf", "-inf"} & set(fields)
+
+
 def test_training_only_simulate_at_alpha_one(capsys):
     # the printed line drops the eta pair the row leaves empty
     code = cli.main(

@@ -340,6 +340,9 @@ class TestGridDriver:
         for pred, rec in zip(predicted, swept, strict=True):
             assert (rec.sigma_g2_ana, rec.eta_ana) == (pred.sigma_g2_ana, pred.eta_ana)
             assert None not in (rec.sigma_g2_emp, rec.sigma_g2_se, rec.eta_emp)
+            # both eta columns are eta of the row's mean sigma_g2 (M_t/M is alpha here)
+            assert rec.eta_ana == analytic.efficiency(rec.sigma_g2_ana, rec.sigma_n2, rec.alpha)
+            assert rec.eta_emp == analytic.efficiency(rec.sigma_g2_emp, rec.sigma_n2, rec.alpha)
 
 
 class TestAnalyticCell:

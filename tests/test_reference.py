@@ -4,6 +4,8 @@ Each case is the argv of one ``semiblind`` run, written to ``<name>.csv``.
 The committed file is the CLI's own output for that argv, so a change that
 moves a number by design regenerates it by the same command, e.g.
 ``semiblind predict --estimator training ... --out tests/data/predict-training.csv``.
+To regenerate every file, run from ``tests/``:
+``PYTHONPATH=../src python -c "import test_reference as t; [t.cli.main([*a, '--out', f'data/{n}.csv']) for n, a in t.REFERENCE_RUNS.items()]"``
 Strings and integers must match exactly, floats to a relative 1e-12 (a
 different BLAS, or its thread count, may reorder a sum), and empty fields
 must sit in the same places.
