@@ -56,7 +56,7 @@ _ANALYTIC_SALT = 0x616E616C79746963  # fixed salt for prediction channel draws
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of a sweep: system constants, grid, and run options."""
+    """A sweep's constants, grid and run options; each cell's SystemParams checks N, M and P."""
 
     gain: int = 64  # spreading gain N
     symbols: int = 400  # coherence block M
@@ -80,22 +80,16 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}={getattr(self, name)} must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be >= 0")
-        if self.symbols < 1:
-            raise ConfigError(f"coherence block M={self.symbols} must be >= 1")
         for name in ("beta", "sigma_n2", "alpha"):
             if not getattr(self, name):
                 raise ConfigError(f"the grid needs at least one {name} value")
             for v in getattr(self, name):
                 if not 0 < v < math.inf:
                     raise ConfigError(f"grid value {name}={v} must be positive and finite")
-        if not self.taps or any(int(p) < 1 for p in self.taps):
-            raise ConfigError("grid values for P must be positive integers")
-        for p in self.taps:
-            if int(p) >= self.gain:
-                raise ConfigError(f"channel order P={p} must be below spreading gain N={self.gain}")
-        for a in self.alpha:
-            if a > 1:
-                raise ConfigError(f"training fraction alpha={a} must be <= 1")
+                if name == "alpha" and v > 1:
+                    raise ConfigError(f"training fraction alpha={v} must be <= 1")
+        if not self.taps:
+            raise ConfigError("the grid needs at least one P value")
         if self.estimator not in (*_ESTIMATORS, "all"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.sos_mode not in _SOS_MODES:
@@ -238,28 +232,28 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
 def grid_cells(config: ExperimentConfig) -> list[Cell]:
     """Cartesian product of the grid in (beta, sigma_n2, P, alpha) order.
 
-    K = round(beta N) and M_t = round(alpha M); any rounding that moves the
-    realized load or training fraction is logged.  A cell that fails
+    K = round(beta N) and M_t = round(alpha M).  The cell's :class:`model.SystemParams`
+    checks its rules first, so the logs of any rounding that moves the realized load or
+    training fraction never divide by a zero N or M.  A cell that fails
     :func:`model._check_training_rank` raises ``ConfigError`` naming it.
     """
     cells = []
     for beta, sn2, taps, alpha in product(
         config.beta, config.sigma_n2, config.taps, config.alpha
     ):
-        users = max(1, round(beta * config.gain))
-        train = round(alpha * config.symbols)
-        if abs(users / config.gain - beta) > 1e-12:
-            log.info("cell %s: K rounded to %d (beta -> %.6g)", beta, users, users / config.gain)
-        if abs(train / config.symbols - alpha) > 1e-12:
-            log.info("cell %s: M_t rounded to %d (alpha -> %.6g)", alpha, train, train / config.symbols)
         params = model.SystemParams(
-            users=users,
+            users=max(1, round(beta * config.gain)),
             gain=config.gain,
             taps=int(taps),
             symbols=config.symbols,
-            train_symbols=train,
+            train_symbols=round(alpha * config.symbols),
             noise_var=sn2,
         )
+        k, m_t = params.users, params.train_symbols
+        if abs(params.load - beta) > 1e-12:
+            log.info("cell %s: K rounded to %d (beta -> %.6g)", beta, k, params.load)
+        if abs(params.train_frac - alpha) > 1e-12:
+            log.info("cell %s: M_t rounded to %d (alpha -> %.6g)", alpha, m_t, params.train_frac)
         cells.append(Cell(beta=beta, alpha=alpha, params=params))
         try:
             model._check_training_rank(params)
@@ -336,10 +330,13 @@ def _analytic_draws(config: ExperimentConfig, params: model.SystemParams) -> np.
 
 
 def _summary(values, params, column: str) -> tuple[float, float | None, float | None]:
-    """(mean, standard error, eta of the mean) of the sigma_g2 sample behind ``column``;
+    """(mean, standard error, eta of the mean) of the sigma_g2 sample behind ``column``,
+    taken on the sample scaled exactly by a power of two so the SE cannot overflow first;
     one value has no standard error, alpha = 1 no eta, and a non-finite mean or SE raises."""
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else None
+    n, exp = len(values), math.frexp(float(np.max(np.abs(values))))[1]
+    scaled = np.ldexp(values, -exp)
+    mean = math.ldexp(float(np.mean(scaled)), exp)
+    se = math.ldexp(float(np.std(scaled, ddof=1)) / math.sqrt(n), exp) if n > 1 else None
     for name, value in ((column, mean), ("sigma_g2_se", se)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} is {value}, not finite")

@@ -40,7 +40,8 @@ _CHUNK_ELEMS = 2**16
 
 @dataclass(frozen=True)
 class SystemParams:
-    """All scalar constants of the synchronous uplink model.
+    """All scalar constants of the synchronous uplink model.  A value that breaks
+    a rule below raises ``ConfigError`` naming its symbol.
 
     Attributes
     ----------
@@ -67,17 +68,17 @@ class SystemParams:
     noise_var: float = 0.0
 
     def __post_init__(self):
-        if self.users < 1 or self.gain < 1 or self.taps < 1 or self.symbols < 1:
-            raise ValueError("users, gain, taps and symbols must all be >= 1")
+        named = {"user count K": self.users, "spreading gain N": self.gain,
+                 "channel order P": self.taps, "coherence block M": self.symbols}
+        for name, value in named.items():
+            if value < 1:
+                raise ConfigError(f"{name}={value} must be >= 1")
         if self.taps >= self.gain:
-            raise ValueError(
-                f"channel order taps={self.taps} must be < spreading gain "
-                f"gain={self.gain}"
-            )
+            raise ConfigError(f"channel order P={self.taps} must be below spreading gain N={self.gain}")
         if not 0 <= self.train_symbols <= self.symbols:
-            raise ValueError("train_symbols must lie in [0, symbols]")
+            raise ConfigError(f"training block M_t={self.train_symbols} must lie in [0, M]")
         if self.noise_var < 0:
-            raise ValueError("noise_var must be nonnegative")
+            raise ConfigError(f"noise variance sigma_n2={self.noise_var} must be >= 0")
 
     @property
     def load(self) -> float:

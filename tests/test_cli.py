@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import importlib.metadata
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -116,16 +117,26 @@ def test_training_only_sweep_at_alpha_one(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_rows_fail_their_estimator(tmp_path, capsys):
-    # at sigma_n2 = 1e300 lambda^2 overflows: mm's standard error is inf and
-    # subspace's prediction nan, so both rows fail and the training row stays
+    # at sigma_n2 = 1e300 lambda^2 overflows: subspace's prediction is nan, so
+    # its row fails, while the training and mm rows stay finite
     out = tmp_path / "out.csv"
     code = cli.main(["predict", "--sigma-n2", "1e300", "--estimator", "all", "--out", str(out)])
     assert code == 1
-    assert [r.estimator for r in harness.load_records(out)] == ["training"]
+    assert [r.estimator for r in harness.load_records(out)] == ["training", "mm"]
     err = capsys.readouterr().err
-    assert "mm: sigma_g2_se is inf" in err and "subspace: sigma_g2_ana is nan" in err
+    assert "subspace: sigma_g2_ana is nan" in err and "mm:" not in err
     fields = ",".join(out.read_text().splitlines()[2:]).lower().split(",")
     assert not {"nan", "inf", "-inf"} & set(fields)
+
+
+def test_standard_error_of_huge_values_is_finite(tmp_path):
+    # squaring the deviations of values near 1e160 would overflow; the SE does not
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--sigma-n2", "1e160", "--N", "32", "--M", "40", "--P", "2",
+            "--alpha", "0.25", "--trials", "3", "--estimator", "training", "--out", str(out)]
+    assert cli.main(argv) == 0
+    [row] = harness.load_records(out)
+    assert row.trials == 3 and math.isfinite(row.sigma_g2_se) and row.sigma_g2_se > 0
 
 
 def test_training_only_simulate_at_alpha_one(capsys):
@@ -295,17 +306,23 @@ def test_import_loads_no_process_pool():
 
 
 def test_rank_deficient_training_cell_is_config_error(capsys):
-    # M_t (N-P+1) = 6 training samples for K P = 24 taps: every command
-    # rejects the cell once, by its key, before it evaluates anything
-    grid = ["--N", "8", "--M", "10", "--P", "3", "--alpha", "0.1", "--beta", "1"]
-    for command in ("predict", "simulate", "sweep"):
-        assert cli.main([command, *grid]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "error: cell beta=1.0,sigma_n2=0.5,P=3,alpha=0.1: joint least-squares"
-            " training needs M_t (N-P+1) >= K P; got 6 training samples for 24 taps"
-        ]
+    # every command rejects each grid once, before it evaluates anything: a
+    # rank-deficient cell by its key, M = 0, N = 0 and P >= N by the cell's
+    # SystemParams, before the rounding checks divide by N and M
+    cases = {
+        ("--N", "8", "--M", "10", "--P", "3", "--alpha", "0.1", "--beta", "1"):
+            "cell beta=1.0,sigma_n2=0.5,P=3,alpha=0.1: joint least-squares"
+            " training needs M_t (N-P+1) >= K P; got 6 training samples for 24 taps",
+        ("--M", "0"): "coherence block M=0 must be >= 1",
+        ("--N", "0"): "spreading gain N=0 must be >= 1",
+        ("--P", "64"): "channel order P=64 must be below spreading gain N=64",
+    }
+    for grid, error in cases.items():
+        for command in ("predict", "simulate", "sweep"):
+            assert cli.main([command, *grid]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: {error}"]
 
 
 def test_failed_cells_nonzero_exit(tmp_path, capsys):

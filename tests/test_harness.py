@@ -45,13 +45,14 @@ class TestConfig:
             tiny_config(omega="magic")
         with pytest.raises(ConfigError):
             tiny_config(fmt="xml")
-        # grids with no valid cell: M = 0, P >= N, M_t (N-P+1) < K P
+        # grids with no valid cell: M = 0, P >= N, N = 0, M_t (N-P+1) < K P;
+        # each cell's SystemParams and rank rule reject them in grid_cells
         with pytest.raises(ConfigError, match="M=0"):
-            tiny_config(symbols=0)
+            harness.grid_cells(tiny_config(symbols=0))
         with pytest.raises(ConfigError, match="P=32"):
-            tiny_config(taps=(2, 32))
+            harness.grid_cells(tiny_config(taps=(2, 32)))
         with pytest.raises(ConfigError, match="N=0"):
-            tiny_config(gain=0)
+            harness.grid_cells(tiny_config(gain=0))
         with pytest.raises(ConfigError, match="alpha=0.01"):
             harness.grid_cells(tiny_config(alpha=(0.25, 0.01)))
 

@@ -26,18 +26,22 @@ class TestSystemParams:
         assert p.window == 62
 
     @pytest.mark.parametrize(
-        "kw",
+        "kw, symbol",
         [
-            dict(users=0),
-            dict(taps=32),  # P >= N
-            dict(taps=0),
-            dict(train_symbols=51),
-            dict(train_symbols=-1),
-            dict(noise_var=-0.1),
+            (dict(users=0), "user count K=0 must be >= 1"),
+            (dict(taps=32), "channel order P=32 must be below spreading gain N=32"),
+            (dict(taps=0), "channel order P=0 must be >= 1"),
+            (dict(train_symbols=51), "M_t=51"),
+            (dict(train_symbols=-1), "M_t=-1"),
+            (dict(noise_var=-0.1), "sigma_n2=-0.1"),
+            (dict(gain=0), "spreading gain N=0 must be >= 1"),
+            (dict(symbols=0, train_symbols=0), "coherence block M=0 must be >= 1"),
         ],
+        ids=[f"kw{i}" for i in range(8)],
     )
-    def test_rejects_invalid(self, kw):
-        with pytest.raises(ValueError):
+    def test_rejects_invalid(self, kw, symbol):
+        # the one owner of a system's rules, each error naming its symbol
+        with pytest.raises(ConfigError, match=symbol):
             make_params(**kw)
 
 
