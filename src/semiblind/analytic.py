@@ -171,7 +171,9 @@ def predict_subspace_mse(
     """
     omega = _check_unit_weight("omega", omega)
     proj, train, floor = _subspace_terms(g, params, angle_var)
-    return _scalar((omega**2 * proj + (1 - omega) ** 2 * train + floor) / params.taps)
+    # omega = 0 drops the projection term, also where A overflows (0 * inf would be nan)
+    spread = np.multiply(omega**2, proj, out=np.zeros_like(omega + proj), where=omega > 0)
+    return _scalar((spread + (1 - omega) ** 2 * train + floor) / params.taps)
 
 
 def optimal_omega(g: np.ndarray, params: SystemParams) -> float | np.ndarray:

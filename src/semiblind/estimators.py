@@ -191,13 +191,13 @@ def mm_semiblind(g_bar: np.ndarray, d_hat: np.ndarray, weight: float) -> Semibli
     """
     _check_unit_weight("weight", weight)
     g_bar = np.asarray(g_bar, dtype=complex)
+    if weight == 0:  # the cost is 0 at g_bar, and D (which may overflow) is never read
+        diag = FitDiagnostics(weight=weight, cost_trace=[0.0, 0.0])
+        return SemiblindEstimate(gains=g_bar.copy(), diagnostics=diag)
     taps = g_bar.shape[-1]
     d_vec = sos.hermitianize(np.asarray(d_hat, dtype=complex))
     d_mat = unvec(d_vec, taps)
     start = float(np.sum(_mm_cost(g_bar, d_mat, g_bar, weight)))
-    if weight == 0:
-        diag = FitDiagnostics(weight=weight, cost_trace=[start, start])
-        return SemiblindEstimate(gains=g_bar.copy(), diagnostics=diag)
 
     lam, vecs = np.linalg.eigh(d_mat)  # ascending, so the top eigenvalue is last
     c = np.einsum("...ij,...i->...j", vecs.conj(), g_bar)

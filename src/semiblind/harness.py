@@ -232,10 +232,9 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
 def grid_cells(config: ExperimentConfig) -> list[Cell]:
     """Cartesian product of the grid in (beta, sigma_n2, P, alpha) order.
 
-    K = round(beta N) and M_t = round(alpha M).  The cell's :class:`model.SystemParams`
-    checks its rules first, so the logs of any rounding that moves the realized load or
-    training fraction never divide by a zero N or M.  A cell that fails
-    :func:`model._check_training_rank` raises ``ConfigError`` naming it.
+    K = round(beta N) and M_t = round(alpha M); each cell's :class:`model.SystemParams`
+    checks its rules, and a cell that fails :func:`model._check_training_rank` raises
+    ``ConfigError`` naming it.  Nothing is logged: :func:`_run_grid` logs the roundings.
     """
     cells = []
     for beta, sn2, taps, alpha in product(
@@ -249,11 +248,6 @@ def grid_cells(config: ExperimentConfig) -> list[Cell]:
             train_symbols=round(alpha * config.symbols),
             noise_var=sn2,
         )
-        k, m_t = params.users, params.train_symbols
-        if abs(params.load - beta) > 1e-12:
-            log.info("cell %s: K rounded to %d (beta -> %.6g)", beta, k, params.load)
-        if abs(params.train_frac - alpha) > 1e-12:
-            log.info("cell %s: M_t rounded to %d (alpha -> %.6g)", alpha, m_t, params.train_frac)
         cells.append(Cell(beta=beta, alpha=alpha, params=params))
         try:
             model._check_training_rank(params)
@@ -408,7 +402,7 @@ def _evaluate(evaluate, config: ExperimentConfig, cell: Cell) -> tuple[list, lis
 
 def _gather(jobs) -> tuple[list[SweepRecord], list[CellFailure]]:
     """Collect each (cell, :func:`_evaluate` thunk) pair in order; a cell with errors,
-    or whose worker raised, is logged and kept as a :class:`CellFailure`."""
+    or whose worker raised, is kept as a :class:`CellFailure`, its one report."""
     records: list[SweepRecord] = []
     failures: list[CellFailure] = []
     for cell, evaluate in jobs:
@@ -419,7 +413,6 @@ def _gather(jobs) -> tuple[list[SweepRecord], list[CellFailure]]:
         records.extend(rows)
         if errors:
             failures.append(CellFailure(cell=cell, error="; ".join(errors)))
-            log.error("cell %s failed: %s", cell.key(), failures[-1].error)
     return records, failures
 
 
@@ -427,6 +420,13 @@ def _run_grid(evaluate, config: ExperimentConfig) -> tuple[list[SweepRecord], li
     """:func:`_evaluate` of ``evaluate`` on each grid cell, then :func:`_gather`; a pool
     gets at most one worker per cell, and one worker runs serially with no pool."""
     cells = grid_cells(config)
+    for cell in cells:  # log each rounding that moves the realized load or training fraction
+        p = cell.params
+        if abs(p.load - cell.beta) > 1e-12:
+            log.info("cell %s: K rounded to %d (beta -> %.6g)", cell.beta, p.users, p.load)
+        if abs(p.train_frac - cell.alpha) > 1e-12:
+            log.info("cell %s: M_t rounded to %d (alpha -> %.6g)",
+                     cell.alpha, p.train_symbols, p.train_frac)
     workers = min(config.workers, len(cells))
     if workers > 1:
         # imported here: multiprocessing costs every serial run its startup time

@@ -374,30 +374,24 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     epsilon and n the order -- is retried with a relative ridge
     1e-8 ||diag(gram)|| on the diagonal; a second failure raises
     :class:`SingularSystemError` with the condition number of ``gram``.
-    The SOS solve calls this once per Hermitian block, so each block
-    takes its own ridge.
+    The ridged Gram is built only once the first attempt fails.  The SOS
+    solve calls this once per Hermitian block, so each block takes its
+    own ridge.
     """
-    try:
-        return _cholesky_solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        pass
-    ridged = gram + _RIDGE * np.linalg.norm(np.diag(gram)) * np.eye(gram.shape[0])
-    try:
-        return _cholesky_solve(ridged, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "normal-equation matrix is singular or not positive definite",
-            condition=float(np.linalg.cond(gram)),
-        ) from exc
-
-
-def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^H x = rhs with L the Cholesky factor; raises LinAlgError if singular."""
-    factor = np.linalg.cholesky(gram)
-    pivots = np.diagonal(factor).real ** 2
-    if pivots.min() <= gram.shape[0] * _EPS * pivots.max():
-        raise np.linalg.LinAlgError("Cholesky factor is singular to working precision")
-    return _substitute(factor, rhs)
+    n = gram.shape[0]
+    for ridge in (0.0, _RIDGE):
+        matrix = gram + ridge * np.linalg.norm(np.diag(gram)) * np.eye(n) if ridge else gram
+        try:
+            factor = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            continue
+        pivots = np.diagonal(factor).real ** 2
+        if pivots.min() > n * _EPS * pivots.max():
+            return _substitute(factor, rhs)
+    raise SingularSystemError(
+        "normal-equation matrix is singular or not positive definite",
+        condition=float(np.linalg.cond(gram)),
+    )
 
 
 def _substitute(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:

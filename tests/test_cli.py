@@ -80,13 +80,18 @@ def test_simulate_single_cell(tmp_path, capsys):
         "N = 32\nM = 40\nP = 2\nbeta = 0.25\nsigma_n2 = 0.5\nalpha = 0.25\n"
         "trials = 2\nseed = 11\nestimator = all\n"
     )
-    code = cli.main(["simulate", "--config", str(cfg), "--diagnostics"])
+    out = tmp_path / "cell.csv"
+    code = cli.main(["simulate", "--config", str(cfg), "--diagnostics", "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
     assert "K=8" in text
     for name in ("training", "mm", "subspace"):
         assert name in text
     assert "diagnostics" in text
+    assert f"wrote 3 records to {out}" in text
+    assert [(r.estimator, r.trials) for r in harness.load_records(out)] == [
+        ("training", 2), ("mm", 2), ("subspace", 2)
+    ]
 
 
 def test_simulate_diagnostics_on_failed_cell(capsys):
@@ -115,28 +120,42 @@ def test_training_only_sweep_at_alpha_one(tmp_path):
     assert rows[0].eta_emp is None and rows[0].eta_ana is None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_rows_fail_their_estimator(tmp_path, capsys):
-    # at sigma_n2 = 1e300 lambda^2 overflows: subspace's prediction is nan, so
-    # its row fails, while the training and mm rows stay finite
+def test_huge_noise_rows_tend_to_the_training_floor(tmp_path):
+    # at sigma_n2 = 1e300 lambda^2 overflows, so omega* = 0 and the subspace
+    # projection term drops out: every row tends to sigma_n2 / alpha
     out = tmp_path / "out.csv"
     code = cli.main(["predict", "--sigma-n2", "1e300", "--estimator", "all", "--out", str(out)])
-    assert code == 1
-    assert [r.estimator for r in harness.load_records(out)] == ["training", "mm"]
-    err = capsys.readouterr().err
-    assert "subspace: sigma_g2_ana is nan" in err and "mm:" not in err
+    assert code == 0
+    rows = harness.load_records(out)
+    assert [r.estimator for r in rows] == ["training", "mm", "subspace"]
+    for row in rows:
+        assert row.sigma_g2_ana == pytest.approx(5e300, rel=1e-12)
     fields = ",".join(out.read_text().splitlines()[2:]).lower().split(",")
     assert not {"nan", "inf", "-inf"} & set(fields)
 
 
+def test_non_finite_rows_fail_their_estimator(tmp_path, capsys):
+    # at sigma_n2 = 1e308 the training prediction sigma_n2 / alpha itself overflows
+    out = tmp_path / "out.csv"
+    code = cli.main(["predict", "--sigma-n2", "1e308", "--estimator", "training", "--out", str(out)])
+    assert code == 1
+    assert harness.load_records(out) == []
+    assert "training: sigma_g2_ana is inf, not finite" in capsys.readouterr().err
+
+
 def test_standard_error_of_huge_values_is_finite(tmp_path):
-    # squaring the deviations of values near 1e160 would overflow; the SE does not
+    # squaring the deviations of values near 1e160 would overflow; the SE does not.
+    # The plug-in w underflows to 0 there, so mm returns g_bar without evaluating
+    # its cost on a D of order 1e160, and omega* = 0 drops the subspace projection term
     out = tmp_path / "out.csv"
     argv = ["sweep", "--sigma-n2", "1e160", "--N", "32", "--M", "40", "--P", "2",
-            "--alpha", "0.25", "--trials", "3", "--estimator", "training", "--out", str(out)]
+            "--alpha", "0.25", "--trials", "3", "--estimator", "all", "--out", str(out)]
     assert cli.main(argv) == 0
-    [row] = harness.load_records(out)
-    assert row.trials == 3 and math.isfinite(row.sigma_g2_se) and row.sigma_g2_se > 0
+    rows = harness.load_records(out)
+    assert [r.estimator for r in rows] == ["training", "mm", "subspace"]
+    for row in rows:
+        assert row.trials == 3 and math.isfinite(row.sigma_g2_se) and row.sigma_g2_se > 0
+        assert math.isfinite(row.sigma_g2_emp) and math.isfinite(row.sigma_g2_ana)
 
 
 def test_training_only_simulate_at_alpha_one(capsys):
@@ -168,6 +187,8 @@ _BAD_GRID = {
     "N = 0": "N=0", "M = 0": "M=0", "P = 64": "P=64", "alpha = 0.001": "alpha=0.001",
     "beta = nan": "beta=nan", "sigma_n2 = inf": "sigma_n2=inf", "alpha = 1.5": "alpha=1.5",
     "seed = -1": "seed=-1", "workers = 0": "workers=0",
+    "beta =": "at least one beta value", "P =": "at least one P value",
+    "N 32": "expected 'key = value', got 'N 32'",
 }
 
 
@@ -308,7 +329,7 @@ def test_import_loads_no_process_pool():
 def test_rank_deficient_training_cell_is_config_error(capsys):
     # every command rejects each grid once, before it evaluates anything: a
     # rank-deficient cell by its key, M = 0, N = 0 and P >= N by the cell's
-    # SystemParams, before the rounding checks divide by N and M
+    # SystemParams, before any rounding is logged
     cases = {
         ("--N", "8", "--M", "10", "--P", "3", "--alpha", "0.1", "--beta", "1"):
             "cell beta=1.0,sigma_n2=0.5,P=3,alpha=0.1: joint least-squares"
@@ -334,6 +355,37 @@ def test_failed_cells_nonzero_exit(tmp_path, capsys):
     )
     assert code == 1
     assert "failed" in capsys.readouterr().err
+
+
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``semiblind argv`` in a fresh interpreter, so its log lines reach the captured stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "semiblind.cli", *argv],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+
+
+def test_failed_cell_is_reported_once():
+    # the CLI summary is a failed cell's one report on stderr; no log line repeats it
+    proc = _run_cli("sweep", "--N", "16", "--M", "20", "--P", "2", "--alpha", "1",
+                    "--beta", "0.25", "--trials", "2", "--estimator", "all")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "1 grid cell(s) failed:",
+        "  beta=0.25,sigma_n2=0.5,P=2,alpha=1.0: mm: training fraction alpha=1.0 must lie in"
+        " (0, 1); subspace: training fraction alpha=1.0 must lie in (0, 1)",
+    ]
+
+
+def test_verbose_simulate_logs_each_rounding_once():
+    # simulate expands the grid to print its cell, then runs it as a sweep
+    proc = _run_cli("simulate", "--N", "32", "--M", "40", "--P", "2", "--alpha", "0.22",
+                    "--beta", "0.3", "--trials", "2", "-v")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "INFO semiblind.harness: cell 0.3: K rounded to 10 (beta -> 0.3125)",
+        "INFO semiblind.harness: cell 0.22: M_t rounded to 9 (alpha -> 0.225)",
+    ]
 
 
 def test_alpha_one_cell_keeps_its_training_row(tmp_path, capsys):

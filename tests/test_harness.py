@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo sweep engine, configs and record emission."""
 
 import concurrent.futures
+import logging
 import re
 import tracemalloc
 import weakref
@@ -332,6 +333,18 @@ class TestGridDriver:
         assert pools == []
         pooled, _ = harness.predict(tiny_config(beta=(0.25, 0.5), workers=2))
         assert pools == [2] and pooled == serial
+
+    def test_driver_logs_each_rounding_once(self, caplog):
+        # K = round(0.3 * 32) = 10 and M_t = round(0.22 * 40) = 9 both move
+        cfg = tiny_config(beta=(0.3,), alpha=(0.22,), estimator="training")
+        caplog.set_level(logging.INFO, logger=harness.__name__)
+        harness.grid_cells(cfg)
+        assert caplog.records == []
+        harness.predict(cfg)
+        assert [r.getMessage() for r in caplog.records] == [
+            "cell 0.3: K rounded to 10 (beta -> 0.3125)",
+            "cell 0.22: M_t rounded to 9 (alpha -> 0.225)",
+        ]
 
     def test_sweep_row_is_its_prediction_row_plus_trials(self):
         cfg = tiny_config(beta=(0.25, 0.5))

@@ -68,7 +68,7 @@ class TestWeightRules:
         with pytest.raises(ConfigError, match=r"training fraction alpha=.* must lie in \(0, 1\)"):
             call(p, self.G)
 
-    @pytest.mark.parametrize("weight", [-0.1, 1.1, np.nan])
+    @pytest.mark.parametrize("weight", [-0.1, 1.1, np.nan, np.full(40, np.nan)])
     @pytest.mark.parametrize(
         "call,name",
         [

@@ -442,6 +442,15 @@ class TestSolveSpd:
         ridge = sos._RIDGE * np.linalg.norm(np.diag(gram))
         assert np.allclose((gram + ridge * np.eye(2)) @ x, rhs, rtol=0, atol=1e-6)
 
+    def test_spd_gram_builds_no_ridged_copy(self, monkeypatch):
+        # the first factor is accepted, so the ridged Gram is never formed
+        factored = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
+        gram = np.diag([2.0, 3.0])
+        assert np.allclose(sos._solve_spd(gram, np.array([2.0, 3.0])), 1.0)
+        assert len(factored) == 1 and factored[0] is gram
+
     def test_indefinite_gram_raises(self):
         gram = np.diag([1.0, -1.0])
         with pytest.raises(SingularSystemError) as info:
