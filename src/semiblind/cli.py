@@ -39,10 +39,10 @@ def _build_config(args: argparse.Namespace) -> harness.ExperimentConfig:
 
 def _write(records, config: harness.ExperimentConfig) -> None:
     if config.out:
-        harness.emit(records, config.out, config.fmt)
+        harness.emit(records, config.out)
         print(f"wrote {len(records)} records to {config.out}")
     else:
-        sys.stdout.write(harness.render(records, config.fmt))
+        sys.stdout.write(harness.render(records))
 
 
 def _report_failures(failures) -> int:

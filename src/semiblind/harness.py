@@ -14,7 +14,7 @@ import io
 import json
 import logging
 import math
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -54,25 +54,39 @@ _OMEGA_SOURCES = ("oracle", "plugin")
 _ANALYTIC_SALT = 0x616E616C79746963  # fixed salt for prediction channel draws
 
 
+def _grid(cast):
+    """Parser of a comma- or space-separated list of values."""
+    return lambda text: tuple(cast(tok) for tok in text.replace(",", " ").split())
+
+
+def _omega(text: str) -> str | float:
+    return text if text in _OMEGA_SOURCES else float(text)
+
+
+def _setting(default, parse, help_text: str, key: str | None = None):
+    """A config field: its default, the parser of its text value, its help and its
+    config-file key (the field name unless given)."""
+    return field(default=default, metadata={"parse": parse, "help": help_text, "key": key})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A sweep's constants, grid and run options; each cell's SystemParams checks N, M and P."""
 
-    gain: int = 64  # spreading gain N
-    symbols: int = 400  # coherence block M
-    beta: tuple[float, ...] = (0.25,)
-    sigma_n2: tuple[float, ...] = (0.5,)
-    taps: tuple[int, ...] = (3,)
-    alpha: tuple[float, ...] = (0.2,)
-    trials: int = 100
-    seed: int = 0
-    estimator: str = "all"  # training | mm | subspace | all
-    sos_mode: str = "identity"
-    omega: str | float = "oracle"  # oracle | plugin | a fixed subspace weight
-    draws: int = 200  # channel draws for analytic surfaces
-    workers: int = 1
-    out: str | None = None
-    fmt: str = "csv"
+    gain: int = _setting(64, int, "spreading gain N", key="n")
+    symbols: int = _setting(400, int, "coherence block length M", key="m")
+    beta: tuple[float, ...] = _setting((0.25,), _grid(float), "load values K/N")
+    sigma_n2: tuple[float, ...] = _setting((0.5,), _grid(float), "noise variance values")
+    taps: tuple[int, ...] = _setting((3,), _grid(int), "channel orders", key="p")
+    alpha: tuple[float, ...] = _setting((0.2,), _grid(float), "training fractions M_t/M in (0, 1]")
+    trials: int = _setting(100, int, "Monte Carlo trials per cell")
+    seed: int = _setting(0, int, "master seed (>= 0)")
+    estimator: str = _setting("all", str, " | ".join((*_ESTIMATORS, "all")))
+    sos_mode: str = _setting("identity", str, " | ".join(_SOS_MODES))
+    omega: str | float = _setting("oracle", _omega, "subspace weight oracle, plugin or w in [0, 1]")
+    draws: int = _setting(200, int, "channel draws for analytic surfaces")
+    workers: int = _setting(1, int, "parallel cell workers")
+    out: str | None = _setting(None, str, "output file: JSON if *.json, else CSV (stdout if none)")
 
     def __post_init__(self):
         for name in ("trials", "draws", "workers"):
@@ -94,47 +108,22 @@ class ExperimentConfig:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.sos_mode not in _SOS_MODES:
             raise ConfigError(f"unknown SOS solver mode {self.sos_mode!r}")
-        if isinstance(self.omega, str):
-            if self.omega not in _OMEGA_SOURCES:
-                raise ConfigError(f"unknown omega {self.omega!r}")
-        elif not 0 <= self.omega <= 1:
-            raise ConfigError(f"omega={self.omega} must be oracle, plugin or lie in [0, 1]")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.fmt!r}")
+        if not isinstance(self.omega, str):
+            model._check_unit_weight("omega", self.omega)
+        elif self.omega not in _OMEGA_SOURCES:
+            raise ConfigError(f"unknown omega {self.omega!r}")
 
     @property
     def estimator_list(self) -> tuple[str, ...]:
         return _ESTIMATORS if self.estimator == "all" else (self.estimator,)
 
 
-def _grid(cast):
-    """Parser of a comma- or space-separated list of values."""
-    return lambda text: tuple(cast(tok) for tok in text.replace(",", " ").split())
-
-
-def _omega(text: str) -> str | float:
-    return text if text in _OMEGA_SOURCES else float(text)
-
-
-# Every ExperimentConfig field, once: config-file key -> (field, parser of the
-# text value, help).  File keys match case-blind; the CLI flag is --N, --M or
-# --P for the one-letter keys and --<key> with '-' for '_' otherwise.
+# config-file key -> (field, parser of the text value, help), one per ExperimentConfig
+# field.  File keys match case-blind; the CLI flag is --N, --M or --P for the
+# one-letter keys and --<key> with '-' for '_' otherwise.
 CONFIG_KEYS = {
-    "n": ("gain", int, "spreading gain N"),
-    "m": ("symbols", int, "coherence block length M"),
-    "beta": ("beta", _grid(float), "load values K/N"),
-    "sigma_n2": ("sigma_n2", _grid(float), "noise variance values"),
-    "p": ("taps", _grid(int), "channel orders"),
-    "alpha": ("alpha", _grid(float), "training fractions M_t/M, each in (0, 1]"),
-    "trials": ("trials", int, "Monte Carlo trials per cell"),
-    "seed": ("seed", int, "master seed (>= 0)"),
-    "estimator": ("estimator", str, " | ".join((*_ESTIMATORS, "all"))),
-    "sos_mode": ("sos_mode", str, " | ".join(_SOS_MODES)),
-    "omega": ("omega", _omega, "subspace weight: oracle | plugin | a value in [0, 1]"),
-    "draws": ("draws", int, "channel draws for analytic surfaces"),
-    "workers": ("workers", int, "parallel cell workers"),
-    "out": ("out", str, "output file (stdout if omitted)"),
-    "format": ("fmt", str, "csv | json"),
+    f.metadata["key"] or f.name: (f.name, f.metadata["parse"], f.metadata["help"])
+    for f in fields(ExperimentConfig)
 }
 
 
@@ -477,9 +466,14 @@ def render(records: list[SweepRecord], fmt: str = "csv") -> str:
     raise ConfigError(f"unknown output format {fmt!r}")
 
 
-def emit(records: list[SweepRecord], path: str | Path, fmt: str = "csv") -> None:
-    """Write records as CSV (exact column set) or the mirroring JSON array."""
-    Path(path).write_text(render(records, fmt))
+def _format_of(path: str | Path) -> str:
+    """The format of an output file: JSON for a ``.json`` name, CSV for any other."""
+    return "json" if Path(path).suffix == ".json" else "csv"
+
+
+def emit(records: list[SweepRecord], path: str | Path) -> None:
+    """Write records as a JSON array to a ``.json`` path, as CSV (exact column set) otherwise."""
+    Path(path).write_text(render(records, _format_of(path)))
 
 
 # parser of a CSV or JSON value, by the annotation of its SweepRecord field
@@ -491,12 +485,10 @@ _COLUMN_PARSERS = {
 }
 
 
-def load_records(path: str | Path, fmt: str | None = None) -> list[SweepRecord]:
-    """Parse a file produced by :func:`emit` back into records."""
+def load_records(path: str | Path) -> list[SweepRecord]:
+    """Parse a file produced by :func:`emit` back into records, by the same name rule."""
     path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix == ".json" else "csv"
-    if fmt == "csv":
+    if _format_of(path) == "csv":
         with path.open() as fh:
             rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
     else:

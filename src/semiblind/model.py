@@ -114,12 +114,12 @@ def _check_training_rank(params: SystemParams) -> None:
 
 
 def _check_unit_weight(name: str, value: float | np.ndarray) -> np.ndarray:
-    """The weight ``name``, a scalar or one per batch entry, as floats in [0, 1]."""
+    """Weight ``name``, a scalar or one per batch entry, as floats in [0, 1]; else ConfigError."""
     weights = np.asarray(value, dtype=float)
     bad = ~((weights >= 0) & (weights <= 1))  # NaN fails too
     if np.any(bad):  # an array names its first offender, not every entry
         shown = f"{weights[bad][0]} (first of {np.count_nonzero(bad)} of {bad.size} values)"
-        raise ValueError(f"{name}={shown if weights.ndim else value} must lie in [0, 1]")
+        raise ConfigError(f"{name}={shown if weights.ndim else value} must lie in [0, 1]")
     return weights
 
 

@@ -421,6 +421,12 @@ class TestMmLowerBound:
             bound = analytic.mm_lower_bound(g, p)
             assert np.linalg.eigvalsh(sig - bound).min() >= -1e-8
 
+    def test_noiseless_training_block_is_singular(self):
+        # at noise_var = 0 the training block of the observation covariance is zero
+        with pytest.raises(SingularSystemError, match="condition estimate inf") as info:
+            analytic.mm_lower_bound(random_taps(3, 108), params_for(users=16, noise=0.0))
+        assert info.value.condition == math.inf
+
 
 class TestMmClosedForm:
     """The MM covariance against the sandwich, and its and the bound's

@@ -51,6 +51,22 @@ def test_readme_quick_start_runs():
     assert namespace["sub"].gains.shape == (params.users, params.taps)
 
 
+def test_readme_config_example_loads(tmp_path):
+    # the sweep.cfg example parses, and the key list names exactly CONFIG_KEYS
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1]
+    block = re.search(r"```ini\n(# sweep.cfg\n.*?)```", section, re.DOTALL)
+    assert block, "README's config section has no sweep.cfg block"
+    path = tmp_path / "sweep.cfg"
+    path.write_text(block.group(1))
+    assert harness.load_config(path).out == "sweep.csv"
+    listed = re.search(r"Recognized keys \(case-blind\): `([^`]*)`", section)
+    assert listed, "README lists no recognized keys"
+    assert sorted(re.split(r",\s+", listed.group(1))) == sorted(
+        key.upper() if len(key) == 1 else key for key in harness.CONFIG_KEYS
+    )
+
+
 def test_traced_functions_resolve():
     for layer, names in TARGETS.items():
         module = importlib.import_module(f"semiblind.{layer}")

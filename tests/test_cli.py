@@ -50,14 +50,23 @@ def test_sweep_with_config_file(tmp_path):
         "trials = 2\nseed = 11\nestimator = training\n"
     )
     out = tmp_path / "out.json"
-    code = cli.main(
-        ["sweep", "--config", str(cfg), "--out", str(out), "--format", "json"]
-    )
+    code = cli.main(["sweep", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     rows = json.loads(out.read_text())
     assert len(rows) == 1
     assert rows[0]["trials"] == 2
     assert rows[0]["sigma_g2_emp"] is not None
+
+
+def test_out_name_picks_json(tmp_path):
+    # a .json --out name writes the JSON array that load_records reads back
+    out = tmp_path / "r.json"
+    grid = ["--N", "32", "--M", "40", "--P", "2", "--alpha", "0.25", "--beta", "0.25",
+            "--trials", "2"]
+    assert cli.main(["sweep", *grid, "--out", str(out)]) == 0
+    assert isinstance(json.loads(out.read_text()), list)
+    records, _ = harness.run_sweep(cli._build_config(_common_parser().parse_args(grid)))
+    assert harness.load_records(out) == records
 
 
 def test_sweep_flag_overrides_config(tmp_path):
@@ -231,18 +240,16 @@ def test_bad_flag_value_names_the_setting(capsys, flag, value, key):
     assert "<lambda>" not in err and "_omega" not in err
 
 
-def test_removed_synthesis_flag_is_rejected(capsys):
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--synthesis", "isi-free"), ("--omega-mode", "plugin"), ("--format", "json")],
+    ids=["synthesis", "omega_mode", "format"],
+)
+def test_removed_flag_is_rejected(capsys, flag, value):
     with pytest.raises(SystemExit) as info:
-        cli.main(["sweep", "--synthesis", "isi-free"])
+        cli.main(["sweep", flag, value])
     assert info.value.code == 2
-    assert "--synthesis" in capsys.readouterr().err
-
-
-def test_removed_omega_mode_flag_is_rejected(capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main(["predict", "--omega-mode", "plugin"])
-    assert info.value.code == 2
-    assert "--omega-mode" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -256,7 +263,7 @@ _SAMPLE_VALUES = {
     "gain": "32", "symbols": "40", "beta": "0.5, 0.75", "sigma_n2": "0.1 2",
     "taps": "2,3", "alpha": "0.25", "trials": "3", "seed": "5", "estimator": "mm",
     "sos_mode": "solve", "omega": "0.5", "draws": "7", "workers": "2",
-    "out": "x.csv", "fmt": "json",
+    "out": "x.csv",
 }
 
 

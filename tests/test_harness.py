@@ -22,6 +22,10 @@ def tiny_config(**kw):
     return harness.ExperimentConfig(**base)
 
 
+# removed config keys, each with a value it once took
+REMOVED_SETTINGS = {"synthesis": "isi-free", "omega_mode": "plugin", "format": "json"}
+
+
 class TestConfig:
     def test_grid_cells_rounding(self):
         cfg = tiny_config(beta=(0.25, 0.5), alpha=(0.1, 0.25))
@@ -40,12 +44,10 @@ class TestConfig:
             tiny_config(beta=(0.0,))
         with pytest.raises(ConfigError):
             tiny_config(estimator="magic")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape("omega=1.5 must lie in [0, 1]")):
             tiny_config(omega=1.5)
         with pytest.raises(ConfigError, match="'magic'"):
             tiny_config(omega="magic")
-        with pytest.raises(ConfigError):
-            tiny_config(fmt="xml")
         # grids with no valid cell: M = 0, P >= N, N = 0, M_t (N-P+1) < K P;
         # each cell's SystemParams and rank rule reject them in grid_cells
         with pytest.raises(ConfigError, match="M=0"):
@@ -78,14 +80,13 @@ class TestConfig:
         trials = 2
         seed = 7
         estimator = subspace
-        format = json
         """
         path = tmp_path / "sweep.cfg"
         path.write_text(text)
         cfg = harness.load_config(path)
         assert cfg.gain == 32 and cfg.symbols == 40
         assert cfg.taps == (2, 3) and cfg.beta == (0.25, 0.5)
-        assert cfg.estimator == "subspace" and cfg.fmt == "json"
+        assert cfg.estimator == "subspace"
 
     def test_load_config_overrides(self, tmp_path):
         path = tmp_path / "sweep.cfg"
@@ -100,18 +101,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             harness.load_config(path)
 
-    def test_load_config_rejects_removed_synthesis_key(self, tmp_path):
-        # synthesis is ISI-free only; an old config naming it fails at its line
+    # synthesis is ISI-free only, omega takes oracle | plugin itself, and the out
+    # name picks the format; an old config naming one fails at its line
+    @pytest.mark.parametrize("key, value", REMOVED_SETTINGS.items(), ids=list(REMOVED_SETTINGS))
+    def test_load_config_rejects_removed_key(self, tmp_path, key, value):
         path = tmp_path / "sweep.cfg"
-        path.write_text("N = 32\nsynthesis = isi-free\n")
-        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: unknown config key 'synthesis'")):
-            harness.load_config(path)
-
-    def test_load_config_rejects_removed_omega_mode_key(self, tmp_path):
-        # omega takes oracle | plugin itself; an old omega_mode line fails at its line
-        path = tmp_path / "sweep.cfg"
-        path.write_text("N = 32\nomega_mode = plugin\n")
-        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: unknown config key 'omega_mode'")):
+        path.write_text(f"N = 32\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: unknown config key {key!r}")):
             harness.load_config(path)
 
 
@@ -346,6 +342,14 @@ class TestGridDriver:
             "cell 0.22: M_t rounded to 9 (alpha -> 0.225)",
         ]
 
+    def test_failed_worker_is_a_cell_failure(self):
+        # a lambda cannot be pickled to a worker process, so each future raises
+        cfg = tiny_config(beta=(0.25, 0.5), workers=2, estimator="training")
+        records, failures = harness._run_grid(lambda c, cell: [], cfg)
+        assert records == [] and len(failures) == 2
+        assert [f.cell.beta for f in failures] == [0.25, 0.5]
+        assert all("pickle" in f.error and "<lambda>" in f.error for f in failures)
+
     def test_sweep_row_is_its_prediction_row_plus_trials(self):
         cfg = tiny_config(beta=(0.25, 0.5))
         predicted, _ = harness.predict(cfg)
@@ -449,24 +453,29 @@ class TestEmit:
 
     def test_empty_csv_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        harness.emit([], path, "csv")
+        harness.emit([], path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#")
         assert lines[1] == ",".join(harness.CSV_COLUMNS)
         assert len(lines) == 2
+        assert harness.render([]) == path.read_text()
+        with pytest.raises(ConfigError, match="unknown output format 'xml'"):
+            harness.render([], "xml")
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_round_trip_exact(self, tmp_path, fmt):
-        path = tmp_path / f"records.{fmt}"
+    @pytest.mark.parametrize("suffix", ["csv", "json", "txt"])
+    def test_round_trip_exact(self, tmp_path, suffix):
+        # the file name picks the format: JSON for .json, CSV for any other
+        path = tmp_path / f"records.{suffix}"
         records = self.make_records()
-        harness.emit(records, path, fmt)
+        harness.emit(records, path)
+        assert path.read_text() == harness.render(records, "json" if suffix == "json" else "csv")
         assert harness.load_records(path) == records
 
     def test_two_cells_two_rows_per_estimator(self, tmp_path):
         cfg = tiny_config(estimator="all", beta=(0.25, 0.5), trials=1)
         records, _ = harness.run_sweep(cfg)
         path = tmp_path / "sweep.csv"
-        harness.emit(records, path, "csv")
+        harness.emit(records, path)
         rows = harness.load_records(path)
         for name in ("training", "mm", "subspace"):
             assert sum(r.estimator == name for r in rows) == 2
@@ -476,7 +485,7 @@ class TestEmit:
         records, _ = harness.run_sweep(cfg)
         for fmt in ("csv", "json"):
             path = tmp_path / f"out.{fmt}"
-            harness.emit(records, path, fmt)
+            harness.emit(records, path)
             assert harness.load_records(path) == records
 
 
