@@ -129,11 +129,14 @@ def predict_subspace_angle(g: np.ndarray, params: SystemParams) -> float:
 
     First-order perturbation of g g^H by an error E of covariance
     lam^2 I + lam Omega(g): sin^2 = ||(I - u u^H) E u||^2 / ||g||^4 with
-    u = g/||g||, whose mean is (P-1)(lam^2 + lam ||g||^2) / ||g||^4.
+    u = g/||g||, whose mean is (P-1)(lam^2 + lam ||g||^2) / ||g||^4.  Where
+    that exceeds the float range it is inf, which :func:`optimal_omega` meets
+    with omega* = 0.
     """
     energy = _energy(np.asarray(g, dtype=complex), nonzero=True)
     lam = _interference_power(params)
-    return _scalar((params.taps - 1) * (lam * lam + lam * energy) / energy**2)
+    with np.errstate(over="ignore"):
+        return _scalar((params.taps - 1) * (lam * lam + lam * energy) / energy**2)
 
 
 def _subspace_terms(g: np.ndarray, params: SystemParams, angle_var: float | None) -> tuple:
@@ -177,14 +180,16 @@ def predict_subspace_mse(
 
 
 def optimal_omega(g: np.ndarray, params: SystemParams) -> float | np.ndarray:
-    """Minimizer B/(A + B) of the subspace MSE quadratic, 0 where A + B = 0.
+    """Minimizer B/(A + B) of the subspace MSE quadratic, 0 where A + B = 0
+    or A is inf.
 
     With A, B >= 0 it lies in [0, 1]: P = 1 (B = 0) gives 0, the projection
     step being vacuous.
     """
     proj, train, _ = _subspace_terms(g, params, None)
     total = proj + train
-    return _scalar(np.divide(train, total, out=np.zeros_like(total), where=total > 0))
+    keep = (total > 0) & np.isfinite(proj)
+    return _scalar(np.divide(train, total, out=np.zeros_like(total), where=keep))
 
 
 def moment_jacobian(g: np.ndarray) -> np.ndarray:
@@ -254,12 +259,15 @@ def mm_error_covariance(
     v_perp = (sos_part * (lam + r2) + 2 * train_part) / (2 * w * r2 + 1 - w) ** 2
     u = g / np.sqrt(r2[..., 0])
     x, y = np.concatenate([u.real, u.imag], axis=-1), np.concatenate([-u.imag, u.real], axis=-1)
-    sigma = (
-        v_perp / 2 * np.eye(2 * params.taps)
-        + (v_rad - v_perp / 2) * x[..., :, None] * x[..., None, :]
-        + (v_ph - v_perp / 2) * y[..., :, None] * y[..., None, :]
-    )
-    sg2 = (v_rad + v_ph + (params.taps - 1) * v_perp)[..., 0, 0] / params.taps
+    # where sigma_n2 / alpha overflows, the variances are inf: Sigma is then nan off its
+    # inf diagonal and sg2 is not finite, which callers reject
+    with np.errstate(invalid="ignore"):
+        sigma = (
+            v_perp / 2 * np.eye(2 * params.taps)
+            + (v_rad - v_perp / 2) * x[..., :, None] * x[..., None, :]
+            + (v_ph - v_perp / 2) * y[..., :, None] * y[..., None, :]
+        )
+        sg2 = (v_rad + v_ph + (params.taps - 1) * v_perp)[..., 0, 0] / params.taps
     return sigma, _scalar(sg2)
 
 

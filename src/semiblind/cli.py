@@ -1,12 +1,10 @@
-"""Command-line front end: analytic surfaces, single-cell runs, grid sweeps."""
+"""Command-line front end: analytic surfaces and Monte Carlo grid sweeps."""
 
 from __future__ import annotations
 
 import argparse
 import logging
 import sys
-
-import numpy as np
 
 from . import harness
 from .errors import ConfigError
@@ -62,58 +60,17 @@ def _cmd_grid(args) -> int:
     return _report_failures(failures)
 
 
-def _cmd_simulate(args) -> int:
-    config = _build_config(args)
-    cells = harness.grid_cells(config)
-    if len(cells) != 1:
-        raise ConfigError(
-            f"simulate expects a single grid cell, got {len(cells)}; use sweep"
-        )
-    cell, p = cells[0], cells[0].params
-    print(f"cell {cell.key()}  (K={p.users}, N={p.gain}, M={p.symbols}, M_t={p.train_symbols})")
-    records, failures = harness.run_sweep(config)
-    for rec in records:
-        se = f" +- {rec.sigma_g2_se:.4f}" if rec.sigma_g2_se is not None else ""
-        eta = ""  # empty at alpha = 1, where eta is undefined
-        if rec.eta_ana is not None:
-            eta = f"  eta = {rec.eta_emp:+.4f} (analytic {rec.eta_ana:+.4f})"
-        print(
-            f"  {rec.estimator:>9}: sigma_g2 = {rec.sigma_g2_emp:.4f}{se}"
-            f" (analytic {rec.sigma_g2_ana:.4f}){eta}"
-        )
-    if args.diagnostics and not failures:  # a failed cell would only fail again
-        _print_diagnostics(config, cell)
-    if config.out:
-        _write(records, config)
-    return _report_failures(failures)
-
-
-def _print_diagnostics(config: harness.ExperimentConfig, cell) -> None:
-    result = harness.run_trial(config, cell, 0)
-    for name, d in result.diagnostics.items():
-        print(
-            f"  {name} trial-0 diagnostics: iterations {d.iterations},"
-            f" converged {d.converged}, weight median {np.median(d.weight):.4f}"
-        )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="semiblind",
         description="Long-code DS-CDMA semi-blind channel estimation experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, extra in (
-        ("predict", _cmd_grid, "analytic efficiency surfaces over the grid"),
-        ("simulate", _cmd_simulate, "single cell with verbose diagnostics"),
-        ("sweep", _cmd_grid, "full Monte Carlo grid sweep"),
+    for name, help_text in (
+        ("predict", "analytic efficiency surfaces over the grid"),
+        ("sweep", "Monte Carlo grid sweep; a one-value grid runs one cell"),
     ):
-        p = sub.add_parser(name, help=extra)
-        _add_common(p)
-        if name == "simulate":
-            p.add_argument("--diagnostics", action="store_true",
-                           help="print per-estimator fit diagnostics")
-        p.set_defaults(func=fn)
+        _add_common(sub.add_parser(name, help=help_text))
 
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -121,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        return _cmd_grid(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

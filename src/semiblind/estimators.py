@@ -183,7 +183,10 @@ def mm_semiblind(g_bar: np.ndarray, d_hat: np.ndarray, weight: float) -> Semibli
     the a_i on the top eigenvalue, is nonpositive.  In the hard
     case (a_i = 0 on the top eigenvalue and h(max_i b_i) >= 0, e.g. w = 1)
     mu = max_i b_i and the missing norm h goes along the top eigenvector.
-    w = 0 returns g_bar unchanged; :func:`model._check_unit_weight` checks w.
+    The minimizer moves g_bar by at most about 2 w (||g_bar||^2 + ||D||)
+    of its norm, so a w too small for that to reach half an ulp (w = 0
+    included) returns g_bar unchanged, with no cost evaluated (``cost_trace``
+    [0, 0]); :func:`model._check_unit_weight` checks w.
 
     ``g_bar`` has shape (..., P) and ``d_hat`` (..., P^2).  The diagnostics
     summarise the batch: Newton steps taken, whether every entry met the
@@ -191,10 +194,12 @@ def mm_semiblind(g_bar: np.ndarray, d_hat: np.ndarray, weight: float) -> Semibli
     """
     _check_unit_weight("weight", weight)
     g_bar = np.asarray(g_bar, dtype=complex)
-    if weight == 0:  # the cost is 0 at g_bar, and D (which may overflow) is never read
+    taps = g_bar.shape[-1]
+    # ||D|| <= P max|d|; a subnormal w would overflow the Newton start and slope below
+    scale = np.max(np.sum(np.abs(g_bar) ** 2, axis=-1) + taps * np.max(np.abs(d_hat), axis=-1))
+    if weight == 0 or weight * scale <= 2.0**-54:  # D's cost, which may overflow, is not read
         diag = FitDiagnostics(weight=weight, cost_trace=[0.0, 0.0])
         return SemiblindEstimate(gains=g_bar.copy(), diagnostics=diag)
-    taps = g_bar.shape[-1]
     d_vec = sos.hermitianize(np.asarray(d_hat, dtype=complex))
     d_mat = unvec(d_vec, taps)
     start = float(np.sum(_mm_cost(g_bar, d_mat, g_bar, weight)))

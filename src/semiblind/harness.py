@@ -319,7 +319,9 @@ def _summary(values, params, column: str) -> tuple[float, float | None, float | 
     n, exp = len(values), math.frexp(float(np.max(np.abs(values))))[1]
     scaled = np.ldexp(values, -exp)
     mean = math.ldexp(float(np.mean(scaled)), exp)
-    se = math.ldexp(float(np.std(scaled, ddof=1)) / math.sqrt(n), exp) if n > 1 else None
+    se = None  # a non-finite mean raises below, before its deviations make inf - inf
+    if n > 1 and math.isfinite(mean):
+        se = math.ldexp(float(np.std(scaled, ddof=1)) / math.sqrt(n), exp)
     for name, value in ((column, mean), ("sigma_g2_se", se)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} is {value}, not finite")

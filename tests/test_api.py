@@ -6,13 +6,14 @@ import collections
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import semiblind
-from semiblind import estimators, harness, model
+from semiblind import cli, estimators, harness, model
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(f"semiblind.{info.name}" for info in pkgutil.iter_modules(semiblind.__path__))
@@ -51,20 +52,46 @@ def test_readme_quick_start_runs():
     assert namespace["sub"].gains.shape == (params.users, params.taps)
 
 
-def test_readme_config_example_loads(tmp_path):
-    # the sweep.cfg example parses, and the key list names exactly CONFIG_KEYS
-    readme = (ROOT / "README.md").read_text()
-    section = readme.split("### Config files", 1)[1]
+def _write_readme_sweep_cfg(path: Path) -> str:
+    """Write README's ``sweep.cfg`` example to ``path``; return its config section."""
+    section = (ROOT / "README.md").read_text().split("### Config files", 1)[1]
     block = re.search(r"```ini\n(# sweep.cfg\n.*?)```", section, re.DOTALL)
     assert block, "README's config section has no sweep.cfg block"
-    path = tmp_path / "sweep.cfg"
     path.write_text(block.group(1))
+    return section
+
+
+def test_readme_config_example_loads(tmp_path):
+    # the sweep.cfg example parses, and the key list names exactly CONFIG_KEYS
+    path = tmp_path / "sweep.cfg"
+    section = _write_readme_sweep_cfg(path)
     assert harness.load_config(path).out == "sweep.csv"
     listed = re.search(r"Recognized keys \(case-blind\): `([^`]*)`", section)
     assert listed, "README lists no recognized keys"
     assert sorted(re.split(r",\s+", listed.group(1))) == sorted(
         key.upper() if len(key) == 1 else key for key in harness.CONFIG_KEYS
     )
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    # each `semiblind ...` command of README's CLI block runs, shrunk to a desk-size grid
+    section = (ROOT / "README.md").read_text().split("## CLI", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.DOTALL)
+    assert block, "README's CLI section has no bash block"
+    commands = [
+        shlex.split(line, comments=True)
+        for line in block.group(1).replace("\\\n", " ").splitlines()
+        if line.startswith("semiblind ")
+    ]
+    assert commands, "README's CLI block has no semiblind command"
+    _write_readme_sweep_cfg(tmp_path / "sweep.cfg")
+    for _, *argv in commands:
+        argv = [str(tmp_path / arg) if arg == "sweep.cfg" else arg for arg in argv]
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        argv += ["--N", "16", "--M", "40", "--trials", "1", "--draws", "5", "--workers", "1"]
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def test_traced_functions_resolve():

@@ -83,39 +83,6 @@ def test_sweep_flag_overrides_config(tmp_path):
     assert harness.load_records(out)[0].trials == 3
 
 
-def test_simulate_single_cell(tmp_path, capsys):
-    cfg = tmp_path / "cell.cfg"
-    cfg.write_text(
-        "N = 32\nM = 40\nP = 2\nbeta = 0.25\nsigma_n2 = 0.5\nalpha = 0.25\n"
-        "trials = 2\nseed = 11\nestimator = all\n"
-    )
-    out = tmp_path / "cell.csv"
-    code = cli.main(["simulate", "--config", str(cfg), "--diagnostics", "--out", str(out)])
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "K=8" in text
-    for name in ("training", "mm", "subspace"):
-        assert name in text
-    assert "diagnostics" in text
-    assert f"wrote 3 records to {out}" in text
-    assert [(r.estimator, r.trials) for r in harness.load_records(out)] == [
-        ("training", 2), ("mm", 2), ("subspace", 2)
-    ]
-
-
-def test_simulate_diagnostics_on_failed_cell(capsys):
-    # alpha = 1 fails the cell; --diagnostics must not re-run its trial
-    code = cli.main(
-        ["simulate", "--beta", "0.25", "--sigma-n2", "0.5", "--P", "2",
-         "--alpha", "1.0", "--N", "32", "--M", "40", "--trials", "2",
-         "--estimator", "mm", "--diagnostics"]
-    )
-    assert code == 1
-    captured = capsys.readouterr()
-    assert "1 grid cell(s) failed" in captured.err
-    assert "diagnostics" not in captured.out
-
-
 def test_training_only_sweep_at_alpha_one(tmp_path):
     # eta divides by 1 - alpha, so the row keeps both eta fields empty
     out = tmp_path / "out.csv"
@@ -130,26 +97,41 @@ def test_training_only_sweep_at_alpha_one(tmp_path):
 
 
 def test_huge_noise_rows_tend_to_the_training_floor(tmp_path):
-    # at sigma_n2 = 1e300 lambda^2 overflows, so omega* = 0 and the subspace
-    # projection term drops out: every row tends to sigma_n2 / alpha
-    out = tmp_path / "out.csv"
-    code = cli.main(["predict", "--sigma-n2", "1e300", "--estimator", "all", "--out", str(out)])
-    assert code == 0
-    rows = harness.load_records(out)
-    assert [r.estimator for r in rows] == ["training", "mm", "subspace"]
-    for row in rows:
-        assert row.sigma_g2_ana == pytest.approx(5e300, rel=1e-12)
-    fields = ",".join(out.read_text().splitlines()[2:]).lower().split(",")
-    assert not {"nan", "inf", "-inf"} & set(fields)
+    # from sigma_n2 = 5e153 theta^2 overflows for low-energy draws, and at 1e300
+    # lambda^2 itself: A is inf, so omega* = 0 and the subspace projection term
+    # drops out, with no RuntimeWarning. Every row tends to sigma_n2 / alpha
+    for sigma_n2 in ("5e153", "1e154", "1e300"):
+        out = tmp_path / f"{sigma_n2}.csv"
+        argv = ["predict", "--sigma-n2", sigma_n2, "--estimator", "all", "--out", str(out)]
+        assert cli.main(argv) == 0
+        rows = harness.load_records(out)
+        assert [r.estimator for r in rows] == ["training", "mm", "subspace"]
+        for row in rows:
+            assert row.sigma_g2_ana == pytest.approx(float(sigma_n2) / 0.2, rel=1e-12)
+        fields = ",".join(out.read_text().splitlines()[2:]).lower().split(",")
+        assert not {"nan", "inf", "-inf"} & set(fields)
 
 
 def test_non_finite_rows_fail_their_estimator(tmp_path, capsys):
-    # at sigma_n2 = 1e308 the training prediction sigma_n2 / alpha itself overflows
+    # at sigma_n2 = 1e308 the training prediction sigma_n2 / alpha itself overflows,
+    # and so do the mm and subspace predictions that carry it
     out = tmp_path / "out.csv"
-    code = cli.main(["predict", "--sigma-n2", "1e308", "--estimator", "training", "--out", str(out)])
+    code = cli.main(["predict", "--sigma-n2", "1e308", "--estimator", "all", "--out", str(out)])
     assert code == 1
     assert harness.load_records(out) == []
-    assert "training: sigma_g2_ana is inf, not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    for name in ("training", "mm", "subspace"):
+        assert f"{name}: sigma_g2_ana is inf, not finite" in err
+
+
+def test_subnormal_noise_mm_row_is_the_training_row(tmp_path):
+    # the plug-in w is about 1e-319 here, far too small to move g_bar: mm returns it
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--sigma-n2", "1e-320", "--N", "16", "--M", "40", "--P", "2",
+            "--alpha", "0.25", "--trials", "2", "--estimator", "all", "--out", str(out)]
+    assert cli.main(argv) == 0
+    training, mm, _ = harness.load_records(out)
+    assert (mm.sigma_g2_emp, mm.sigma_g2_se) == (training.sigma_g2_emp, training.sigma_g2_se)
 
 
 def test_standard_error_of_huge_values_is_finite(tmp_path):
@@ -165,26 +147,6 @@ def test_standard_error_of_huge_values_is_finite(tmp_path):
     for row in rows:
         assert row.trials == 3 and math.isfinite(row.sigma_g2_se) and row.sigma_g2_se > 0
         assert math.isfinite(row.sigma_g2_emp) and math.isfinite(row.sigma_g2_ana)
-
-
-def test_training_only_simulate_at_alpha_one(capsys):
-    # the printed line drops the eta pair the row leaves empty
-    code = cli.main(
-        ["simulate", "--estimator", "training", "--alpha", "1", "--N", "16", "--M", "20",
-         "--P", "2", "--trials", "2"]
-    )
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "training: sigma_g2 = " in captured.out and "eta =" not in captured.out
-    assert "Traceback" not in captured.out + captured.err
-
-
-def test_simulate_rejects_grids(tmp_path):
-    code = cli.main(
-        ["simulate", "--beta", "0.25,0.5", "--sigma-n2", "0.5", "--P", "2",
-         "--alpha", "0.25", "--N", "32", "--M", "40", "--trials", "1"]
-    )
-    assert code == 2
 
 
 def test_bad_config_path_fails():
@@ -250,6 +212,20 @@ def test_removed_flag_is_rejected(capsys, flag, value):
         cli.main(["sweep", flag, value])
     assert info.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [(["simulate"], "invalid choice: 'simulate'"),
+     (["sweep", "--diagnostics"], "unrecognized arguments: --diagnostics")],
+    ids=["simulate", "diagnostics"],
+)
+def test_removed_command_is_rejected(capsys, argv, error):
+    # a one-cell run is a sweep on a one-value grid
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert error in capsys.readouterr().err
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -346,7 +322,7 @@ def test_rank_deficient_training_cell_is_config_error(capsys):
         ("--P", "64"): "channel order P=64 must be below spreading gain N=64",
     }
     for grid, error in cases.items():
-        for command in ("predict", "simulate", "sweep"):
+        for command in ("predict", "sweep"):
             assert cli.main([command, *grid]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -384,9 +360,9 @@ def test_failed_cell_is_reported_once():
     ]
 
 
-def test_verbose_simulate_logs_each_rounding_once():
-    # simulate expands the grid to print its cell, then runs it as a sweep
-    proc = _run_cli("simulate", "--N", "32", "--M", "40", "--P", "2", "--alpha", "0.22",
+def test_verbose_sweep_logs_each_rounding_once():
+    # the grid is expanded once per run, so each rounding reaches the log once
+    proc = _run_cli("sweep", "--N", "32", "--M", "40", "--P", "2", "--alpha", "0.22",
                     "--beta", "0.3", "--trials", "2", "-v")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines() == [

@@ -1,6 +1,7 @@
 """Tests for the training, moment-matching and subspace estimators."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,20 @@ class TestMmSemiblind:
         ]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-3
+
+    def test_subnormal_weight_returns_gbar(self):
+        # a w too small to move g_bar in float64 returns it, where the Newton start
+        # and slope would overflow (garbage at w = 5e-309, no convergence at 1e-319)
+        rng = seeded_rng(142)
+        gbar = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        d = model.vec_outer(gbar + 0.1)
+        for w in np.logspace(-323, -290, 34):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = estimators.mm_semiblind(gbar, d, w)
+            assert np.all(np.isfinite(out.gains)), w
+            assert np.max(np.abs(out.gains - gbar)) <= 1e-12, w
+            assert out.diagnostics.converged, w
 
     def test_rejects_bad_weight(self):
         g = random_taps(2, 141)
