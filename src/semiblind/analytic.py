@@ -131,9 +131,12 @@ def predict_subspace_angle(g: np.ndarray, params: SystemParams) -> float:
     lam^2 I + lam Omega(g): sin^2 = ||(I - u u^H) E u||^2 / ||g||^4 with
     u = g/||g||, whose mean is (P-1)(lam^2 + lam ||g||^2) / ||g||^4.  Where
     that exceeds the float range it is inf, which :func:`optimal_omega` meets
-    with omega* = 0.
+    with omega* = 0.  P = 1 leaves no perpendicular direction: the mean is an
+    exact 0, also where lam^2 overflows (0 * inf would be nan).
     """
     energy = _energy(np.asarray(g, dtype=complex), nonzero=True)
+    if params.taps == 1:
+        return _scalar(np.zeros_like(energy))
     lam = _interference_power(params)
     with np.errstate(over="ignore"):
         return _scalar((params.taps - 1) * (lam * lam + lam * energy) / energy**2)
@@ -260,14 +263,16 @@ def mm_error_covariance(
     u = g / np.sqrt(r2[..., 0])
     x, y = np.concatenate([u.real, u.imag], axis=-1), np.concatenate([-u.imag, u.real], axis=-1)
     # where sigma_n2 / alpha overflows, the variances are inf: Sigma is then nan off its
-    # inf diagonal and sg2 is not finite, which callers reject
+    # inf diagonal and sg2 is not finite, which callers reject.  P = 1 has no
+    # perpendicular direction, and its sg2 takes none of v_perp (0 * inf would be nan)
+    perp = (params.taps - 1) * v_perp if params.taps > 1 else 0.0
     with np.errstate(invalid="ignore"):
         sigma = (
             v_perp / 2 * np.eye(2 * params.taps)
             + (v_rad - v_perp / 2) * x[..., :, None] * x[..., None, :]
             + (v_ph - v_perp / 2) * y[..., :, None] * y[..., None, :]
         )
-        sg2 = (v_rad + v_ph + (params.taps - 1) * v_perp)[..., 0, 0] / params.taps
+        sg2 = (v_rad + v_ph + perp)[..., 0, 0] / params.taps
     return sigma, _scalar(sg2)
 
 

@@ -70,10 +70,10 @@ def training_estimate(
     With S(m) = [x_1(m) C_1^(m), ..., x_K(m) C_K^(m)] the training model is
     r(m) = S(m) g + n(m).  The right-hand side sum_m S(m)^H r(m) stacks the
     symbol-conjugated despreader outputs sum_m conj(x_k(m)) C_k^(m)T r(m),
-    read off the correlator GEMM the SOS right-hand side shares; solving the
-    K*P normal equations against the Gram sum_m S(m)^H S(m) decorrelates
-    the users ("despread, then decorrelate"), which removes the
-    multiple-access residual a per-user despreader keeps and leaves
+    summed over the correlator chunks the SOS right-hand side shares;
+    solving the K*P normal equations against the Gram sum_m S(m)^H S(m)
+    decorrelates the users ("despread, then decorrelate"), which removes
+    the multiple-access residual a per-user despreader keeps and leaves
     additive noise of variance noise_var / M_t per tap in the large-system
     limit.  Needs at least K*P training samples (:func:`model._check_training_rank`).
 
@@ -91,9 +91,10 @@ def training_estimate(
     _check_signs(train_chips)
     x = symbols[:, :mt]
     gram = _training_gram(train_chips, x, taps)
-    despread = _correlate(train_chips, windows[:mt], taps)  # (M_t, K, P)
-    rhs = np.einsum("km,mkp->kp", x.conj(), despread).reshape(-1)
-    return _solve_spd(gram, rhs).reshape(k, taps)
+    rhs = np.zeros((k, taps), dtype=complex)
+    for block, despread in _correlate(train_chips, windows[:mt], taps):  # (size, K, P)
+        rhs += np.einsum("km,mkp->kp", x[:, block].conj(), despread)
+    return _solve_spd(gram, rhs.reshape(-1)).reshape(k, taps)
 
 
 def _training_gram(chips: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
@@ -103,16 +104,22 @@ def _training_gram(chips: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
     symbols.  Column p of S(m) is [x_k(m) c_k(m, P-1-p .. N-1-p)]_k, so
     block (a, b) of the Gram (rows tap a, columns tap b) is
     sum_m conj(x_k(m)) x_j(m) B_kj[a, b](m) / N, with B[a, b] the sign
-    cross-Grams of :func:`sos._cross_grams`; the blocks b < a are the
+    cross-Grams of the Sylvester windows; the blocks b < a are the
     conjugate transposes of those above.  With x = u (alpha + j beta) the
     weight conj(x_k) x_j / u^2 has real part alpha_k alpha_j + beta_k beta_j
     and imaginary part alpha_k beta_j - beta_k alpha_j, each in
-    {0, +-1, +-2}, so in float32 every sum is an exact integer while a
-    chunk keeps its sums within 2^24; the chunks add up in float64.  Once
-    the chunk buffers are freed, the real and imaginary sums of each block
-    a <= b, and the conjugate transposes of those above, are written
-    straight into one (K, P, K, P) complex array, which is scaled by
-    u^2 / N in place and returned as a (K P, K P) view.
+    {0, +-1, +-2}.  Only the P first-row cross-Grams B[0, b] of
+    :func:`sos._cross_grams` are weighted: in float32 every sum is an exact
+    integer while a chunk keeps its sums within 2^24, and the chunks add up
+    in float64.  Window a gains chip P-1-a and drops chip N-a of window
+    a-1, so block (a, b), a >= 1, is block (a-1, b-1) plus
+    Z_g(a)^H Z_g(b) - Z_d(a)^H Z_d(b), with Z_g(a) and Z_d(a) the
+    (M_t, K) gained and dropped chips of window a, kept from every chunk,
+    weighted by x / u: two complex GEMMs whose integer sums float64 holds
+    exactly.  They run once the chunk buffers are freed, as the first
+    block row, each block below it and the conjugate transposes of those
+    above are written into one (K, P, K, P) complex array, which is scaled
+    by u^2 / N in place and returned as a (K P, K P) view.
 
     Raises
     ------
@@ -128,21 +135,28 @@ def _training_gram(chips: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
             "the exact training Gram needs symbols whose real and imaginary "
             "parts are all 0 or +-u for one u > 0"
         )
-    levels = (comps / scale).astype(np.float32).transpose(1, 0, 2)  # (M_t, K, 2)
+    units = comps / scale  # each part 0 or +-1
+    levels = units.astype(np.float32).transpose(1, 0, 2)  # (M_t, K, 2)
     # the weights' (Re, Im): (alpha, beta) times (alpha, beta) and (beta, -alpha)
     partners = np.stack([levels, np.stack([levels[..., 1], -levels[..., 0]], axis=-1)])
-    sums = np.zeros((taps, taps, 2, k, k))  # (Re, Im) integer sums of the blocks a <= b
-    # |weight| <= 2 times a cross-Gram entry of at most N-P+1
-    for block, cross in _cross_grams(chips, taps, _EXACT_INT_F32 // (2 * (n - taps + 1))):
+    sums = np.zeros((taps, 2, k, k))  # (Re, Im) integer sums of the first-row blocks (0, b)
+    edges = np.empty((taps - 1, 2, mt, k), dtype=np.float32)  # (gained, dropped) chips
+    max_chunk = _EXACT_INT_F32 // (2 * (n - taps + 1))  # |weight| <= 2 times an entry <= N-P+1
+    for block, row, chunk_edges in _cross_grams(chips, taps, max_chunk):
         weights = np.matmul(levels[block], partners[:, block].transpose(0, 1, 3, 2))
-        for (a, b), b_ab in cross.items():
-            sums[a, b] += np.einsum("rmkj,mkj->rkj", weights, b_ab)
+        for b, b_0b in enumerate(row):
+            sums[b] += np.einsum("rmkj,mkj->rkj", weights, b_0b)
         del weights  # before the next chunk's are computed
-    del cross, b_ab  # free the chunk buffers before the blocks are written
+        edges[:, :, block] = chunk_edges.transpose(1, 2, 0, 3)
+    del row, b_0b  # free the chunk buffers before the blocks are written
     gram = np.empty((k, taps, k, taps), dtype=complex)  # block (a, b) is gram[:, a, :, b]
-    for a, b in itertools.combinations_with_replacement(range(taps), 2):
-        gram[:, a, :, b].real = sums[a, b, 0]
-        gram[:, a, :, b].imag = sums[a, b, 1]
+    for b in range(taps):
+        gram[:, 0, :, b].real = sums[b, 0]
+        gram[:, 0, :, b].imag = sums[b, 1]
+    z = edges * (units[..., 0] + 1j * units[..., 1]).T  # Z_g and Z_d of windows 1 .. P-1
+    for a, b in itertools.combinations_with_replacement(range(1, taps), 2):
+        gained, dropped = np.matmul(z[a - 1].conj().transpose(0, 2, 1), z[b - 1])
+        gram[:, a, :, b] = gram[:, a - 1, :, b - 1] + (gained - dropped)
     for a, b in itertools.combinations(range(taps), 2):
         gram[:, b, :, a] = gram[:, a, :, b].conj().T
     gram *= scale * scale / n

@@ -8,8 +8,9 @@ O(N^4) to O(K^2 P^2 N) for the Gram T.  The right-hand side y costs
 O(K P N) per symbol: the correlators a_k are one real GEMM of the chips
 against P shifts of r, a symbol chunk at a time, and the bias term
 C_k^T C_k is read off chip lag products, so no Sylvester window stack is
-built.  Its temporaries, but for the (Mi, K, P) correlator outputs, are
-one symbol chunk each.
+built.  Its temporaries are one symbol chunk each: each chunk's
+correlator outputs are reduced into the moments before the next chunk is
+correlated, so the (Mi, K, P) outputs are never stored.
 
 T is never formed either.  It commutes with the per-user vec-transpose,
 so it maps the real part of a vec'd Hermitian matrix (symmetric) and its
@@ -31,10 +32,11 @@ its sums, at most chunk * (N-P+1)^2, within 2^24.  A chunk also keeps its
 P^2 cross-Grams within ``_GRAM_CHUNK_ELEMS`` entries (2 MB).  The chunks
 add up in float64, each block entry is an integer sum or difference of
 two of these sums, and one division by 2 M_i N^2 rounds it correctly.
-Per symbol, :func:`_cross_grams` builds the P(P+1)/2 upper cross-Grams
-of K x (N-P+1) chip windows from P GEMMs and P(P-1)/2 rank-2 updates,
-and the Gram sums the (P^4 + 3 P^2)/4 products of them (27 for P = 3)
-that the Kronecker symmetries leave distinct.  A product that reads a
+Per symbol, :func:`_cross_grams` builds the P first-row cross-Grams of
+K x (N-P+1) chip windows from P GEMMs, :func:`_gram` the other
+P(P-1)/2 upper ones from rank-2 updates of the window edge chips, and
+the Gram sums the (P^4 + 3 P^2)/4 products of them (27 for P = 3) that
+the Kronecker symmetries leave distinct.  A product that reads a
 lower cross-Gram reads it from one reused scratch, which holds the
 transpose of one upper cross-Gram at a time.
 """
@@ -141,8 +143,12 @@ def _gram(chips: np.ndarray, taps: int) -> tuple[np.ndarray, np.ndarray]:
     2 Mi N^2.
 
     An orbit's least (a, b, c, d) has a <= b, so B[a, b] is one of the
-    upper cross-Grams of :func:`_cross_grams`, and B[c, d] is either one
-    too or the transpose of one.  The orbits are summed in groups by that
+    P(P+1)/2 upper cross-Grams, and B[c, d] is either one too or the
+    transpose of one.  Per chunk, :func:`_cross_grams` gives the first row
+    B[0, b], and the rows below follow symbol by symbol down each diagonal,
+    B[a, b] = B[a-1, b-1] + s(P-1-a) s(P-1-b)^T - s(N-a) s(N-b)^T, one
+    batched rank-2 product of the chunk's edge chips each, written into
+    buffers reused by every chunk.  The orbits are summed in groups by that
     lower B[c, d]: per chunk, each is copied once into one reused
     (chunk, K, K) float32 scratch, and no other transposed copy is made.
     """
@@ -155,12 +161,22 @@ def _gram(chips: np.ndarray, taps: int) -> tuple[np.ndarray, np.ndarray]:
     by_lower: dict[tuple[int, int] | None, list[int]] = {}
     for q, (_, _, c, d) in enumerate(quads):
         by_lower.setdefault((c, d) if c > d else None, []).append(q)
+    pairs = [(a, b) for a in range(taps) for b in range(a, taps)]  # row 0 first
+    # a product negates the dropped chips, as numpy 2.4's np.negative writes
+    # wrong values into strided ``out``s
+    flip = np.array([[1], [-1]], dtype=np.float32)
     acc = np.zeros((len(quads), k, k))
-    lower = None  # one scratch for the lower cross-Gram, reused by every group and chunk
-    for _, cross in _cross_grams(chips, taps, _EXACT_INT_F32 // n_w**2):
-        if lower is None:
-            lower = np.empty_like(cross[0, 0])  # the first chunk is the largest
-        size = len(cross[0, 0])
+    below = lower = None  # rows 1 .. P-1 and the lower scratch, reused by every chunk
+    for _, row, edges in _cross_grams(chips, taps, _EXACT_INT_F32 // n_w**2):
+        if lower is None:  # the first chunk is the largest
+            below = np.empty((len(pairs) - taps, *row.shape[1:]), dtype=np.float32)
+            lower = np.empty_like(row[0])
+        size = len(edges)
+        cross = dict(zip(pairs, [*row, *below[:, :size]]))
+        signed = edges * flip
+        for a, b in pairs[taps:]:  # rows 1 .. P-1, each after the row above
+            np.matmul(edges[:, a - 1].transpose(0, 2, 1), signed[:, b - 1], out=cross[a, b])
+            cross[a, b] += cross[a - 1, b - 1]
         for pair, group in by_lower.items():
             if pair is not None:
                 np.copyto(lower[:size], cross[pair[::-1]].transpose(0, 2, 1))
@@ -168,7 +184,7 @@ def _gram(chips: np.ndarray, taps: int) -> tuple[np.ndarray, np.ndarray]:
                 a, b, c, d = quads[q]
                 second = cross[c, d] if c <= d else lower[:size]
                 acc[q] += np.einsum("mij,mij->ij", cross[a, b], second)
-    del cross, lower  # free the chunk buffers before the blocks are allocated
+    del row, cross, below, lower  # free the chunk buffers before the blocks are allocated
     sums = (acc, acc.transpose(0, 2, 1))
     blocks = []
     for sign, terms in zip((1, -1), _hermitian_block_terms(taps)):
@@ -182,40 +198,34 @@ def _gram(chips: np.ndarray, taps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cross_grams(chips: np.ndarray, taps: int, max_chunk: int):
-    """Yield ``(block, cross)`` per symbol chunk of the (K, M, N) chip signs.
+    """Yield ``(block, row, edges)`` per symbol chunk of the (K, M, N) chip signs.
 
     A chunk holds at most ``max_chunk`` symbols, and fewer where P^2
     cross-Grams would pass ``_GRAM_CHUNK_ELEMS``; the P(P+1)/2 upper ones
-    and a consumer's transposed scratch stay within that.  ``cross`` maps
-    (a, b), a <= b, to the chunk's (size, K, K) float32 sign cross-Grams
-    B[a, b] = W_a W_b^T of the Sylvester windows W_a (chips P-1-a .. N-1-a),
-    overwritten by the next chunk.  Row B[0, b] is one batched GEMM each; down each diagonal,
-    window a gains chip P-1-a and drops chip N-a, so B[a, b] = B[a-1, b-1]
-    + s(P-1-a) s(P-1-b)^T - s(N-a) s(N-b)^T, one batched rank-2 product.
+    and a consumer's transposed scratch stay within that.  ``row`` is the
+    chunk's first block row, (P, size, K, K) float32, overwritten by the
+    next chunk: row[b] = B[0, b] = W_0 W_b^T, the sign cross-Grams of the
+    Sylvester windows W_a (chips P-1-a .. N-1-a), one batched GEMM each.
     Every entry is an integer of magnitude at most N-P+1, exact in float32.
+    Down each diagonal, window a gains chip P-1-a and drops chip N-a, so
+    B[a, b] = B[a-1, b-1] + s(P-1-a) s(P-1-b)^T - s(N-a) s(N-b)^T; ``edges``
+    holds those signs, (size, P-1, 2, K) float32, with edges[:, a-1] the
+    (gained, dropped) chips of window a.
     """
     k, m, n = chips.shape
     chunk = max(1, min(m, max_chunk, _GRAM_CHUNK_ELEMS // (taps * taps * k * k)))
-    pairs = [(a, b) for a in range(taps) for b in range(a, taps)]
-    buf = np.empty((len(pairs), chunk, k, k), dtype=np.float32)
+    buf = np.empty((taps, chunk, k, k), dtype=np.float32)
     signs = np.empty((chunk, k, n), dtype=np.float32)
-    # chips gained and dropped by windows 1 .. P-1; a product negates the dropped
-    # ones, as numpy 2.4's np.negative writes wrong values into strided ``out``s
+    # chips gained and dropped by windows 1 .. P-1
     edge_chips = np.stack([np.arange(taps - 2, -1, -1), np.arange(n - 1, n - taps, -1)], axis=-1)
-    flip = np.array([[1], [-1]], dtype=np.float32)
     for lo in range(0, m, chunk):
         s = signs[: min(chunk, m - lo)]
         np.copyto(s, chips[:, lo : lo + chunk].transpose(1, 0, 2))
-        cross = dict(zip(pairs, buf[:, : len(s)]))
+        row = buf[:, : len(s)]
         for b in range(taps):
             window = s[:, :, taps - 1 - b : n - b].transpose(0, 2, 1)
-            np.matmul(s[:, :, taps - 1 :], window, out=cross[0, b])
-        edges = s.transpose(0, 2, 1)[:, edge_chips]  # (size, P-1, 2, K)
-        signed = edges * flip
-        for a, b in pairs[taps:]:  # rows 1 .. P-1, each after the row above
-            np.matmul(edges[:, a - 1].transpose(0, 2, 1), signed[:, b - 1], out=cross[a, b])
-            cross[a, b] += cross[a - 1, b - 1]
-        yield slice(lo, lo + len(s)), cross
+            np.matmul(s[:, :, taps - 1 :], window, out=row[b])
+        yield slice(lo, lo + len(s)), row, s.transpose(0, 2, 1)[:, edge_chips]
 
 
 @cache
@@ -255,28 +265,31 @@ def _hermitian_block_terms(taps: int) -> tuple[tuple, tuple]:
     return terms[0], terms[1]
 
 
-def _correlate(chips: np.ndarray, r: np.ndarray, taps: int) -> np.ndarray:
-    """Per-user correlator outputs a_k(m) = C_k^(m)T r(m), (Mi, K, P) complex.
+def _correlate(chips: np.ndarray, r: np.ndarray, taps: int):
+    """Yield ``(block, a)`` per symbol chunk: the per-user correlator outputs
+    a_k(m) = C_k^(m)T r(m) of the chunk's symbols, (size, K, P) complex.
 
     ``chips`` holds the (K, Mi, N) chip signs and ``r`` the matching
     (Mi, N-P+1) windows.  Tap p reads chip n + P-1-p against r(m)[n], so
     this is one real GEMM per symbol of the signs against P zero-padded
     shifts of (Re r, Im r), interleaved to view as complex and scaled by
     1/sqrt(N).  A symbol chunk at a time, the signs are converted to
-    float64 for its GEMMs alone, and the shifts are written into one
-    chunk-sized buffer whose pads stay zero: every chunk rewrites the same
-    signal positions.  The SOS right-hand side squares these outputs; the
-    joint training fit weights them by the conjugate training symbols.
+    float64 for its GEMMs alone, the shifts are written into one
+    chunk-sized buffer whose pads stay zero (every chunk rewrites the same
+    signal positions), and the outputs into another, which the next chunk
+    overwrites.  The SOS right-hand side squares these outputs; the joint
+    training fit weights them by the conjugate training symbols.  Each
+    reduces a chunk before it asks for the next.
     """
     k, mi, n = chips.shape
     n_w = r.shape[1]
     step = max(1, model._CHUNK_ELEMS // (k * n))
     shifted = np.zeros((min(step, mi), n, taps, 2))
-    out = np.empty((mi, k, 2 * taps))
+    outputs = np.empty((min(step, mi), k, 2 * taps))
     for lo in range(0, mi, step):
         block = slice(lo, lo + step)
         window = r[block]
-        shift = shifted[: len(window)]
+        shift, out = shifted[: len(window)], outputs[: len(window)]
         for p in range(taps):
             start = taps - 1 - p
             shift[:, start : start + n_w, p, 0] = window.real
@@ -284,22 +297,26 @@ def _correlate(chips: np.ndarray, r: np.ndarray, taps: int) -> np.ndarray:
         np.matmul(
             chips[:, block].astype(float).transpose(1, 0, 2),
             shift.reshape(len(window), n, 2 * taps),
-            out=out[block],
+            out=out,
         )
-    out /= np.sqrt(n)
-    return out.view(complex)
+        out /= np.sqrt(n)
+        yield slice(lo, lo + len(window)), out.view(complex)
 
 
 def _sos_rhs(chips: np.ndarray, r: np.ndarray, taps: int, noise_var: float) -> np.ndarray:
     """y_k = mean_m vec(a_k a_k^H) - noise_var * mean_m vec(C_k^T C_k), (K, P^2).
 
-    With v_k(m) = (Re a_0, Im a_0, Re a_1, ...) and Q_k = sum_m v_k v_k^T made
-    exactly symmetric, sum_m a_r conj(a_c) = Q[2r, 2c] + Q[2r+1, 2c+1]
-    + i (Q[2r+1, 2c] - Q[2r, 2c+1]) is exactly Hermitian: one real product.
+    With v_k(m) = (Re a_0, Im a_0, Re a_1, ...) and Q_k = sum_m v_k v_k^T,
+    summed a correlator chunk at a time and then made exactly symmetric,
+    sum_m a_r conj(a_c) = Q[2r, 2c] + Q[2r+1, 2c+1]
+    + i (Q[2r+1, 2c] - Q[2r, 2c+1]) is exactly Hermitian: one real product
+    per chunk.
     """
     k, mi, _ = chips.shape
-    v = _correlate(chips, r, taps).view(float)  # (Mi, K, 2P)
-    q = np.matmul(v.transpose(1, 2, 0), v.transpose(1, 0, 2))
+    q = np.zeros((k, 2 * taps, 2 * taps))
+    for _, a in _correlate(chips, r, taps):
+        v = a.view(float)  # (size, K, 2P)
+        q += np.matmul(v.transpose(1, 2, 0), v.transpose(1, 0, 2))
     q = ((q + q.swapaxes(-1, -2)) / (2 * mi)).reshape(k, taps, 2, taps, 2).transpose(0, 3, 4, 1, 2)
     moments = q[:, :, 0, :, 0] + q[:, :, 1, :, 1] + 1j * (q[:, :, 0, :, 1] - q[:, :, 1, :, 0])
     rhs = moments - noise_var * (_self_gram(chips, taps) / mi)  # [k, c, r]: vec order

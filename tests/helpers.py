@@ -224,9 +224,9 @@ def record_chunk_sizes(monkeypatch, module) -> list[int]:
     kernel = sos._cross_grams
 
     def recording(*args):
-        for block, cross in kernel(*args):
+        for block, row, edges in kernel(*args):
             sizes.append(block.stop - block.start)
-            yield block, cross
+            yield block, row, edges
 
     monkeypatch.setattr(module, "_cross_grams", recording)
     return sizes

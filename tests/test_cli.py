@@ -124,6 +124,28 @@ def test_non_finite_rows_fail_their_estimator(tmp_path, capsys):
         assert f"{name}: sigma_g2_ana is inf, not finite" in err
 
 
+def test_single_tap_subspace_row_at_huge_noise(tmp_path):
+    # P = 1 leaves no perpendicular direction, so the angle term is an exact 0
+    # although lambda^2 overflows, and the row is the training floor sigma_n2 / alpha
+    out = tmp_path / "out.csv"
+    argv = ["predict", "--P", "1", "--sigma-n2", "1e200", "--estimator", "subspace",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    (row,) = harness.load_records(out)
+    assert row.sigma_g2_ana == pytest.approx(5e200, rel=1e-12)
+
+
+def test_single_tap_rows_at_overflowing_noise_fail_as_inf(tmp_path, capsys):
+    # at P = 1 every prediction carries sigma_n2 / alpha = inf and nothing of the
+    # perpendicular terms, so no row is nan
+    out = tmp_path / "out.csv"
+    assert cli.main(["predict", "--P", "1", "--sigma-n2", "1e308", "--out", str(out)]) == 1
+    assert harness.load_records(out) == []
+    err = capsys.readouterr().err
+    for name in ("training", "mm", "subspace"):
+        assert f"{name}: sigma_g2_ana is inf, not finite" in err
+
+
 def test_subnormal_noise_mm_row_is_the_training_row(tmp_path):
     # the plug-in w is about 1e-319 here, far too small to move g_bar: mm returns it
     out = tmp_path / "out.csv"

@@ -218,6 +218,66 @@ class TestRunTrial:
         harness.run_trial(cfg, harness.grid_cells(cfg)[0], 0)
         assert dead == [[True, True]]
 
+    def test_identity_trial_frees_the_block_before_the_training_fit(self, monkeypatch):
+        # the fit reads only the training prefix: the trial's whole chips and
+        # windows hold no memory while it runs
+        refs, dead = [], []
+        for name in ("sample_codes", "synthesize_received"):
+
+            def kept(*args, _fn=getattr(model, name), **kwargs):
+                out = _fn(*args, **kwargs)
+                refs.append(weakref.ref(out))
+                return out
+
+            monkeypatch.setattr(model, name, kept)
+
+        def fit(*args, _fn=estimators.training_estimate, **kwargs):
+            dead.append([ref() is None for ref in refs])
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "training_estimate", fit)
+        cfg = tiny_config(sos_mode="identity")
+        harness.run_trial(cfg, harness.grid_cells(cfg)[0], 0)
+        assert dead == [[True, True]]
+
+    @pytest.mark.parametrize("estimator,sos_mode", [("all", "identity"), ("all", "solve"),
+                                                    ("training", "identity")])
+    def test_every_draw_is_made_by_the_synthesis(self, monkeypatch, estimator, sos_mode):
+        # the trial generator does not move after the synthesis, so the order
+        # of the layers that follow it cannot move a stream
+        seen = []
+
+        def synthesize(*args, _fn=model.synthesize_received):
+            out = _fn(*args)
+            rng = args[-1]
+            seen.append((rng, rng.bit_generator.state))
+            return out
+
+        monkeypatch.setattr(model, "synthesize_received", synthesize)
+        cfg = tiny_config(estimator=estimator, sos_mode=sos_mode)
+        harness.run_trial(cfg, harness.grid_cells(cfg)[0], 0)
+        ((rng, state),) = seen
+        assert rng.bit_generator.state == state
+
+    def test_identity_trial_peaks_in_its_synthesis(self):
+        # the block is freed before the training fit, the correlators are
+        # reduced a chunk at a time and the training Gram weights only its
+        # first block row, so an identity-mode trial at N = 64, K = 64,
+        # M = 400, P = 3 peaks in its synthesis (3.1 MB), below 3.5 MB
+        cfg = harness.ExperimentConfig(
+            gain=64, symbols=400, beta=(1.0,), sigma_n2=(0.5,), taps=(3,),
+            alpha=(0.2,), trials=1, seed=5, estimator="all", sos_mode="identity",
+        )
+        cell = harness.grid_cells(cfg)[0]
+        assert cell.params.users == 64
+        tracemalloc.start()
+        try:
+            harness.run_trial(cfg, cell, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6
+
     @pytest.mark.parametrize("sos_mode", ["identity", "solve"])
     def test_trial_peak_memory(self, sos_mode):
         # the chips are drawn in pieces and each Gram holds one chunk of

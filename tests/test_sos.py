@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,24 +36,55 @@ class TestCrossGrams:
     @example(users=2, taps=5, gain=6, symbols=7, chunk=3, seed=0)  # P = N-1, last chunk of 1
     @example(users=4, taps=3, gain=16, symbols=7, chunk=2, seed=1)
     @example(users=1, taps=1, gain=2, symbols=1, chunk=1, seed=2)
-    # strides on which numpy 2.4's np.negative(x, out=y) writes wrong values
     @example(users=1, taps=3, gain=4, symbols=5, chunk=5, seed=3)
     def test_property_matches_window_products(self, users, taps, gain, symbols, chunk, seed):
-        # oracle: W_a W_b^T of the float64 Sylvester windows, symbol by symbol
+        # oracle: W_0 W_b^T of the float64 Sylvester windows, symbol by symbol,
+        # and the chips each window gains and drops
         gain = max(gain, taps + 1)
         chips = seeded_rng(seed).choice(np.array([-1, 1], dtype=np.int8), (users, symbols, gain))
         windows = [chips[:, :, taps - 1 - a : gain - a].astype(float) for a in range(taps)]
-        pairs = [(a, b) for a in range(taps) for b in range(a, taps)]
         lo = 0
-        for block, cross in sos._cross_grams(chips, taps, chunk):
+        for block, row, edges in sos._cross_grams(chips, taps, chunk):
             assert block == slice(lo, min(lo + chunk, symbols))
-            assert sorted(cross) == pairs
-            for (a, b), got in cross.items():
-                assert got.dtype == np.float32
-                ref = np.einsum("imn,jmn->mij", windows[a][:, block], windows[b][:, block])
+            assert row.shape == (taps, block.stop - lo, users, users)
+            assert row.dtype == edges.dtype == np.float32
+            for b, got in enumerate(row):
+                ref = np.einsum("imn,jmn->mij", windows[0][:, block], windows[b][:, block])
                 assert np.array_equal(got, ref)
+            assert edges.shape == (block.stop - lo, taps - 1, 2, users)
+            for a in range(1, taps):
+                gained, dropped = chips[:, block, taps - 1 - a], chips[:, block, gain - a]
+                assert np.array_equal(edges[:, a - 1, 0], gained.T)
+                assert np.array_equal(edges[:, a - 1, 1], dropped.T)
             lo = block.stop
         assert lo == symbols
+
+    @given(
+        users=st.integers(1, 4),
+        taps=st.integers(1, 4),
+        gain=st.integers(2, 12),
+        symbols=st.integers(1, 7),
+        chunk=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(users=2, taps=4, gain=5, symbols=7, chunk=3, seed=0)  # P = N-1, last chunk of 1
+    # strides on which numpy 2.4's np.negative(x, out=y) writes wrong values
+    @example(users=1, taps=3, gain=4, symbols=5, chunk=5, seed=3)
+    def test_property_gram_matches_window_products(self, users, taps, gain, symbols, chunk, seed):
+        # oracle: T summed in int64 from the cross-Grams B[a, b] = W_a W_b^T of
+        # every symbol's windows, so every upper and lower cross-Gram that
+        # _gram's rank-2 recursion builds, in chunks of ``chunk`` symbols, is
+        # checked exactly; both round (x +- y) / (2 Mi N^2) once
+        gain = max(gain, taps + 1)
+        chips = seeded_rng(seed).choice(np.array([-1, 1], dtype=np.int8), (users, symbols, gain))
+        windows = np.stack([chips[:, :, taps - 1 - a : gain - a] for a in range(taps)])
+        cross = np.einsum("aimn,bjmn->mijab", windows, windows, dtype=np.int64)
+        sums = np.einsum("mijab,mijcd->iacjbd", cross, cross).reshape((users * taps * taps,) * 2)
+        with mock.patch.object(sos, "_GRAM_CHUNK_ELEMS", chunk * taps * taps * users * users):
+            blocks = sos._gram(chips, taps)
+        refs = hermitian_blocks(sums.astype(float), users, taps)
+        for block, ref in zip(blocks, refs, strict=True):
+            assert np.array_equal(block, ref / (symbols * gain * gain))
 
 
 class TestBuildNormalEquations:
@@ -170,7 +202,9 @@ class TestBuildNormalEquations:
         for chunk_elems in (p.users * p.symbols * p.gain, 3 * p.users * p.gain):
             monkeypatch.setattr(model, "_CHUNK_ELEMS", chunk_elems)
             windows = model.synthesize_received(p, gains, chips, symbols, seeded_rng(89))
-            results.append((windows, sos._correlate(chips[:, 3:], windows[3:], p.taps)))
+            # each chunk's outputs are overwritten by the next: copy them out
+            outputs = [a.copy() for _, a in sos._correlate(chips[:, 3:], windows[3:], p.taps)]
+            results.append((windows, np.concatenate(outputs)))
         for chunked, whole in zip(results[1], results[0], strict=True):
             assert np.array_equal(chunked, whole)
 
@@ -195,8 +229,8 @@ class TestBuildNormalEquations:
     def test_rhs_peak_memory(self):
         # the right-hand side of one trial at K = 64, M = 400, N = 64, P = 3
         # checks the chips and correlates them a symbol chunk at a time, and
-        # takes the moments from one real product over the outputs, so it
-        # peaks below 1.8 MB: its one (Mi, K, P) complex array and chunk buffers
+        # adds each chunk's real product of the outputs into the moments, so
+        # it peaks below 1.8 MB (0.67 MB): its chunk buffers alone
         p = model.SystemParams(users=64, gain=64, taps=3, symbols=400, train_symbols=80)
         gains = model.sample_channel(p, seeded_rng(90))
         chips, _, windows = draw_block(p, gains, seeded_rng(91))
