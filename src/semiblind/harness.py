@@ -259,11 +259,14 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
     """One Monte Carlo repetition: fresh channel, codes, symbols and noise.
 
     Every random draw is made by the synthesis, so the order of the fits
-    moves no result.  The SOS normal equations are built first, from the
-    whole block; then only the training prefix of the chips, symbols and
-    windows is kept, as copies (0.49 MB of the 2.45 MB block at K = 64,
-    M = 400, N = 64, P = 3), so the block is freed before the training fit,
-    the SOS solve and the semi-blind fits.
+    moves no result.  The symbols are needed only for the training fit,
+    so a copy of their training prefix is kept and the whole symbols
+    (0.41 MB at K = 64, M = 400) are freed before the SOS normal
+    equations, which read only the windows and chips, are built from the
+    whole block.  Then copies of the training prefix of the chips and
+    windows are kept (0.49 MB with the training symbols, of the 2.45 MB
+    block at K = 64, M = 400, N = 64, P = 3), so the block is freed before
+    the training fit, the SOS solve and the semi-blind fits.
     """
     params = cell.params
     rng = _trial_rng(config.seed, cell, trial_index)
@@ -271,6 +274,9 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
     chips = model.sample_codes(params, rng)
     symbols = model.sample_symbols(params, rng)
     windows = model.synthesize_received(params, gains, chips, symbols, rng)
+    mt = params.train_symbols
+    train_symbols = symbols[:, :mt].copy()
+    del symbols
 
     which = config.estimator_list
     semiblind = "mm" in which or "subspace" in which
@@ -278,9 +284,8 @@ def run_trial(config: ExperimentConfig, cell: Cell, trial_index: int) -> TrialRe
         rhs, gram = sos.build_normal_equations(
             windows, chips, params, include_gram=config.sos_mode == "solve"
         )
-    mt = params.train_symbols
-    prefix = windows[:mt].copy(), chips[:, :mt].copy(), symbols[:, :mt].copy()
-    del chips, symbols, windows  # free the block before the fits
+    prefix = windows[:mt].copy(), chips[:, :mt].copy(), train_symbols
+    del chips, windows, train_symbols  # free the block before the fits
     g_bar = estimators.training_estimate(*prefix, replace(params, symbols=mt))
     del prefix
     estimates = {"training": g_bar}
@@ -327,14 +332,17 @@ def _analytic_draws(config: ExperimentConfig, params: model.SystemParams) -> np.
 
 def _summary(values, params, column: str) -> tuple[float, float | None, float | None]:
     """(mean, standard error, eta of the mean) of the sigma_g2 sample behind ``column``,
-    taken on the sample scaled exactly by a power of two so the SE cannot overflow first;
-    one value has no standard error, alpha = 1 no eta, and a non-finite mean or SE raises."""
+    taken on the sample scaled exactly by a power of two so the SE cannot overflow first,
+    and centred on its first value so a constant sample has that value as its mean and
+    SE 0; one value has no standard error, alpha = 1 no eta, and a non-finite mean or SE
+    raises."""
     n, exp = len(values), math.frexp(float(np.max(np.abs(values))))[1]
     scaled = np.ldexp(values, -exp)
-    mean = math.ldexp(float(np.mean(scaled)), exp)
+    centre = float(scaled[0]) if math.isfinite(scaled[0]) else 0.0  # inf - inf is nan
+    mean = math.ldexp(centre + float(np.mean(scaled - centre)), exp)
     se = None  # a non-finite mean raises below, before its deviations make inf - inf
     if n > 1 and math.isfinite(mean):
-        se = math.ldexp(float(np.std(scaled, ddof=1)) / math.sqrt(n), exp)
+        se = math.ldexp(float(np.std(scaled - centre, ddof=1)) / math.sqrt(n), exp)
     for name, value in ((column, mean), ("sigma_g2_se", se)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} is {value}, not finite")

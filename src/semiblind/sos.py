@@ -18,7 +18,9 @@ imaginary part (antisymmetric) separately.  In the P^2 real free variables
 of :func:`free_slot_index` it splits into a real block of order
 K P(P+1)/2, over the diagonal and upper real parts, and an imaginary block
 of order K P(P-1)/2, over the upper imaginary parts.  The solve factors
-each block once and returns an exactly Hermitian d.
+each block once, in place over the block's own lower triangle, and
+returns an exactly Hermitian d; the block is restored before the solve
+returns.
 
 Every sum runs over the int8 +-1 chip signs of :func:`model.sample_codes`,
 and the chip scale 1/sqrt(N) is applied once, in float64, to its result:
@@ -30,8 +32,11 @@ then an integer, and binary32 holds every integer of magnitude up to 2^24
 exactly, so each chunk of symbols is summed exactly as long as it keeps
 its sums, at most chunk * (N-P+1)^2, within 2^24.  A chunk also keeps its
 P^2 cross-Grams within ``_GRAM_CHUNK_ELEMS`` entries (2 MB).  The chunks
-add up in float64, each block entry is an integer sum or difference of
-two of these sums, and one division by 2 M_i N^2 rounds it correctly.
+add up in float32 too while M_i (N-P+1)^2 <= 2^24, which bounds every
+partial sum (at N = 64, P = 3 up to 4364 information symbols), and in
+float64 beyond that.  Each block entry is an integer sum or difference of
+two of these sums, taken in float64, and one division by 2 M_i N^2
+rounds it correctly.
 Per symbol, :func:`_cross_grams` builds the P first-row cross-Grams of
 K x (N-P+1) chip windows from P GEMMs, :func:`_gram` the other
 P(P-1)/2 upper ones from rank-2 updates of the window edge chips, and
@@ -140,7 +145,10 @@ def _gram(chips: np.ndarray, taps: int) -> tuple[np.ndarray, np.ndarray]:
     first swap maps row (a, c) to (c, a) and column (b, d) to (d, b), which
     is why T commutes with the per-user vec-transpose.  Each block entry is
     an integer sum or difference of two orbit sums, divided once by
-    2 Mi N^2.
+    2 Mi N^2.  The orbit sums are kept in float32 when Mi (N-P+1)^2 <= 2^24
+    bounds them, so every partial sum is an exact integer, and in float64
+    otherwise; each entry adds or subtracts its two sums in float64,
+    straight into its block, with no float64 copy of the sums.
 
     An orbit's least (a, b, c, d) has a <= b, so B[a, b] is one of the
     P(P+1)/2 upper cross-Grams, and B[c, d] is either one too or the
@@ -165,7 +173,9 @@ def _gram(chips: np.ndarray, taps: int) -> tuple[np.ndarray, np.ndarray]:
     # a product negates the dropped chips, as numpy 2.4's np.negative writes
     # wrong values into strided ``out``s
     flip = np.array([[1], [-1]], dtype=np.float32)
-    acc = np.zeros((len(quads), k, k))
+    # every partial orbit sum is an integer of magnitude <= Mi (N-P+1)^2
+    exact_f32 = mi * n_w**2 <= _EXACT_INT_F32
+    acc = np.zeros((len(quads), k, k), dtype=np.float32 if exact_f32 else float)
     below = lower = None  # rows 1 .. P-1 and the lower scratch, reused by every chunk
     for _, row, edges in _cross_grams(chips, taps, _EXACT_INT_F32 // n_w**2):
         if lower is None:  # the first chunk is the largest
@@ -187,11 +197,11 @@ def _gram(chips: np.ndarray, taps: int) -> tuple[np.ndarray, np.ndarray]:
     del row, cross, below, lower  # free the chunk buffers before the blocks are allocated
     sums = (acc, acc.transpose(0, 2, 1))
     blocks = []
-    for sign, terms in zip((1, -1), _hermitian_block_terms(taps)):
+    for combine, terms in zip((np.add, np.subtract), _hermitian_block_terms(taps)):
         slots = math.isqrt(len(terms))
         block = np.empty((k, slots, k, slots))
         for s, t, (tr1, q1), (tr2, q2) in terms:
-            block[:, s, :, t] = sums[tr1][q1] + sign * sums[tr2][q2]
+            combine(sums[tr1][q1], sums[tr2][q2], out=block[:, s, :, t], dtype=float)
         block /= 2 * mi * n * n
         blocks.append(block.reshape(k * slots, k * slots))
     return blocks[0], blocks[1]
@@ -366,7 +376,8 @@ def estimate_sos(
     free variable fills two vec positions, and a block entry is half their
     summed coefficient in T, so the blocks solve for the weighted free
     variables: f = blocks^-1 free_vars(y) / :func:`free_weights`.  The
-    empty imaginary block of P = 1 is skipped.
+    empty imaginary block of P = 1 is skipped.  Each block is factored in
+    place and restored, so the caller's blocks end as they began.
     """
     if gram is None:
         return rhs
@@ -391,44 +402,99 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     epsilon and n the order -- is retried with a relative ridge
     1e-8 ||diag(gram)|| on the diagonal; a second failure raises
     :class:`SingularSystemError` with the condition number of ``gram``.
-    The ridged Gram is built only once the first attempt fails.  The SOS
-    solve calls this once per Hermitian block, so each block takes its
-    own ridge.
+    The SOS solve calls this once per Hermitian block, so each block takes
+    its own ridge.
+
+    L is written over the lower triangle of ``gram`` itself
+    (:func:`_factor_lower`), with the ridge, if any, added to its diagonal
+    in place, so no copy of the Gram is made.  ``gram`` must be a writeable
+    float64 or complex128 array, exactly Hermitian: its strict upper
+    triangle and a saved copy of its diagonal are never overwritten, and
+    :func:`_restore_lower` rebuilds it from them before the ridged retry
+    and before returning or raising, so the caller's array ends as it
+    began.
     """
     n = gram.shape[0]
-    for ridge in (0.0, _RIDGE):
-        matrix = gram + ridge * np.linalg.norm(np.diag(gram)) * np.eye(n) if ridge else gram
-        try:
-            factor = np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError:
-            continue
-        pivots = np.diagonal(factor).real ** 2
-        if pivots.min() > n * _EPS * pivots.max():
-            return _substitute(factor, rhs)
+    diag = np.diagonal(gram).copy()
+    try:
+        for ridge in (0.0, _RIDGE):
+            if ridge:
+                _restore_lower(gram, diag + ridge * np.linalg.norm(diag))
+            if _factor_lower(gram):
+                pivots = np.diagonal(gram).real ** 2
+                if pivots.min() > n * _EPS * pivots.max():
+                    return _substitute(gram, rhs)
+    finally:
+        _restore_lower(gram, diag)
     raise SingularSystemError(
         "normal-equation matrix is singular or not positive definite",
         condition=float(np.linalg.cond(gram)),
     )
 
 
+def _factor_lower(a: np.ndarray) -> bool:
+    """Write the Cholesky factor L of ``a`` over its lower triangle, a
+    ``_SOLVE_BLOCK``-wide block column at a time; False if ``a`` is not
+    positive definite.
+
+    Block column j is first updated by one GEMM of the factored columns
+    left of it, then its diagonal block is factored by
+    ``np.linalg.cholesky``, which reads only that block's lower triangle,
+    and the panel below it is solved against the block's factor L_j as
+    one GEMM by the inverse of L_j^H, which is faster than numpy's
+    pivoting solve of the whole panel.  Only the lower triangle of the
+    diagonal block is written back, so the strict upper triangle of ``a``
+    is never written.
+    """
+    n = a.shape[0]
+    for lo in range(0, n, _SOLVE_BLOCK):
+        hi = min(lo + _SOLVE_BLOCK, n)
+        block, panel = a[lo:hi, lo:hi], a[hi:, lo:hi]
+        updated = block
+        if lo:
+            done = a[lo:hi, :lo].conj().T
+            updated = block - a[lo:hi, :lo] @ done
+            panel -= a[hi:, :lo] @ done
+        try:
+            factor = np.linalg.cholesky(updated)
+        except np.linalg.LinAlgError:
+            return False
+        np.copyto(block, factor, where=np.tri(hi - lo, dtype=bool))
+        if hi < n:  # panel = panel L^-H
+            panel[...] = panel @ np.linalg.inv(factor).conj().T
+    return True
+
+
+def _restore_lower(a: np.ndarray, diag: np.ndarray) -> None:
+    """Refill the strict lower triangle of ``a`` from the conjugate of its
+    strict upper one, a block column at a time, and set its diagonal."""
+    n = a.shape[0]
+    for lo in range(0, n, _SOLVE_BLOCK):
+        hi = min(lo + _SOLVE_BLOCK, n)
+        strict = np.tri(n - lo, hi - lo, -1, dtype=bool)
+        np.copyto(a[lo:, lo:hi], a[lo:hi, lo:].conj().T, where=strict)
+    np.fill_diagonal(a, diag)
+
+
 def _substitute(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Blocked forward then back substitution through a lower triangular factor.
 
-    Each ``_SOLVE_BLOCK``-row diagonal block is solved directly after the
-    GEMM update from the rows already solved.  The back substitution reads
-    L^H through the conjugate transpose of one block column of L at a
-    time, so no conjugate of the whole factor is made.
+    Only the lower triangle of ``factor`` is read, so it may hold anything
+    above its diagonal.  Each ``_SOLVE_BLOCK``-row diagonal block is solved
+    directly after the GEMM update from the rows already solved.  The back
+    substitution reads L^H through the conjugate transpose of one block
+    column of L at a time, so no conjugate of the whole factor is made.
     """
     x = np.array(rhs, dtype=np.result_type(factor, rhs))
     starts = range(0, factor.shape[0], _SOLVE_BLOCK)
     for lo in starts:
         hi = lo + _SOLVE_BLOCK
         x[lo:hi] -= factor[lo:hi, :lo] @ x[:lo]
-        x[lo:hi] = np.linalg.solve(factor[lo:hi, lo:hi], x[lo:hi])
+        x[lo:hi] = np.linalg.solve(np.tril(factor[lo:hi, lo:hi]), x[lo:hi])
     for lo in reversed(starts):  # L^H, a block column of L at a time
         hi = lo + _SOLVE_BLOCK
         x[lo:hi] -= factor[hi:, lo:hi].conj().T @ x[hi:]
-        x[lo:hi] = np.linalg.solve(factor[lo:hi, lo:hi].conj().T, x[lo:hi])
+        x[lo:hi] = np.linalg.solve(np.tril(factor[lo:hi, lo:hi]).conj().T, x[lo:hi])
     return x
 
 

@@ -135,6 +135,18 @@ def test_single_tap_subspace_row_at_huge_noise(tmp_path):
     assert row.sigma_g2_ana == pytest.approx(5e200, rel=1e-12)
 
 
+def test_constant_prediction_row_has_zero_se_and_eta(tmp_path):
+    # at P = 1 and sigma_n2 = 1e200 every channel draw predicts the same value,
+    # so the row's mean is that value, with standard error 0 and eta 0
+    out = tmp_path / "out.csv"
+    argv = ["predict", "--P", "1", "--sigma-n2", "1e200", "--estimator", "subspace",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    (row,) = harness.load_records(out)
+    assert row.sigma_g2_ana == 4.9999999999999995e200
+    assert (row.sigma_g2_se, row.eta_ana) == (0.0, 0.0)
+
+
 def test_single_tap_rows_at_overflowing_noise_fail_as_inf(tmp_path, capsys):
     # at P = 1 every prediction carries sigma_n2 / alpha = inf and nothing of the
     # perpendicular terms, so no row is nan

@@ -218,6 +218,26 @@ class TestRunTrial:
         harness.run_trial(cfg, harness.grid_cells(cfg)[0], 0)
         assert dead == [[True, True]]
 
+    def test_solve_trial_frees_the_symbols_before_the_normal_equations(self, monkeypatch):
+        # the SOS normal equations read only the windows and chips, so the
+        # trial keeps just its training symbols while they are built
+        refs, dead = [], []
+
+        def drawn(*args, _fn=model.sample_symbols, **kwargs):
+            out = _fn(*args, **kwargs)
+            refs.append(weakref.ref(out))
+            return out
+
+        def build(*args, _fn=sos.build_normal_equations, **kwargs):
+            dead.append([ref() is None for ref in refs])
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(model, "sample_symbols", drawn)
+        monkeypatch.setattr(sos, "build_normal_equations", build)
+        cfg = tiny_config(sos_mode="solve")
+        harness.run_trial(cfg, harness.grid_cells(cfg)[0], 0)
+        assert dead == [[True]]
+
     def test_identity_trial_frees_the_block_before_the_training_fit(self, monkeypatch):
         # the fit reads only the training prefix: the trial's whole chips and
         # windows hold no memory while it runs
@@ -277,6 +297,26 @@ class TestRunTrial:
         finally:
             tracemalloc.stop()
         assert peak < 3.5e6
+
+    def test_solve_trial_peak_memory(self):
+        # the symbols are freed before the Gram, its 27 orbit sums are kept
+        # in float32, and every SPD system is factored in place: one
+        # solve-mode trial at N = 64, K = 64, M = 400, P = 3 peaks at 4.47 MB
+        # above its start (5.26 MB when each of these was a copy), below 4.8 MB
+        cfg = harness.ExperimentConfig(
+            gain=64, symbols=400, beta=(1.0,), sigma_n2=(0.5,), taps=(3,),
+            alpha=(0.2,), trials=1, seed=5, estimator="subspace", sos_mode="solve",
+        )
+        cell = harness.grid_cells(cfg)[0]
+        assert cell.params.users == 64
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            harness.run_trial(cfg, cell, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 4.8e6
 
     @pytest.mark.parametrize("sos_mode", ["identity", "solve"])
     def test_trial_peak_memory(self, sos_mode):

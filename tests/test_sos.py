@@ -165,6 +165,25 @@ class TestBuildNormalEquations:
             assert np.array_equal(block, ref)
         assert np.array_equal(dense_gram(blocks), gram_ref)
 
+    @pytest.mark.parametrize("symbols", [4364, 4365])
+    def test_float32_orbit_sums_equal_float64_reference(self, symbols):
+        # N = 64, P = 3: M_i (N-P+1)^2 is 16 775 216 <= 2^24 at 4364 symbols,
+        # whose orbit sums are kept in float32, and passes 2^24 at 4365, whose
+        # sums stay float64; the (a, a, a, a) diagonal sums reach that bound.
+        # The reference sums the same integers in float64 from the windows
+        p = model.SystemParams(users=2, gain=64, taps=3, symbols=symbols, train_symbols=0)
+        chips = model.sample_codes(p, seeded_rng(86))
+        _, blocks = sos.build_normal_equations(
+            np.zeros((symbols, p.window), dtype=complex), chips, p
+        )
+        w = np.stack([chips[:, :, 2 - a : 64 - a] for a in range(3)]).astype(float)
+        cross = np.einsum("aimn,bjmn->mabij", w, w)  # B_ij[a, b] per symbol
+        sums = np.einsum("mabij,mcdij->iacjbd", cross, cross)  # G[a, b, c, d][i, j]
+        assert sums.max() == symbols * p.window**2
+        dense = sums.reshape(2 * 9, 2 * 9)  # row (i, a P + c), column (j, b P + d)
+        for block, ref in zip(blocks, hermitian_blocks(dense, 2, 3), strict=True):
+            assert np.array_equal(block, ref / (symbols * 64 * 64))
+
     @pytest.mark.parametrize("taps", [1, 2, 3, 4])
     def test_block_orders(self, taps):
         # the real block spans the diagonal and upper real parts, the
@@ -477,19 +496,73 @@ class TestSolveSpd:
         assert np.allclose((gram + ridge * np.eye(2)) @ x, rhs, rtol=0, atol=1e-6)
 
     def test_spd_gram_builds_no_ridged_copy(self, monkeypatch):
-        # the first factor is accepted, so the ridged Gram is never formed
+        # the first factor is accepted, so the ridged Gram is never formed:
+        # the one block factored is a view of gram itself
         factored = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
         gram = np.diag([2.0, 3.0])
         assert np.allclose(sos._solve_spd(gram, np.array([2.0, 3.0])), 1.0)
-        assert len(factored) == 1 and factored[0] is gram
+        assert len(factored) == 1 and np.shares_memory(factored[0], gram)
 
     def test_indefinite_gram_raises(self):
         gram = np.diag([1.0, -1.0])
         with pytest.raises(SingularSystemError) as info:
             sos._solve_spd(gram, np.array([1.0 + 0j, 1.0]))
         assert info.value.condition == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("case", ["spd", "ridge", "raise"])
+    def test_input_is_left_unchanged(self, dtype, case):
+        # the factor is written over gram's lower triangle and undone on every
+        # path: order 130 spans three blocks; rank 60 < 130 takes the ridge
+        rng = seeded_rng(71)
+        n = 130
+        a = rng.standard_normal((n if case == "spd" else 60, n)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal(a.shape)
+        gram = a.conj().T @ a
+        gram = (gram + gram.conj().T) / 2  # exactly Hermitian
+        if case == "raise":
+            gram[70, 70] = -1.0
+        before = gram.copy()
+        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if case == "raise":
+            with pytest.raises(SingularSystemError):
+                sos._solve_spd(gram, rhs)
+        else:
+            sos._solve_spd(gram, rhs)
+        assert np.array_equal(gram, before)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 384])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_in_place_factor_matches_cholesky(self, n, dtype):
+        rng = seeded_rng(72)
+        a = rng.standard_normal((n + 8, n)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal(a.shape)
+        gram = a.conj().T @ a
+        gram = (gram + gram.conj().T) / 2
+        factor = gram.copy()
+        assert sos._factor_lower(factor)
+        ref = np.linalg.cholesky(gram)
+        assert np.max(np.abs(np.tril(factor) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        upper = np.triu_indices(n, 1)
+        assert np.array_equal(factor[upper], gram[upper])
+
+    def test_factors_no_block_above_the_solve_block(self, monkeypatch):
+        # an order-384 system (the K = 64, P = 3 real SOS block) is factored
+        # a diagonal block at a time, so LAPACK never copies the whole Gram
+        rng = seeded_rng(73)
+        a = rng.standard_normal((400, 384))
+        gram = a.T @ a
+        orders = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: orders.append(len(m)) or cholesky(m))
+        rhs = rng.standard_normal(384)
+        x = sos._solve_spd(gram, rhs)
+        assert orders and max(orders) <= sos._SOLVE_BLOCK
+        assert np.linalg.norm(gram @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 class TestGramToIdentityTrend:
